@@ -118,31 +118,7 @@ def _validate_components(components):
     return signs
 
 
-class GaussCode:
-    """A validated signed oriented Gauss code (pure sequence data)."""
-
-    __slots__ = ("components", "signs")
-
-    def __init__(self, components: Iterable[Sequence[Pass]]):
-        comps = tuple(tuple(c) for c in components)
-        signs = _validate_components(comps)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussCode is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, GaussCode) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        return f"GaussCode({to_text(self)!r})"
-
-
-def parse_gauss(text: str) -> GaussCode:
+def parse_gauss(text: str) -> Diagram:
     """Parse the text form of a signed oriented Gauss code.
 
     Args:
@@ -150,7 +126,7 @@ def parse_gauss(text: str) -> GaussCode:
             components separated by ``;``, ``()`` for a free loop.
 
     Returns:
-        The validated GaussCode.
+        The validated Diagram.
 
     Raises:
         ParseError: on malformed tokens or structure.
@@ -177,23 +153,15 @@ def parse_gauss(text: str) -> GaussCode:
             role, label, sign = m.group(1), int(m.group(2)), m.group(3)
             passes.append(Pass(label, role, 1 if sign == "+" else -1))
         components.append(tuple(passes))
-    return GaussCode(components)
+    return Diagram(components)
 
 
 def to_text(obj) -> str:
-    """Serialize a GaussCode or Diagram back to the token text form."""
-    components = obj.components
-    parts = []
-    for comp in components:
-        if not comp:
-            parts.append("()")
-        else:
-            parts.append(
-                " ".join(
-                    f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in comp
-                )
-            )
-    return " ; ".join(parts)
+    """Serialize a Diagram back to the token text form."""
+    return " ; ".join(
+        " ".join(f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in comp) or "()"
+        for comp in obj.components
+    )
 
 
 class Diagram:
@@ -358,28 +326,20 @@ class Diagram:
         )
 
 
-def build_diagram(code: GaussCode) -> Diagram:
-    """Turn a validated GaussCode into a Diagram."""
-    return Diagram(code.components)
-
-
 def from_text(text: str) -> Diagram:
-    """Parse text straight to a Diagram (parse_gauss + build_diagram)."""
-    return build_diagram(parse_gauss(text))
+    """Parse text straight to a Diagram (the same as ``parse_gauss``)."""
+    return parse_gauss(text)
 
 
-def to_gauss(diagram: Diagram) -> GaussCode:
-    """Extract the Gauss code, relabelling crossings 1..n by first use."""
+def to_gauss(diagram: Diagram) -> Diagram:
+    """The same diagram with crossings relabelled 1..n by first use."""
     relabel = {}
     for comp in diagram.components:
         for p in comp:
-            if p.crossing not in relabel:
-                relabel[p.crossing] = len(relabel) + 1
-    return GaussCode(
-        tuple(
-            tuple(Pass(relabel[p.crossing], p.role, p.sign) for p in comp)
-            for comp in diagram.components
-        )
+            relabel.setdefault(p.crossing, len(relabel) + 1)
+    return Diagram(
+        tuple(Pass(relabel[p.crossing], p.role, p.sign) for p in comp)
+        for comp in diagram.components
     )
 
 

@@ -1,28 +1,35 @@
-"""Conway polynomial by skein recursion.
+"""Conway polynomial of a plane diagram, by determinant.
 
-The recursion rewrites a diagram toward a *descending* one: traverse
-the components in order, each from a basepoint, and ask that the first
-visit to every crossing be an over pass.  Descending diagrams are
-unknotted (one component) or split trivial (several), so their
-polynomial is 1 or 0.  Otherwise take the first crossing A whose first
-visit is an under pass:
+Below, t is the Alexander variable and z = t^1/2 - t^-1/2, the Conway
+variable (which ``ConwayPoly`` prints as ``t``).  Knots: Fox calculus
+gives the Alexander matrix, one column per arc (``colorings.arcs``) and
+one row per crossing: ``1 - t`` on the over arc, ``t`` on under-in and
+``-1`` on under-out at a positive crossing, ``-1`` and ``t`` at a
+negative one.  Its minor without the last row and column is Delta(t) up
+to a unit +-t^k; a fraction-free (Bareiss) determinant over Z[t] takes
+O(n^3) polynomial operations on n crossings.  Normalized to Delta(1) = 1
+with no negative powers, t^d Delta(t) = sum_j c_2j t^(d-j) (t - 1)^(2j)
+gives the c_2j from the top down.
 
-    C(K+) - C(K-) = t * C(K0)
-
-solved for the diagram at hand: changing A removes exactly that
-violation (no other crossing's first-visit role moves), and smoothing A
-drops a crossing, so the recursion terminates.  Results are memoized on
-the relabelled Gauss code; the memo only ever caches diagrams that are
-isomorphic up to crossing labels, so correctness does not depend on it.
+Links: walk the components in plan order, each from its basepoint.
+Changing, in visit order, each crossing between two components that is
+first met from below stacks the components, which splits the link
+(polynomial 0).  The skein relation C(K+) - C(K-) = z C(K0) at each
+change sums C(L) from +-z C(smoothing) with one component fewer: about
+n^(m-1) knot determinants for m components.  A free loop splits too.
+Codes that no plane diagram realizes raise ``NonPlanarError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import comb
 from typing import Optional, Sequence
 
-from .codes import OVER, Basepoint, Diagram, canonical_key
-from .errors import DomainError
+from .codes import OVER, UNDER, Basepoint, Diagram, genus
+from .colorings import arcs
+from .errors import DomainError, NonPlanarError
 from .moves import crossing_change, smooth
 
 
@@ -46,33 +53,29 @@ class ConwayPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __getitem__(self, n: int) -> int:
-        if n < 0:
-            return 0
-        return self.coeffs[n] if n < len(self.coeffs) else 0
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
     def __add__(self, other):
-        size = max(len(self.coeffs), len(other.coeffs))
-        return ConwayPoly([self[i] + other[i] for i in range(size)])
+        return ConwayPoly([a + b for a, b in zip_longest(self, other, fillvalue=0)])
 
     def __sub__(self, other):
-        size = max(len(self.coeffs), len(other.coeffs))
-        return ConwayPoly([self[i] - other[i] for i in range(size)])
+        return ConwayPoly([a - b for a, b in zip_longest(self, other, fillvalue=0)])
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return ConwayPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
         return ConwayPoly(out)
 
     def shifted(self) -> "ConwayPoly":
         """Multiplication by t."""
-        if not self.coeffs:
-            return self
-        return ConwayPoly((0,) + self.coeffs)
+        return ConwayPoly((0,) + self.coeffs) if self.coeffs else self
 
     def __str__(self):
         return poly_text(self)
@@ -90,23 +93,14 @@ ZERO = ConwayPoly()
 
 def poly_text(p: ConwayPoly) -> str:
     """Readable text form, e.g. ``1 + 3t^2 + t^4`` or ``1 - t^2``."""
-    if not p.coeffs:
-        return "0"
     terms = []
     for n, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if n == 0:
-            body = str(mag)
-        else:
-            power = "t" if n == 1 else f"t^{n}"
-            body = power if mag == 1 else f"{mag}{power}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(terms)
+        if c:
+            power = "" if n == 0 else "t" if n == 1 else f"t^{n}"
+            body = power if abs(c) == 1 and n else f"{abs(c)}{power}"
+            sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
+            terms.append(sign + body)
+    return " ".join(terms) or "0"
 
 
 @dataclass(frozen=True)
@@ -121,22 +115,16 @@ class DescendingPlan:
     base: Optional[tuple] = None
 
     def resolve(self, d: Diagram):
-        order = (
-            tuple(range(d.n_components))
-            if self.component_order is None
-            else tuple(self.component_order)
-        )
-        if sorted(order) != list(range(d.n_components)):
+        n = d.n_components
+        order = tuple(range(n) if self.component_order is None else self.component_order)
+        if sorted(order) != list(range(n)):
             raise DomainError(f"bad component order {order!r}")
-        if self.base is None:
-            bases = tuple(Basepoint(ci, 0) for ci in range(d.n_components))
-        else:
-            bases = tuple(Basepoint(*b) for b in self.base)
-            if len(bases) != d.n_components:
-                raise DomainError("need one basepoint per component")
-            for ci, bp in enumerate(bases):
-                if bp.component != ci:
-                    raise DomainError("basepoint list must follow component index")
+        base = ((ci, 0) for ci in range(n)) if self.base is None else self.base
+        bases = tuple(Basepoint(*b) for b in base)
+        if len(bases) != n:
+            raise DomainError("need one basepoint per component")
+        if any(bp.component != ci for ci, bp in enumerate(bases)):
+            raise DomainError("basepoint list must follow component index")
         return order, bases
 
 
@@ -157,21 +145,13 @@ def _traversal(d: Diagram, plan: DescendingPlan):
 
 def violations(d: Diagram, plan: DescendingPlan = CANONICAL):
     """Crossings whose first visit is an under pass, in visit order."""
-    seen = set()
-    out = []
+    seen, out = set(), []
     for p in _traversal(d, plan):
-        if p.crossing in seen:
-            continue
-        seen.add(p.crossing)
-        if p.role != OVER:
-            out.append(p.crossing)
+        if p.crossing not in seen:
+            seen.add(p.crossing)
+            if p.role != OVER:
+                out.append(p.crossing)
     return tuple(out)
-
-
-def first_violation(d: Diagram, plan: DescendingPlan = CANONICAL):
-    """The first under-first crossing, or None when descending."""
-    vio = violations(d, plan)
-    return vio[0] if vio else None
 
 
 def is_descending(d: Diagram, plan: DescendingPlan = CANONICAL) -> bool:
@@ -188,58 +168,120 @@ def unknotting_changes(d: Diagram, plan: DescendingPlan = CANONICAL):
     return violations(d, plan)
 
 
-_memo: dict = {}
+def _exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
+    """a / b in Z[t], where b divides a (as Bareiss guarantees)."""
+    rest, top = list(a.coeffs), b.degree
+    q = [0] * (len(rest) - top)
+    for k in reversed(range(len(q))):
+        q[k] = c = rest[k + top] // b.coeffs[-1]
+        if c:
+            for j, y in enumerate(b.coeffs):
+                rest[k + j] -= c * y
+    if any(rest):
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return ConwayPoly(q)
 
 
-def _conway_canonical(d: Diagram) -> ConwayPoly:
-    key = canonical_key(d)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    vio = violations(d)
-    if not vio:
-        value = ONE if d.n_components == 1 else ZERO
-    else:
-        a = vio[0]
-        changed = _conway_canonical(crossing_change(d, a))
-        smoothed = _conway_canonical(smooth(d, a))
-        if d.signs[a] > 0:
-            # d is K+: C(K+) = C(K-) + t C(K0)
-            value = changed + smoothed.shifted()
-        else:
-            value = changed - smoothed.shifted()
-    _memo[key] = value
-    return value
+def _determinant(rows) -> ConwayPoly:
+    """Bareiss determinant of sparse rows (column -> nonzero polynomial).
+
+    After step k every entry is a minor of the input, so the division
+    by the previous pivot is exact.  A row without an entry in the pivot
+    column would only be scaled by pivot / previous pivot.  These
+    factors telescope, so row i keeps its values of step ``level[i]``
+    until it is used, then divides by ``div[level[i]]``, the pivot before
+    that step, instead of by the latest one."""
+    n, sign, div, level = len(rows), 1, [ONE], [0] * len(rows)
+    for k in range(n - 1):
+        below = next((i for i in range(k, n) if k in rows[i]), None)
+        if below is None:
+            return ZERO
+        if below != k:
+            rows[k], rows[below], sign = rows[below], rows[k], -sign
+            level[k], level[below] = level[below], level[k]
+        if level[k] != k:
+            rows[k] = {j: _exact_div(div[k] * v, div[level[k]]) for j, v in rows[k].items()}
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i].pop(k, None)
+            if f:
+                new = {j: pivot * v for j, v in rows[i].items()}
+                for j, v in rows[k].items():
+                    if j > k:
+                        new[j] = new.get(j, ZERO) - f * v
+                rows[i] = {j: _exact_div(v, div[level[i]]) for j, v in new.items() if v}
+                level[i] = k + 1
+        div.append(pivot)
+    last = _exact_div(div[n - 1] * rows[-1].get(n - 1, ZERO), div[level[-1]]) if n else ONE
+    return ConwayPoly([sign * c for c in last])
+
+
+def _knot_conway(d: Diagram) -> ConwayPoly:
+    n, aset = d.n_crossings, arcs(d)
+    # Row i is the crossing where arc i ends, under-in on the diagonal.
+    rows = [{} for _ in range(n)]
+    for c, sign in d.signs.items():
+        row = rows[aset.under_in[c]]
+        for col, entry in (
+            (aset.over_arc[c], (1, -1)),
+            (aset.under_in[c], (0, 1) if sign > 0 else (-1,)),
+            (aset.under_out[c], (-1,) if sign > 0 else (0, 1)),
+        ):
+            row[col] = row.get(col, ZERO) + ConwayPoly(entry)
+    minor = [{j: v for j, v in row.items() if v and j < n - 1} for row in rows[:-1]]
+    delta = list(_determinant(minor))
+    delta = delta[next(i for i, c in enumerate(delta) if c) :]
+    if sum(delta) < 0:
+        delta = [-c for c in delta]
+    half, coeffs = len(delta) // 2, [0] * len(delta)
+    for j in range(half, -1, -1):
+        coeffs[2 * j] = c = delta[half + j]
+        for i in range(2 * j + 1):
+            delta[half - j + i] -= c * comb(2 * j, i) * (-1) ** i
+    if any(delta) or coeffs[0] != 1:
+        raise ArithmeticError(f"Alexander minor of {d!r} is no knot's")
+    return ConwayPoly(coeffs)
+
+
+def _conway(d: Diagram, plan: DescendingPlan) -> ConwayPoly:
+    if d.n_components == 1:
+        return _knot_conway(d)
+    if d.free_loops:
+        return ZERO
+    total = ZERO
+    for v in violations(d, plan):
+        if d.component_of(v, OVER) != d.component_of(v, UNDER):
+            term = _conway(smooth(d, v), CANONICAL).shifted()
+            total = total + term if d.signs[v] > 0 else total - term
+            d = crossing_change(d, v)
+    return total
 
 
 def conway(d: Diagram, plan: Optional[DescendingPlan] = None) -> ConwayPoly:
     """Conway polynomial of the diagram.
 
     Args:
-        d: any diagram.
-        plan: optional traversal plan for the root step; the result does
-            not depend on it (a tested property of the invariant).
+        d: a diagram realizable in the plane.
+        plan: optional traversal plan for the link reduction; the result
+            does not depend on it (a tested property of the invariant).
 
     Returns:
         ConwayPoly with integer coefficients.
+
+    Raises:
+        DomainError: if ``plan`` does not fit the diagram.
+        NonPlanarError: if no plane diagram has this code.
     """
-    if plan is None or (plan.component_order is None and plan.base is None):
-        return _conway_canonical(d)
-    vio = violations(d, plan)
-    if not vio:
-        return ONE if d.n_components == 1 else ZERO
-    a = vio[0]
-    changed = conway(crossing_change(d, a), plan)
-    smoothed = _conway_canonical(smooth(d, a))
-    if d.signs[a] > 0:
-        return changed + smoothed.shifted()
-    return changed - smoothed.shifted()
+    plan = CANONICAL if plan is None else plan
+    plan.resolve(d)
+    genera = genus(d)
+    if any(genera):
+        raise NonPlanarError(f"no plane diagram has this code: genera {genera}")
+    return _conway(d, plan)
 
 
 def coefficient(d: Diagram, n: int) -> int:
     """c_n of the Conway polynomial; c_{-1} is 0 by convention."""
     if n < -1:
         raise DomainError(f"no coefficient c_{n}")
-    if n == -1:
-        return 0
-    return conway(d)[n]
+    return conway(d)[n] if n >= 0 else 0

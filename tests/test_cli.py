@@ -4,6 +4,7 @@ import json
 
 from click.testing import CliRunner
 
+from knots import ConwayPoly, catalog, poly_text
 from knots.cli import main
 
 
@@ -45,6 +46,20 @@ def test_compute_json_schema():
 def test_compute_arf_of_link_is_domain_error():
     res = _run("compute", "hopf+", "--inv", "arf")
     assert res.exit_code == 3
+
+
+def test_compute_conway_of_non_planar_code_is_domain_error():
+    res = _run("compute", "O1+ U2+ U1+ O2+", "--inv", "conway")
+    assert res.exit_code == 3
+    assert any(line.startswith("error:") for line in res.output.splitlines())
+
+
+def test_compute_conway_prints_every_catalog_golden():
+    for e in catalog.all():
+        res = _run("compute", e.code, "--inv", "conway")
+        assert res.exit_code == 0, e.name
+        want = poly_text(ConwayPoly(e.golden.conway))
+        assert res.output.splitlines()[-1].split(None, 1) == ["conway", want], e.name
 
 
 def test_compute_parse_error():

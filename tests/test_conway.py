@@ -1,4 +1,4 @@
-"""Conway polynomial: skein recursion, plans, and product formulas."""
+"""Conway polynomial: determinant, plans, planarity and product formulas."""
 
 import itertools
 
@@ -10,6 +10,7 @@ from knots import (
     ConwayPoly,
     DescendingPlan,
     DomainError,
+    NonPlanarError,
     casson,
     coefficient,
     connected_sum,
@@ -18,6 +19,7 @@ from knots import (
     disjoint_union,
     from_text,
     is_descending,
+    is_realizable,
     lk,
     poly_text,
     smooth,
@@ -47,6 +49,21 @@ def test_poly_arithmetic_and_text():
     assert poly_text(ConwayPoly((1, 0, 3, 0, 1))) == "1 + 3t^2 + t^4"
     assert poly_text(ConwayPoly()) == "0"
     assert ConwayPoly((1, 0, 0)).coeffs == (1,)
+
+
+def test_poly_iterates_over_its_coefficients():
+    assert list(conway(from_text(FIVE_1))) == [1, 0, 3, 0, 1]
+    assert list(ConwayPoly()) == []
+
+
+def test_non_planar_codes_are_refused():
+    # Valid Gauss codes of genus 1: no plane diagram has them, and the
+    # Alexander matrix of such a code is no link's polynomial.
+    for text in ("O1+ U2+ U1+ O2+", "O1+ U2- O3+ U1+ O2- U3+", "O1+ O2+ ; U1+ U2+"):
+        d = from_text(text)
+        assert not is_realizable(d)
+        with pytest.raises(NonPlanarError):
+            conway(d)
 
 
 def test_poly_indexing_outside_range_is_zero():
@@ -94,9 +111,11 @@ def test_unknotting_changes_make_it_descending():
 
 
 def test_descending_multi_component_diagram_is_split():
-    # Component 0 rides entirely above component 1.
-    over = "O1+ O2+ ; U1+ U2+"
+    # Component 0 rides entirely above component 1; the two crossings
+    # of a split pair of circles have opposite signs.
+    over = "O1+ O2- ; U1+ U2-"
     d = from_text(over)
+    assert is_realizable(d)
     assert is_descending(d)
     assert conway(d).coeffs == ()
 
