@@ -6,8 +6,8 @@ numbers, Arf and Casson invariants via skew pairs, the Conway polynomial
 (an Alexander-matrix determinant, O(n^3) on n crossings, to which links
 reduce by the skein relation at n^(m-1) cost for m components), Fox
 p-colorings, chord diagrams and finite-order invariant checks, and
-exact-predicate spatial geometry for linked triangles and the
-seven-point theorem.
+spatial geometry for linked triangles and the seven-point theorem, on
+float orientation predicates with a degeneracy tolerance.
 """
 
 from .errors import (
@@ -65,7 +65,6 @@ from .conway import (
     conway,
     is_descending,
     poly_text,
-    unknotting_changes,
     violations,
 )
 from .colorings import (
@@ -73,7 +72,6 @@ from .colorings import (
     ColoringCount,
     arcs,
     count_colorings,
-    count_colorings_by_enumeration,
     is_colorable,
 )
 from .vassiliev import (
@@ -145,7 +143,6 @@ __all__ = [
     "connected_sum",
     "conway",
     "count_colorings",
-    "count_colorings_by_enumeration",
     "crossing_change",
     "disjoint_union",
     "enumerate_chord_diagrams",
@@ -176,7 +173,6 @@ __all__ = [
     "to_gauss",
     "to_text",
     "triangles_linked",
-    "unknotting_changes",
     "verify_seven_points",
     "verify_six_points",
     "violations",

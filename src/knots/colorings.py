@@ -8,18 +8,19 @@ Z/p so that at every crossing
     2 * (over arc)  =  (under-in arc) + (under-out arc)   (mod p)
 
 For p = 3 this congruence says exactly "all three colors equal or all
-distinct", the trichromatic rule.  The count of colorings is p to the
-dimension of the solution space, computed by elimination mod p; a
-coloring is proper when it uses at least two colors, and the p
-monochromatic assignments always work, so proper = total - p.
+distinct", the trichromatic rule.  These are the rows of the Fox
+presentation matrix that the Conway polynomial uses, at t = -1.  The
+count of colorings is p to the dimension of the solution space,
+computed by elimination mod p; a coloring is proper when it uses at
+least two colors, and the p monochromatic assignments always work, so
+proper = total - p.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .codes import OVER, UNDER, Diagram
+from .codes import UNDER, Diagram
 from .errors import DomainError
 
 
@@ -89,15 +90,25 @@ def _check_modulus(p: int):
         raise DomainError(f"modulus must be an odd prime, got {p}")
 
 
-def _crossing_rows(d: Diagram, aset: ArcSet, p: int):
-    """One row 2*over - under_in - under_out = 0 per crossing."""
-    rows = []
+def fox_rows(d: Diagram, aset: ArcSet):
+    """The Fox-calculus presentation matrix: crossing -> row, in label order.
+
+    A row maps an arc to (a, b), the entry a + b*t: ``1 - t`` on the over
+    arc, ``t`` on under-in and ``-1`` on under-out at a positive crossing,
+    ``-1`` and ``t`` at a negative one.  At t = -1 every row is the
+    coloring congruence 2*over - under_in - under_out, whatever the sign.
+    """
+    rows = {}
     for c in sorted(d.signs):
-        row = [0] * len(aset)
-        row[aset.over_arc[c]] += 2
-        row[aset.under_in[c]] -= 1
-        row[aset.under_out[c]] -= 1
-        rows.append([x % p for x in row])
+        row = rows[c] = {}
+        positive = d.signs[c] > 0
+        for col, (a, b) in (
+            (aset.over_arc[c], (1, -1)),
+            (aset.under_in[c], (0, 1) if positive else (-1, 0)),
+            (aset.under_out[c], (-1, 0) if positive else (0, 1)),
+        ):
+            old_a, old_b = row.get(col, (0, 0))
+            row[col] = (old_a + a, old_b + b)
     return rows
 
 
@@ -138,23 +149,14 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
     _check_modulus(p)
     aset = arcs(d)
     n = len(aset)
-    rank = _rank_mod_p(_crossing_rows(d, aset, p), n, p)
+    rows = []
+    for fox in fox_rows(d, aset).values():
+        row = [0] * n
+        for col, (a, b) in fox.items():
+            row[col] = (a - b) % p
+        rows.append(row)
+    rank = _rank_mod_p(rows, n, p)
     total = p ** (n - rank)
-    return ColoringCount(p, total, total - p)
-
-
-def count_colorings_by_enumeration(d: Diagram, p: int) -> ColoringCount:
-    """Brute-force census over all p^arcs assignments (oracle for tests)."""
-    _check_modulus(p)
-    aset = arcs(d)
-    crossings = sorted(d.signs)
-    total = 0
-    for colors in itertools.product(range(p), repeat=len(aset)):
-        if all(
-            (2 * colors[aset.over_arc[c]] - colors[aset.under_in[c]] - colors[aset.under_out[c]]) % p == 0
-            for c in crossings
-        ):
-            total += 1
     return ColoringCount(p, total, total - p)
 
 

@@ -2,8 +2,8 @@
 
 Below, t is the Alexander variable and z = t^1/2 - t^-1/2, the Conway
 variable (which ``ConwayPoly`` prints as ``t``).  Knots: Fox calculus
-gives the Alexander matrix, one column per arc (``colorings.arcs``) and
-one row per crossing: ``1 - t`` on the over arc, ``t`` on under-in and
+gives the Alexander matrix (``colorings.fox_rows``), one column per arc
+and one row per crossing: ``1 - t`` on the over arc, ``t`` on under-in and
 ``-1`` on under-out at a positive crossing, ``-1`` and ``t`` at a
 negative one.  Its minor without the last row and column is Delta(t) up
 to a unit +-t^k; a fraction-free (Bareiss) determinant over Z[t] takes
@@ -28,7 +28,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .codes import OVER, UNDER, Basepoint, Diagram, genus
-from .colorings import arcs
+from .colorings import arcs, fox_rows
 from .errors import DomainError, NonPlanarError
 from .moves import crossing_change, smooth
 
@@ -159,15 +159,6 @@ def is_descending(d: Diagram, plan: DescendingPlan = CANONICAL) -> bool:
     return not violations(d, plan)
 
 
-def unknotting_changes(d: Diagram, plan: DescendingPlan = CANONICAL):
-    """The crossings to change to make ``d`` descending under ``plan``.
-
-    Changing a crossing is the only way to alter its first-visit role,
-    so this set is the unique minimal one.
-    """
-    return violations(d, plan)
-
-
 def _exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
     """a / b in Z[t], where b divides a (as Bareiss guarantees)."""
     rest, top = list(a.coeffs), b.degree
@@ -219,15 +210,9 @@ def _determinant(rows) -> ConwayPoly:
 def _knot_conway(d: Diagram) -> ConwayPoly:
     n, aset = d.n_crossings, arcs(d)
     # Row i is the crossing where arc i ends, under-in on the diagonal.
-    rows = [{} for _ in range(n)]
-    for c, sign in d.signs.items():
-        row = rows[aset.under_in[c]]
-        for col, entry in (
-            (aset.over_arc[c], (1, -1)),
-            (aset.under_in[c], (0, 1) if sign > 0 else (-1,)),
-            (aset.under_out[c], (-1,) if sign > 0 else (0, 1)),
-        ):
-            row[col] = row.get(col, ZERO) + ConwayPoly(entry)
+    rows = [None] * n
+    for c, row in fox_rows(d, aset).items():
+        rows[aset.under_in[c]] = {col: ConwayPoly(v) for col, v in row.items()}
     minor = [{j: v for j, v in row.items() if v and j < n - 1} for row in rows[:-1]]
     delta = list(_determinant(minor))
     delta = delta[next(i for i, c in enumerate(delta) if c) :]

@@ -193,104 +193,105 @@ def _frame(w):
     return u, v, w
 
 
-class _Shadow:
-    """One component-wise 2D projection with depths."""
+def crossings(segs, adjacent):
+    """Transversal crossings among plane segments, each pair tested once.
 
-    def __init__(self, comps3d, direction):
-        u, v, w = _frame(direction)
-        self.flat = [
-            [( _dot(p, u), _dot(p, v)) for p in comp] for comp in comps3d
-        ]
-        self.depth = [[_dot(p, w) for p in comp] for comp in comps3d]
+    Args:
+        segs: (start, end) point pairs in the plane.
+        adjacent: ``adjacent(i, j)`` for i < j tells whether segments i
+            and j share an endpoint; such pairs are not tested.
 
-    def segments(self):
-        for ci, comp in enumerate(self.flat):
-            for k in range(len(comp)):
-                yield (ci, k)
+    Returns:
+        (i, j, t, u, turn) for each crossing, i < j in pair order: it
+        lies at parameter t along segment i and u along segment j, and
+        turn is the sign of det(direction i, direction j), never 0
+        because ``segment_crossing_2d`` rejects near-parallel pairs.
 
-    def seg_points(self, seg):
-        ci, k = seg
-        comp = self.flat[ci]
-        return comp[k - 1], comp[k]
-
-    def seg_depths(self, seg):
-        ci, k = seg
-        dep = self.depth[ci]
-        return dep[k - 1], dep[k]
-
-
-def _adjacent(seg_a, seg_b, sizes):
-    """Whether two segments of one component share an endpoint."""
-    (ca, ka), (cb, kb) = seg_a, seg_b
-    if ca != cb:
-        return False
-    m = sizes[ca]
-    return ka == kb or (ka - kb) % m == 1 or (kb - ka) % m == 1
-
-
-def _shadow_crossings(shadow):
-    """All transversal crossings of the shadow, checked for simplicity."""
-    sizes = [len(c) for c in shadow.flat]
-    segs = list(shadow.segments())
-    crossings = []
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            a, b = segs[i], segs[j]
-            if _adjacent(a, b, sizes):
-                continue
-            p1, p2 = shadow.seg_points(a)
-            q1, q2 = shadow.seg_points(b)
-            hit = segment_crossing_2d(p1, p2, q1, q2)
-            if hit is None:
-                continue
+    Raises:
+        DegeneracyError: for overlaps, crossings at an endpoint, and two
+            crossings at one point (a triple point collapses there).
+    """
+    found, points = [], []
+    for i, j in itertools.combinations(range(len(segs)), 2):
+        if adjacent(i, j):
+            continue
+        (p1, p2), (q1, q2) = segs[i], segs[j]
+        hit = segment_crossing_2d(p1, p2, q1, q2)
+        if hit is not None:
             t, u = hit
-            point = (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-            crossings.append((a, b, t, u, point))
-    # No two crossings may coincide (triple points collapse there).
-    for x in range(len(crossings)):
-        for y in range(x + 1, len(crossings)):
-            px, py = crossings[x][4], crossings[y][4]
-            if _norm(_sub(px, py)) <= 1e-7:
-                raise DegeneracyError("two crossings coincide")
-    return crossings
+            turn = 1 if cross2(_sub(p2, p1), _sub(q2, q1)) > 0 else -1
+            found.append((i, j, t, u, turn))
+            points.append((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])))
+    for x, y in itertools.combinations(points, 2):
+        if _norm(_sub(x, y)) <= 1e-7:
+            raise DegeneracyError("two crossings coincide")
+    return found
 
 
-def _diagram_from_shadow(shadow, crossings):
-    """Assemble the Gauss code from per-segment crossing events."""
-    events = {}  # seg -> list of (param, crossing_index)
-    for idx, (a, b, t, u, _pt) in enumerate(crossings):
-        events.setdefault(a, []).append((t, idx))
-        events.setdefault(b, []).append((u, idx))
-    over_of = {}
-    sign_of = {}
-    for idx, (a, b, t, u, _pt) in enumerate(crossings):
-        da1, da2 = shadow.seg_depths(a)
-        db1, db2 = shadow.seg_depths(b)
-        depth_a = da1 + t * (da2 - da1)
-        depth_b = db1 + u * (db2 - db1)
-        if abs(depth_a - depth_b) <= 1e-9:
+def gauss_code(found, over, walks, labels=None):
+    """The diagram traced by closed walks over plane segments.
+
+    Args:
+        found: the crossings of the segments, from ``crossings``.
+        over: the segment on top at each crossing of ``found``.
+        walks: one closed walk per component, a list of
+            (segment, reversed) steps; no segment is walked twice.
+        labels: crossing label by index into ``found``; by default the
+            crossings of two walked segments are numbered 1, 2, ... in
+            the order of ``found``.
+
+    Crossings with an unwalked segment are left out.  The sign at a
+    crossing is det(over, under) in the walked directions.
+    """
+    where = {seg: (w, k, rev) for w, walk in enumerate(walks) for k, (seg, rev) in enumerate(walk)}
+    events = [[[] for _ in walk] for walk in walks]
+    count = 0
+    for x, (i, j, t, u, turn) in enumerate(found):
+        if i not in where or j not in where:
+            continue
+        count += 1
+        label = count if labels is None else labels[x]
+        (wi, ki, ri), (wj, kj, rj) = where[i], where[j]
+        top = over[x] == i
+        # det(over, under) is turn with i on top; a reversed step flips it.
+        sign = turn if top == (ri == rj) else -turn
+        events[wi][ki].append((1 - t if ri else t, label, OVER if top else UNDER, sign))
+        events[wj][kj].append((1 - u if rj else u, label, UNDER if top else OVER, sign))
+    return Diagram([
+        [Pass(label, role, sign) for step in walk for _, label, role, sign in sorted(step)]
+        for walk in events
+    ])
+
+
+def retry(attempt, rng):
+    """``attempt(rng)`` until it raises no DegeneracyError.
+
+    Each attempt draws fresh random positions from ``rng``; after
+    MAX_RETRIES failures this gives up with GenericityFailure.
+    """
+    last = None
+    for _ in range(MAX_RETRIES):
+        try:
+            return attempt(rng)
+        except DegeneracyError as exc:
+            last = exc
+    raise GenericityFailure(f"no generic position after {MAX_RETRIES} tries: {last}")
+
+
+def _shadow(segs, adjacent, rng):
+    """3D segments seen along a random direction: (direction, crossings,
+    over), with the strand nearer the viewer on top."""
+    direction = _random_direction(rng)
+    u, v, w = _frame(direction)
+    found = crossings([[(_dot(p, u), _dot(p, v)) for p in seg] for seg in segs], adjacent)
+    over = []
+    for i, j, t, s, _turn in found:
+        (a, b), (c, d) = ([_dot(p, w) for p in segs[k]] for k in (i, j))
+        depth_i, depth_j = a + t * (b - a), c + s * (d - c)
+        if abs(depth_i - depth_j) <= 1e-9:
             raise DegeneracyError("strands touch in space at a crossing")
-        over_of[idx] = a if depth_a > depth_b else b
-        pa1, pa2 = shadow.seg_points(a)
-        pb1, pb2 = shadow.seg_points(b)
-        dir_a, dir_b = _sub(pa2, pa1), _sub(pb2, pb1)
-        over_dir, under_dir = (
-            (dir_a, dir_b) if over_of[idx] == a else (dir_b, dir_a)
-        )
-        area = cross2(over_dir, under_dir)
-        if abs(area) <= EPSILON * max(_norm(over_dir) * _norm(under_dir), 1e-300):
-            raise DegeneracyError("tangential crossing")
-        sign_of[idx] = 1 if area > 0 else -1
-    components = []
-    for ci, comp in enumerate(shadow.flat):
-        passes = []
-        for k in range(len(comp)):
-            seg = (ci, k)
-            for t, idx in sorted(events.get(seg, ())):
-                role = OVER if over_of[idx] == seg else UNDER
-                passes.append(Pass(idx + 1, role, sign_of[idx]))
-        components.append(tuple(passes))
-    return Diagram(components)
+        over.append(i if depth_i > depth_j else j)
+    return direction, found, over
 
 
 def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
@@ -299,24 +300,26 @@ def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
     Retries fresh directions until the shadow is generic, up to
     MAX_RETRIES, then gives up with GenericityFailure.
     """
-    rng = random.Random(seed)
-    last = None
-    for _ in range(MAX_RETRIES):
-        direction = _random_direction(rng)
-        shadow = _Shadow(link.components, direction)
-        try:
-            crossings = _shadow_crossings(shadow)
-            diagram = _diagram_from_shadow(shadow, crossings)
-        except DegeneracyError as exc:
-            last = exc
-            continue
+    segs, walks, ring = [], [], []
+    for comp in link.components:
+        m, start = len(comp), len(segs)
+        walks.append([(start + k, False) for k in range(m)])
+        segs += [(comp[k - 1], comp[k]) for k in range(m)]
+        ring += [(start, m)] * m
+
+    def adjacent(i, j):
+        return ring[i] == ring[j] and (j - i) % ring[i][1] in (1, ring[i][1] - 1)
+
+    def attempt(rng):
+        direction, found, over = _shadow(segs, adjacent, rng)
+        diagram = gauss_code(found, over, walks)
         if not is_realizable(diagram):
             # A correct generic shadow is always planar; treat as a
             # tolerance artifact and try another direction.
-            last = DegeneracyError(f"non-planar shadow {genus(diagram)}")
-            continue
+            raise DegeneracyError(f"non-planar shadow {genus(diagram)}")
         return ProjectionResult(diagram, direction, seed)
-    raise GenericityFailure(f"no generic direction after {MAX_RETRIES} tries: {last}")
+
+    return retry(attempt, random.Random(seed))
 
 
 # ----------------------------------------------------------------------
@@ -385,83 +388,26 @@ def verify_six_points(points):
 # Seven points: knotted Hamiltonian cycle
 
 
-def _pair_table(pts, seed):
-    """Shared projection of all 21 segments on 7 points.
+def _cycle_diagrams(pts, seed):
+    """(cycle, diagram) for each Hamiltonian cycle on seven points.
 
-    Returns (reversed-safe crossing table, direction).  Table entry for
-    segment pair (e, f), e < f as sorted vertex pairs: (t_e, t_f, over,
-    sign) for canonical (low->high) orientations of both segments.
+    One seeded generic direction, one crossing table of all 21 edges;
+    each cycle, from point 0 and once per direction, walks its edges
+    through that table.
     """
-    rng = random.Random(seed)
     edges = list(itertools.combinations(range(7), 2))
-    last = None
-    for _ in range(MAX_RETRIES):
-        direction = _random_direction(rng)
-        u, v, w = _frame(direction)
-        flat = [(_dot(p, u), _dot(p, v)) for p in pts]
-        depth = [_dot(p, w) for p in pts]
-        try:
-            table = {}
-            seen_points = []
-            for e, f in itertools.combinations(edges, 2):
-                if set(e) & set(f):
-                    continue
-                p1, p2 = flat[e[0]], flat[e[1]]
-                q1, q2 = flat[f[0]], flat[f[1]]
-                hit = segment_crossing_2d(p1, p2, q1, q2)
-                if hit is None:
-                    continue
-                t, uu = hit
-                de = depth[e[0]] + t * (depth[e[1]] - depth[e[0]])
-                df = depth[f[0]] + uu * (depth[f[1]] - depth[f[0]])
-                if abs(de - df) <= 1e-9:
-                    raise DegeneracyError("equal depths at a crossing")
-                dir_e = _sub(p2, p1)
-                dir_f = _sub(q2, q1)
-                over = e if de > df else f
-                od, ud = (dir_e, dir_f) if over == e else (dir_f, dir_e)
-                sign = 1 if cross2(od, ud) > 0 else -1
-                pt = (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-                seen_points.append(pt)
-                table[(e, f)] = (t, uu, over, sign)
-            for x in range(len(seen_points)):
-                for y in range(x + 1, len(seen_points)):
-                    if _norm(_sub(seen_points[x], seen_points[y])) <= 1e-7:
-                        raise DegeneracyError("coincident crossings")
-        except DegeneracyError as exc:
-            last = exc
-            continue
-        return table, direction
-    raise GenericityFailure(f"no generic direction after {MAX_RETRIES} tries: {last}")
-
-
-def _cycle_diagram(cycle, table):
-    """Gauss code of one Hamiltonian cycle from the shared table."""
-    n = len(cycle)
-    oriented = []  # (canonical edge, reversed?)
-    for k in range(n):
-        a, b = cycle[k], cycle[(k + 1) % n]
-        oriented.append(((min(a, b), max(a, b)), a > b))
-    in_cycle = {edge: (pos, rev) for pos, (edge, rev) in enumerate(oriented)}
-    events = [[] for _ in range(n)]
-    labels = {}
-    for (e, f), (t, u, over, sign) in table.items():
-        if e not in in_cycle or f not in in_cycle:
-            continue
-        label = len(labels) + 1
-        labels[(e, f)] = label
-        pos_e, rev_e = in_cycle[e]
-        pos_f, rev_f = in_cycle[f]
-        true_sign = sign * (-1 if rev_e else 1) * (-1 if rev_f else 1)
-        te = 1 - t if rev_e else t
-        tf = 1 - u if rev_f else u
-        events[pos_e].append((te, label, OVER if over == e else UNDER, true_sign))
-        events[pos_f].append((tf, label, OVER if over == f else UNDER, true_sign))
-    passes = []
-    for pos in range(n):
-        for t, label, role, sign in sorted(events[pos]):
-            passes.append(Pass(label, role, sign))
-    return Diagram((tuple(passes),))
+    index = {e: k for k, e in enumerate(edges)}
+    segs = [(pts[a], pts[b]) for a, b in edges]
+    _direction, found, over = retry(
+        lambda rng: _shadow(segs, lambda i, j: bool(set(edges[i]) & set(edges[j])), rng),
+        random.Random(seed),
+    )
+    for tail in itertools.permutations(range(1, 7)):
+        if tail[0] > tail[-1]:
+            continue  # each cycle once, not once per direction
+        cycle = (0,) + tail
+        walk = [(index[min(a, b), max(a, b)], a > b) for a, b in zip(cycle, tail + (0,))]
+        yield cycle, gauss_code(found, over, [walk])
 
 
 def verify_seven_points(points, seed: int = 0):
@@ -476,15 +422,9 @@ def verify_seven_points(points, seed: int = 0):
         projected diagram has arf = 1, or None if none does, and the
         sum of all 360 arf values mod 2.
     """
-    pts = _check_points(points, 7)
-    table, _direction = _pair_table(pts, seed)
     witness = None
     total = 0
-    for tail in itertools.permutations(range(1, 7)):
-        if tail[0] > tail[-1]:
-            continue  # each cycle once, not once per direction
-        cycle = (0,) + tail
-        diagram = _cycle_diagram(cycle, table)
+    for cycle, diagram in _cycle_diagrams(_check_points(points, 7), seed):
         value = arf(diagram)
         total += value
         if value and witness is None:

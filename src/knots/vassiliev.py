@@ -31,10 +31,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .codes import OVER, UNDER, Diagram, Pass, is_realizable
-from .errors import DegeneracyError, DomainError, GenericityFailure
+from .codes import Diagram, is_realizable
+from .errors import DegeneracyError, DomainError
 from .moves import crossing_change
-from .spatial import cross2, segment_crossing_2d, _sub, _norm
+from .spatial import crossings, gauss_code, retry
 
 
 @dataclass(frozen=True)
@@ -186,18 +186,11 @@ def realize(word, seed: int = 0) -> SingularDiagram:
         return SingularDiagram(Diagram(((),)), ())
     letters = sorted(set(word), key=word.index)
     letter_id = {ch: i + 1 for i, ch in enumerate(letters)}
-    rng = random.Random(seed)
-    for _ in range(64):
-        try:
-            return _realize_once(word, letter_id, rng)
-        except DegeneracyError:
-            continue
-    raise GenericityFailure(f"could not realize {word!r} generically")
+    return retry(lambda rng: _realize_once(word, letter_id, rng), random.Random(seed))
 
 
 def _realize_once(word, letter_id, rng):
     n = len(letter_id)
-    two_n = len(word)
     # Double points on a jittered circle.
     spot = {}
     for i, ch in enumerate(sorted(letter_id, key=letter_id.get)):
@@ -215,10 +208,7 @@ def _realize_once(word, letter_id, rng):
         verts.append((q[0] + half * d[0], q[1] + half * d[1]))
     # Polygon segments: even index = through segment of visit k,
     # odd index = connector from visit k to visit k+1.
-    segs = []
-    for k in range(two_n):
-        segs.append((verts[2 * k], verts[2 * k + 1]))
-        segs.append((verts[2 * k + 1], verts[(2 * k + 2) % len(verts)]))
+    segs = [(v, verts[(k + 1) % len(verts)]) for k, v in enumerate(verts)]
     # No marked point may sit on a foreign segment.
     for ch, q in spot.items():
         for si, (p1, p2) in enumerate(segs):
@@ -226,86 +216,25 @@ def _realize_once(word, letter_id, rng):
                 continue
             if _point_segment_distance(q, p1, p2) < 0.02:
                 raise DegeneracyError("marked point near a foreign segment")
-    # All transversal crossings.
-    hits = {}
-    points = []
-    for i in range(len(segs)):
-        for j in range(i + 2, len(segs)):
-            if i == 0 and j == len(segs) - 1:
-                continue  # cyclically adjacent
-            got = segment_crossing_2d(*segs[i], *segs[j])
-            if got is None:
-                continue
-            t, u = got
-            p1, p2 = segs[i]
-            pt = (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-            points.append(pt)
-            hits[(i, j)] = (t, u)
-    for x in range(len(points)):
-        for y in range(x + 1, len(points)):
-            if _norm(_sub(points[x], points[y])) <= 1e-7:
-                raise DegeneracyError("coincident crossings")
+    found = crossings(segs, lambda i, j: j - i in (1, len(segs) - 1))
     # Marked double points: the two through segments of a letter must
     # cross (at the marked point, necessarily).
     visits = {}
     for t, ch in enumerate(word):
         visits.setdefault(ch, []).append(2 * t)  # through-segment index
-    for ch, (s1, s2) in visits.items():
-        if (s1, s2) not in hits:
-            raise DegeneracyError(f"through segments of {ch!r} missed")
-    marked = {tuple(v): ch for ch, v in visits.items()}
-    # Walk the polygon; first event of a pair fixes visit order.
-    events = {}
-    for (i, j), (t, u) in hits.items():
-        events.setdefault(i, []).append((t, (i, j)))
-        events.setdefault(j, []).append((u, (i, j)))
-    order = []
-    seen = set()
-    for si in range(len(segs)):
-        for t, pair in sorted(events.get(si, ())):
-            if pair not in seen:
-                seen.add(pair)
-                order.append(pair)
-    label = {}
-    next_extra = n + 1
-    for pair in order:
-        if pair in marked:
-            label[pair] = letter_id[marked[pair]]
-        else:
-            label[pair] = next_extra
-            next_extra += 1
-    # Roles: double points get whichever visit order realizes sign +1;
-    # incidental crossings are over on first visit, sign from geometry.
-    first_of = {}
-    for si in range(len(segs)):
-        for t, pair in sorted(events.get(si, ())):
-            if pair not in first_of:
-                first_of[pair] = si
-    role_of = {}  # (pair, segment) -> role
-    sign_of = {}
-    for pair in order:
-        i, j = pair
-        di = _sub(segs[i][1], segs[i][0])
-        dj = _sub(segs[j][1], segs[j][0])
-        first = first_of[pair]
-        second = j if first == i else i
-        dfirst = di if first == i else dj
-        dsecond = dj if first == i else di
-        det = cross2(dfirst, dsecond)
-        if pair in marked:
-            # Choose the over strand so det(over, under) > 0.
-            over_seg = first if det > 0 else second
-            sign_of[pair] = 1
-        else:
-            over_seg = first
-            sign_of[pair] = 1 if det > 0 else -1
-        role_of[(pair, over_seg)] = OVER
-        role_of[(pair, second if over_seg == first else first)] = UNDER
-    passes = []
-    for si in range(len(segs)):
-        for t, pair in sorted(events.get(si, ())):
-            passes.append(Pass(label[pair], role_of[(pair, si)], sign_of[pair]))
-    base = Diagram((tuple(passes),))
+    marked = {tuple(v): letter_id[ch] for ch, v in visits.items()}
+    if not marked.keys() <= {(i, j) for i, j, *_ in found}:
+        raise DegeneracyError("through segments of a double point missed")
+    # Double points take whichever strand makes the sign +1; incidental
+    # crossings are over on first visit, which is on segment i < j, and
+    # are numbered n+1, n+2, ... in the order of first visits.
+    over = [j if (i, j) in marked and turn < 0 else i for i, j, _t, _u, turn in found]
+    extra = itertools.count(n + 1)
+    labels = {
+        x: marked.get(found[x][:2]) or next(extra)
+        for x in sorted(range(len(found)), key=lambda x: (found[x][0], found[x][2]))
+    }
+    base = gauss_code(found, over, [[(si, False) for si in range(len(segs))]], labels)
     if not is_realizable(base):
         raise AssertionError("polygon trace produced a non-planar code")
     s = SingularDiagram(base, range(1, n + 1))
@@ -315,13 +244,12 @@ def _realize_once(word, letter_id, rng):
 
 
 def _point_segment_distance(q, p1, p2):
-    d = _sub(p2, p1)
+    d = (p2[0] - p1[0], p2[1] - p1[1])
     dd = d[0] * d[0] + d[1] * d[1]
     if dd <= 1e-300:
-        return _norm(_sub(q, p1))
+        return math.dist(q, p1)
     t = max(0.0, min(1.0, ((q[0] - p1[0]) * d[0] + (q[1] - p1[1]) * d[1]) / dd))
-    proj = (p1[0] + t * d[0], p1[1] + t * d[1])
-    return _norm(_sub(q, proj))
+    return math.dist(q, (p1[0] + t * d[0], p1[1] + t * d[1]))
 
 
 # ----------------------------------------------------------------------

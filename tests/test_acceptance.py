@@ -27,7 +27,6 @@ from knots import (
     connected_sum,
     conway,
     count_colorings,
-    count_colorings_by_enumeration,
     crossing_change,
     disjoint_union,
     enumerate_chord_diagrams,
@@ -51,6 +50,8 @@ from knots.conway import DescendingPlan
 from knots.codes import Basepoint, Diagram
 from knots.errors import DegeneracyError
 from knots.vassiliev import ChordDiagram
+
+from coloring_oracle import count_colorings_by_enumeration
 
 
 def _entries():

@@ -8,10 +8,11 @@ from knots import (
     DomainError,
     arcs,
     count_colorings,
-    count_colorings_by_enumeration,
     from_text,
     is_colorable,
 )
+
+from coloring_oracle import count_colorings_by_enumeration
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"

@@ -23,7 +23,6 @@ from knots import (
     lk,
     poly_text,
     smooth,
-    unknotting_changes,
     violations,
 )
 
@@ -104,7 +103,7 @@ def test_descending_code_is_recognized():
 
 def test_unknotting_changes_make_it_descending():
     d = from_text(FIVE_1)
-    for c in unknotting_changes(d):
+    for c in violations(d):
         d = crossing_change(d, c)
     assert is_descending(d)
     assert poly_text(conway(d)) == "1"

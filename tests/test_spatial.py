@@ -18,7 +18,7 @@ from knots import (
     verify_seven_points,
     verify_six_points,
 )
-from knots.spatial import orient2d, orient3d, segment_crossing_2d
+from knots.spatial import _cycle_diagrams, orient2d, orient3d, segment_crossing_2d
 
 
 def _circle(n, radius=1.0, z=0.0, phase=0.0):
@@ -183,3 +183,33 @@ def test_witness_cycle_arf_is_recomputable():
     cycle_pts = [pts[i] for i in witness]
     d = project(SpatialLink((cycle_pts,)), seed=11).diagram
     assert arf(d) == 1
+
+
+def _cyclic_word(d):
+    """A knot's Gauss word up to rotation and crossing relabelling."""
+    comp = d.components[0]
+    words = []
+    for r in range(len(comp)):
+        names = {}
+        words.append(
+            tuple((names.setdefault(p.crossing, len(names)), p.role, p.sign) for p in comp[r:] + comp[:r])
+        )
+    return min(words, default=())
+
+
+def test_shared_table_cycles_match_their_own_projection():
+    # The table walk reverses every edge a cycle runs from its higher to
+    # its lower point (at least the closing edge into 0); projecting the
+    # cycle as a polygon of its own walks every segment forward.  Both
+    # use the first direction drawn from the seed.
+    for k in range(3):
+        rng = random.Random(4000 + k)
+        pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(7)]
+        directions = set()
+        cycles = 0
+        for cycle, d in _cycle_diagrams(pts, seed=k):
+            own = project(SpatialLink(([pts[i] for i in cycle],)), seed=k)
+            directions.add(own.direction)
+            assert _cyclic_word(d) == _cyclic_word(own.diagram), cycle
+            cycles += 1
+        assert cycles == 360 and len(directions) == 1

@@ -10,7 +10,8 @@ the regenerated sidecar together with the code change.
 import json
 from pathlib import Path
 
-from knots import arf, casson, conway, count_colorings, from_text, lk, lk2
+from knots import from_text
+from knots.cli import _suite
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knots" / "catalog" / "data"
 
@@ -29,22 +30,9 @@ ORDER = [
 
 
 def golden_for(d):
-    out = {"conway": list(conway(d).coeffs)}
-    if d.n_components == 1:
-        out["casson"] = casson(d)
-        out["arf"] = arf(d)
-    else:
-        n = d.n_components
-        out["lk2"] = [
-            [lk2(d, i, j) if i != j else 0 for j in range(n)] for i in range(n)
-        ]
-        out["lk"] = [
-            [lk(d, i, j) if i != j else 0 for j in range(n)] for i in range(n)
-        ]
-    out["colorings"] = {}
-    for p in (3, 5):
-        c = count_colorings(d, p)
-        out["colorings"][str(p)] = [c.total, c.proper]
+    """The CLI's default invariant suite, with the Conway coefficients only."""
+    out = _suite(d)
+    out["conway"] = out["conway"]["coeffs"]
     return out
 
 
