@@ -298,6 +298,20 @@ class Diagram:
         return tuple(self._dart_edges[d] for d in face)
 
     @cached_property
+    def _arc_faces(self):
+        """Arc -> [(face index, whether the face runs along the arc)].
+
+        The face's dart on the arc is an out-dart exactly when its
+        boundary follows the arc's orientation.  An arc lies on two
+        faces, or twice on one.
+        """
+        out = {}
+        for i, face in enumerate(self.faces):
+            for dart in face:
+                out.setdefault(self._dart_edges[dart], []).append((i, dart.slot[1] == "o"))
+        return out
+
+    @cached_property
     def pieces(self):
         """Connected pieces as frozensets of crossing labels.
 

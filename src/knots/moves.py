@@ -13,16 +13,23 @@ Move detection works on the face structure of the combinatorial map:
   under both) and no strand runs straight through a corner.
 
 Insertion moves are parameterized: every arc admits four R1 curls
-(role order x sign), and R2 pokes are generated per eligible arc pair
-and kept only when the poked code is still planar.  Applying R3 swaps
-the two adjacent passes across each of the three side arcs; the three
-crossings keep their signs.
+(role order x sign), and an R2 poke pushes one arc across another
+inside a face both bound, or across arcs of different connected pieces.
+Which pokes stay planar is read off the shared face: whether the face
+runs along each arc or against it fixes the relative direction of the
+two strands and, for each choice of top strand, the sign of the first
+new crossing (two variants per shared face; all eight across pieces).
+Applying R3 swaps the two adjacent passes across each of the three
+side arcs; the three crossings keep their signs.
 
+``enumerate_sites``, ``random_walk`` and ``apply`` all read one site
+table: the anchors of each move kind and the variants at an anchor.
 All operations return new diagrams; inputs are never modified.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -36,12 +43,7 @@ from .codes import (
     genus,
     is_realizable,
 )
-from .errors import (
-    DomainError,
-    InvalidSiteError,
-    NonPlanarError,
-    UnknownCrossingError,
-)
+from .errors import DomainError, InvalidSiteError, NonPlanarError, UnknownCrossingError
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,8 @@ class WalkPlan:
         return {k: v for k, v in w.items() if v > 0}
 
 
-# Bias toward removals so fuzzed diagrams stay small enough for the
-# exponential invariants computed on the walk endpoints.
+# Bias toward removals so fuzzed diagrams stay small: the cost of a
+# step, and of the invariants checked on the endpoint, grows with size.
 DEFAULT_WEIGHTS = {"R1+": 1.0, "R2+": 1.0, "R3": 2.0, "R1-": 2.5, "R2-": 2.5}
 
 _R1_VARIANTS = ("OU+", "OU-", "UO+", "UO-")
@@ -101,12 +103,7 @@ def fresh_label(d: Diagram, count: int = 1):
 
 
 # ----------------------------------------------------------------------
-# Detection
-
-
-def _monogon_crossings(d: Diagram):
-    out = sorted({face[0].crossing for face in d.faces if len(face) == 1})
-    return out
+# Site tables: per move kind, the anchors and the variants at an anchor
 
 
 def _bigon_pairs(d: Diagram):
@@ -141,8 +138,8 @@ def _canonical_face(face):
     return face[k:] + face[:k]
 
 
-def _triangle_sites(d: Diagram):
-    """R3 triangles: three strands totally ordered by over/under."""
+def _triangles(d: Diagram):
+    """R3 triangles, as canonical faces: three strands totally ordered."""
     out = []
     alpha = d._alpha
     for face in d.faces:
@@ -176,9 +173,8 @@ def _triangle_sites(d: Diagram):
         # two triangles are the standard example).
         if sorted(wins) != [0, 1, 2]:
             continue
-        out.append(MoveSite("R3", _canonical_face(face)))
-    out.sort(key=lambda s: s.anchor)
-    return out
+        out.append(_canonical_face(face))
+    return sorted(out)
 
 
 def _insertion_edges(d: Diagram):
@@ -190,7 +186,7 @@ def _edge_piece(d: Diagram, edge: Edge):
     comp = d.components[edge.component]
     if not comp:
         return ("loop", edge.component)
-    crossing = comp[edge.position % len(comp)].crossing
+    crossing = comp[edge.position].crossing
     for idx, piece in enumerate(d.pieces):
         if crossing in piece:
             return ("piece", idx)
@@ -206,18 +202,63 @@ def _r2_candidate_pairs(d: Diagram):
     """
     pairs = set()
     for face in d.faces:
-        edges = sorted(set(d.face_edges(face)))
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                pairs.add((edges[i], edges[j]))
-    all_edges = _insertion_edges(d)
-    piece_of = {e: _edge_piece(d, e) for e in all_edges}
-    for i in range(len(all_edges)):
-        for j in range(i + 1, len(all_edges)):
-            a, b = all_edges[i], all_edges[j]
-            if piece_of[a] != piece_of[b]:
-                pairs.add(tuple(sorted((a, b))))
+        pairs.update(itertools.combinations(sorted(set(d.face_edges(face))), 2))
+    by_piece = {}
+    for edge in _insertion_edges(d):
+        by_piece.setdefault(_edge_piece(d, edge), []).append(edge)
+    groups = list(by_piece.values())
+    for i, group in enumerate(groups):
+        for other in groups[i + 1 :]:
+            pairs.update(tuple(sorted(p)) for p in itertools.product(group, other))
     return sorted(pairs)
+
+
+def _r2_variants(d: Diagram, a: Edge, b: Edge):
+    """The R2+ variants poking arcs ``a`` and ``b`` that keep ``d`` planar.
+
+    Arcs in different pieces admit all eight.  Otherwise each face both
+    arcs bound admits two: the strands run antiparallel when the face
+    runs along both arcs or against both, and the first new crossing is
+    negative with ``a`` on top exactly when the face runs along ``b``.
+    """
+    if _edge_piece(d, a) != _edge_piece(d, b):
+        return _R2_VARIANTS
+    ok = set()
+    for face_a, fwd_a in d._arc_faces[a]:
+        for face_b, fwd_b in d._arc_faces[b]:
+            if face_a != face_b:
+                continue
+            rel = "anti" if fwd_a == fwd_b else "par"
+            ok.add(f"{rel}:A:{'+-'[fwd_b]}")
+            ok.add(f"{rel}:B:{'-+'[fwd_b]}")
+    return tuple(v for v in _R2_VARIANTS if v in ok)
+
+
+def _anchors(d: Diagram, kind: str):
+    """The anchors of every ``kind`` site on ``d``, in a fixed order."""
+    if kind == "R1-":
+        return sorted({(face[0].crossing,) for face in d.faces if len(face) == 1})
+    if kind == "R2-":
+        return _bigon_pairs(d)
+    if kind == "R3":
+        return _triangles(d)
+    if kind == "R1+":
+        return [(edge,) for edge in _insertion_edges(d)]
+    if kind == "R2+":
+        return _r2_candidate_pairs(d)
+    raise InvalidSiteError(f"unknown move kind {kind!r}")
+
+
+def _variants(d: Diagram, kind: str, anchor: tuple):
+    """The variants of the ``kind`` site at ``anchor``."""
+    if kind == "R1+":
+        return _R1_VARIANTS
+    if kind == "R2+":
+        return _r2_variants(d, *anchor)
+    return ("",)
+
+
+_KINDS = ("R1-", "R2-", "R3", "R1+", "R2+")
 
 
 def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
@@ -235,28 +276,14 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
     """
     if not is_realizable(d):
         raise NonPlanarError(f"genus {genus(d)} diagram; moves need genus 0")
-    wanted = set(kinds) if kinds is not None else {"R1+", "R1-", "R2+", "R2-", "R3"}
-    sites = []
-    if "R1-" in wanted:
-        sites.extend(MoveSite("R1-", (c,)) for c in _monogon_crossings(d))
-    if "R2-" in wanted:
-        sites.extend(MoveSite("R2-", pair) for pair in _bigon_pairs(d))
-    if "R3" in wanted:
-        sites.extend(_triangle_sites(d))
-    if "R1+" in wanted:
-        for edge in _insertion_edges(d):
-            sites.extend(MoveSite("R1+", (edge,), v) for v in _R1_VARIANTS)
-    if "R2+" in wanted:
-        for pair in _r2_candidate_pairs(d):
-            for v in _R2_VARIANTS:
-                site = MoveSite("R2+", pair, v)
-                try:
-                    candidate = _apply_r2_plus(d, site)
-                except InvalidSiteError:
-                    continue
-                if is_realizable(candidate):
-                    sites.append(site)
-    return tuple(sites)
+    wanted = _KINDS if kinds is None else set(kinds)
+    return tuple(
+        MoveSite(kind, anchor, variant)
+        for kind in _KINDS
+        if kind in wanted
+        for anchor in _anchors(d, kind)
+        for variant in _variants(d, kind, anchor)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -268,141 +295,65 @@ def _require(cond, msg):
         raise InvalidSiteError(msg)
 
 
-def _apply_r1_minus(d: Diagram, site: MoveSite) -> Diagram:
-    (c,) = site.anchor
-    if c not in d.signs:
-        raise UnknownCrossingError(f"no crossing {c!r}")
-    where = d.locate[c]
-    (ci, ko), (cj, ku) = where[OVER], where[UNDER]
-    _require(ci == cj, f"crossing {c} passes lie on different components")
-    comp = d.components[ci]
-    m = len(comp)
-    _require((ko - ku) % m == 1 or (ku - ko) % m == 1, f"crossing {c} is not a curl")
-    keep = tuple(p for p in comp if p.crossing != c)
-    comps = list(d.components)
-    comps[ci] = keep
-    return Diagram(comps)
-
-
-def _apply_r2_minus(d: Diagram, site: MoveSite) -> Diagram:
-    c1, c2 = site.anchor
-    for c in (c1, c2):
-        if c not in d.signs:
-            raise UnknownCrossingError(f"no crossing {c!r}")
-    _require(
-        tuple(sorted((c1, c2))) in _bigon_pairs(d),
-        f"crossings {c1},{c2} do not bound a removable bigon",
-    )
-    gone = {c1, c2}
-    comps = [tuple(p for p in comp if p.crossing not in gone) for comp in d.components]
-    return Diagram(comps)
+def _remove(d: Diagram, site: MoveSite) -> Diagram:
+    """R1- and R2-: drop the anchor's crossings."""
+    gone = set(site.anchor)
+    return Diagram([p for p in comp if p.crossing not in gone] for comp in d.components)
 
 
 def _apply_r3(d: Diagram, site: MoveSite) -> Diagram:
-    face = None
-    for f in d.faces:
-        if _canonical_face(f) == site.anchor:
-            face = f
-            break
-    _require(face is not None, "no such triangle face")
-    if MoveSite("R3", _canonical_face(face)) not in _triangle_sites(d):
-        raise InvalidSiteError("triangle does not match the R3 pattern")
     comps = [list(c) for c in d.components]
-    for edge in set(d.face_edges(face)):
-        comp = comps[edge.component]
-        m = len(comp)
-        k, kprev = edge.position % m, (edge.position - 1) % m
-        comp[kprev], comp[k] = comp[k], comp[kprev]
-    return Diagram(tuple(tuple(c) for c in comps))
-
-
-def _parse_r1_variant(variant):
-    _require(variant in _R1_VARIANTS, f"bad R1+ variant {variant!r}")
-    order, sign = variant[:2], 1 if variant[2] == "+" else -1
-    return order, sign
+    for ci, k in set(d.face_edges(site.anchor)):
+        comp = comps[ci]
+        comp[k - 1], comp[k] = comp[k], comp[k - 1]
+    return Diagram(comps)
 
 
 def _apply_r1_plus(d: Diagram, site: MoveSite) -> Diagram:
-    (edge,) = site.anchor
-    order, sign = _parse_r1_variant(site.variant)
-    comps = [list(c) for c in d.components]
-    _require(0 <= edge.component < len(comps), f"no component {edge.component}")
-    comp = comps[edge.component]
-    if comp:
-        pos = edge.position % len(comp)
-    else:
-        _require(edge.position == 0, "free loop has only arc 0")
-        pos = 0
+    ((ci, pos),) = site.anchor
     (label,) = fresh_label(d)
-    roles = (OVER, UNDER) if order == "OU" else (UNDER, OVER)
-    comp[pos:pos] = [Pass(label, roles[0], sign), Pass(label, roles[1], sign)]
-    out = Diagram(tuple(tuple(c) for c in comps))
-    if not is_realizable(out):  # cannot happen; guard against regressions
-        raise AssertionError("R1+ broke planarity")
-    return out
-
-
-def _parse_r2_variant(variant):
-    _require(variant in _R2_VARIANTS, f"bad R2+ variant {variant!r}")
-    rel, over, s = variant.split(":")
-    return rel, over, 1 if s == "+" else -1
+    roles = (OVER, UNDER) if site.variant[:2] == "OU" else (UNDER, OVER)
+    sign = 1 if site.variant[2] == "+" else -1
+    comps = [list(c) for c in d.components]
+    comps[ci][pos:pos] = [Pass(label, roles[0], sign), Pass(label, roles[1], sign)]
+    return Diagram(comps)
 
 
 def _apply_r2_plus(d: Diagram, site: MoveSite) -> Diagram:
-    edge_a, edge_b = site.anchor
-    _require(edge_a != edge_b, "R2+ needs two distinct arcs")
-    rel, over, s1 = _parse_r2_variant(site.variant)
+    rel, over, s = site.variant.split(":")
     n1, n2 = fresh_label(d, 2)
-    signs = {n1: s1, n2: -s1}
-    role_a = OVER if over == "A" else UNDER
-    role_b = UNDER if over == "A" else OVER
-    a_passes = [Pass(n1, role_a, signs[n1]), Pass(n2, role_a, signs[n2])]
-    b_order = (n1, n2) if rel == "par" else (n2, n1)
-    b_passes = [Pass(c, role_b, signs[c]) for c in b_order]
-
+    signed = [(n1, 1 if s == "+" else -1), (n2, -1 if s == "+" else 1)]
+    role_a, role_b = (OVER, UNDER) if over == "A" else (UNDER, OVER)
+    a_passes = [Pass(c, role_a, sg) for c, sg in signed]
+    b_passes = [Pass(c, role_b, sg) for c, sg in signed[:: 1 if rel == "par" else -1]]
     comps = [list(c) for c in d.components]
-    for edge in (edge_a, edge_b):
-        _require(0 <= edge.component < len(comps), f"no component {edge.component}")
+    # Insert at the later slot first so the earlier index stays valid.
+    for (ci, pos), passes in sorted(zip(site.anchor, (a_passes, b_passes)), reverse=True):
+        comps[ci][pos:pos] = passes
+    return Diagram(comps)
 
-    def position(edge):
-        comp = comps[edge.component]
-        if not comp:
-            _require(edge.position == 0, "free loop has only arc 0")
-            return 0
-        return edge.position % len(comp)
 
-    pa, pb = position(edge_a), position(edge_b)
-    if edge_a.component == edge_b.component:
-        _require(pa != pb, "R2+ needs two distinct arcs")
-        # Insert at the later slot first so the earlier index stays valid.
-        first, second = sorted(
-            ((pa, a_passes), (pb, b_passes)), key=lambda t: -t[0]
-        )
-        comp = comps[edge_a.component]
-        comp[first[0] : first[0]] = first[1]
-        comp[second[0] : second[0]] = second[1]
-    else:
-        comps[edge_a.component][pa:pa] = a_passes
-        comps[edge_b.component][pb:pb] = b_passes
-    return Diagram(tuple(tuple(c) for c in comps))
+_BUILD = {
+    "R1-": _remove,
+    "R2-": _remove,
+    "R3": _apply_r3,
+    "R1+": _apply_r1_plus,
+    "R2+": _apply_r2_plus,
+}
 
 
 def apply(d: Diagram, site: MoveSite) -> Diagram:
-    """Apply one move at ``site``; raises InvalidSiteError when stale."""
-    if site.kind == "R1-":
-        return _apply_r1_minus(d, site)
-    if site.kind == "R2-":
-        return _apply_r2_minus(d, site)
-    if site.kind == "R3":
-        return _apply_r3(d, site)
-    if site.kind == "R1+":
-        return _apply_r1_plus(d, site)
-    if site.kind == "R2+":
-        out = _apply_r2_plus(d, site)
-        if not is_realizable(out):
-            raise InvalidSiteError(f"variant {site.variant} not planar here")
-        return out
-    raise InvalidSiteError(f"unknown move kind {site.kind!r}")
+    """Apply one move at ``site`` of the planar diagram ``d``.
+
+    Raises:
+        InvalidSiteError: if ``site`` is not among ``enumerate_sites(d)``.
+    """
+    _require(site.anchor in _anchors(d, site.kind), f"no {site.kind} site at {site.anchor!r}")
+    _require(
+        site.variant in _variants(d, site.kind, site.anchor),
+        f"no {site.kind} variant {site.variant!r} at {site.anchor!r}",
+    )
+    return _BUILD[site.kind](d, site)
 
 
 # ----------------------------------------------------------------------
@@ -496,50 +447,13 @@ def connected_sum(
 # Random walks
 
 
-def _lazy_sites(d: Diagram, kind: str, rng: random.Random):
-    """Pick one site of ``kind`` without enumerating all variants.
-
-    Returns None when no site of this kind exists.  Insertions choose
-    an anchor first, then a variant valid there, which weights anchors
-    uniformly rather than (anchor, variant) pairs; for fuzzing purposes
-    only determinism matters.
-    """
-    if kind == "R1-":
-        cands = _monogon_crossings(d)
-        return MoveSite("R1-", (rng.choice(cands),)) if cands else None
-    if kind == "R2-":
-        cands = _bigon_pairs(d)
-        return MoveSite("R2-", rng.choice(cands)) if cands else None
-    if kind == "R3":
-        cands = _triangle_sites(d)
-        return rng.choice(cands) if cands else None
-    if kind == "R1+":
-        edges = _insertion_edges(d)
-        if not edges:
-            return None
-        return MoveSite("R1+", (rng.choice(edges),), rng.choice(_R1_VARIANTS))
-    if kind == "R2+":
-        pairs = _r2_candidate_pairs(d)
-        if not pairs:
-            return None
-        pair = rng.choice(pairs)
-        valid = []
-        for v in _R2_VARIANTS:
-            site = MoveSite("R2+", pair, v)
-            try:
-                if is_realizable(_apply_r2_plus(d, site)):
-                    valid.append(site)
-            except InvalidSiteError:
-                pass
-        return rng.choice(valid) if valid else None
-    raise DomainError(f"unknown move kind {kind!r}")
-
-
 def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
     """Apply ``plan.steps`` random legal moves; deterministic in the seed.
 
-    A step whose drawn kind has no site on the current diagram is
-    consumed without changing the diagram.
+    A step draws a kind, then an anchor of that kind, then a variant
+    valid there, which weights anchors uniformly rather than sites; for
+    fuzzing only determinism matters.  A step whose drawn kind has no
+    site on the current diagram is consumed without changing it.
     """
     if not is_realizable(d):
         raise NonPlanarError("random walks need a genus-0 start")
@@ -549,8 +463,11 @@ def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
     cur = d
     for _ in range(plan.steps):
         kind = rng.choices(kinds, [weights[k] for k in kinds])[0]
-        site = _lazy_sites(cur, kind, rng)
-        if site is None:
+        anchors = _anchors(cur, kind)
+        if not anchors:
             continue
-        cur = apply(cur, site)
+        anchor = rng.choice(anchors)
+        variants = _variants(cur, kind, anchor)
+        variant = rng.choice(variants) if len(variants) > 1 else variants[0]
+        cur = _BUILD[kind](cur, MoveSite(kind, anchor, variant))
     return cur

@@ -83,29 +83,31 @@ def canonical_word(word) -> str:
     return best
 
 
+def _matchings(points):
+    """Every perfect matching of ``points``, as lists of pairs."""
+    if not points:
+        yield []
+        return
+    a = points[0]
+    for k in range(1, len(points)):
+        for m in _matchings(points[1:k] + points[k + 1 :]):
+            yield [(a, points[k])] + m
+
+
+def _chord_letters(size: int):
+    """Every matching of ``size`` points as a word, chords named 1, 2, ..."""
+    for m in _matchings(list(range(size))):
+        letters = [""] * size
+        for idx, (a, b) in enumerate(m):
+            letters[a] = letters[b] = str(idx + 1)
+        yield letters
+
+
 def enumerate_chord_diagrams(n: int):
     """All distinct n-chord diagrams, canonical and sorted."""
     if not 0 <= n <= 6:
         raise DomainError("chord enumeration supported for 0 <= n <= 6")
-    points = list(range(2 * n))
-    found = set()
-
-    def matchings(rest):
-        if not rest:
-            yield []
-            return
-        a = rest[0]
-        for k in range(1, len(rest)):
-            b = rest[k]
-            tail = rest[1:k] + rest[k + 1 :]
-            for m in matchings(tail):
-                yield [(a, b)] + m
-
-    for m in matchings(points):
-        letters = [""] * (2 * n)
-        for idx, (a, b) in enumerate(m):
-            letters[a] = letters[b] = str(idx + 1)
-        found.add(ChordDiagram("".join(letters)))
+    found = {ChordDiagram("".join(w)) for w in _chord_letters(2 * n)}
     return tuple(sorted(found, key=lambda cd: cd.word))
 
 
@@ -281,20 +283,27 @@ def check_1t(lam: Lambda, n: int) -> bool:
 def check_4t(lam: Lambda, n: int) -> bool:
     """The four-term relation over all skeletons of n-chord diagrams.
 
-    Fix a partial cyclic word with chord A present once; for each other
-    chord B at positions q1, q2 insert A's second endpoint just
+    A skeleton is a cyclic word with chord A present once; for each
+    other chord B at positions q1, q2 insert A's second endpoint just
     before/after each and require
 
         lam(before q1) - lam(after q1) + lam(before q2) - lam(after q2) = 0.
+
+    The word is cyclic, so every skeleton is a rotation of one that
+    starts with A: A followed by an (n-1)-chord matching on 2n-2 points.
+
+    Raises:
+        DomainError: if n > 6, the limit of ``enumerate_chord_diagrams``.
     """
+    if n > 6:
+        raise DomainError("check_4t supported for n <= 6")
     if n < 2:
         return True
     f = _as_function(lam)
     mobile = "A"
-    others = [str(i + 1) for i in range(n - 1)]
-    letters = others * 2 + [mobile]
-    for w in set(itertools.permutations(letters)):
-        for b in others:
+    for letters in _chord_letters(2 * n - 2):
+        w = [mobile] + letters
+        for b in map(str, range(1, n)):
             q1 = w.index(b)
             q2 = w.index(b, q1 + 1)
             total = 0

@@ -1,17 +1,21 @@
 """Reidemeister move detection, application, and random walks."""
 
+import hashlib
+
 import pytest
 
 from knots import (
     DEFAULT_WEIGHTS,
     DomainError,
     Edge,
+    InvalidSiteError,
     MoveSite,
     NonPlanarError,
     WalkPlan,
     apply_move,
     canonical_key,
     casson,
+    catalog,
     connected_sum,
     conway,
     crossing_change,
@@ -131,6 +135,101 @@ def test_apply_rejects_stale_sites():
     shrunk = apply_move(d, site)
     with pytest.raises(DomainError):
         apply_move(shrunk, site)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
+
+# (start, weights, seed, steps, end crossings, digest of canonical_key),
+# recorded from the move code that decided R2+ planarity by re-tracing
+# every poke; the site table must draw the same walks.
+WALKS = (
+    ("trefoil-r", None, 1, 60, 8, "5499f6d57e468809"),
+    ("fig8", None, 2, 60, 5, "7eee0d7317c27560"),
+    ("5_1", None, 3, 60, 5, "5b9dca7f2644f66c"),
+    ("hopf+", None, 4, 60, 2, "04e6b53c63b3982d"),
+    ("whitehead", None, 5, 60, 5, "262965906136b34e"),
+    ("borromean", None, 6, 60, 6, "b545598cbadaa0ed"),
+    ("trivial-n2", None, 7, 60, 8, "b7cc2eb9befd83a1"),
+    ("trefoil-l", GROW, 8, 30, 45, "9b1db28925425bef"),
+    ("fig8", GROW, 9, 30, 29, "4577db86c7911db8"),
+    ("hopf-", GROW, 10, 30, 37, "1c2f67e60c928c14"),
+    ("borromean", GROW, 11, 30, 48, "28dd522280afb618"),
+    ("unknot", GROW, 12, 30, 32, "3c1e7034e54ad3b3"),
+)
+
+
+@pytest.mark.parametrize("name,weights,seed,steps,size,digest", WALKS)
+def test_seeded_walks_match_recorded_endpoints(name, weights, seed, steps, size, digest):
+    d = catalog.lookup(name).diagram
+    end = random_walk(d, WalkPlan(seed=seed, steps=steps, weights=weights))
+    assert (end.n_crossings, _digest(canonical_key(end))) == (size, digest)
+
+
+def test_enumerate_sites_matches_recorded_tables():
+    fig8, borromean, trefoil, hopf = (
+        catalog.lookup(name).diagram for name in ("fig8", "borromean", "trefoil-r", "hopf+")
+    )
+    got = []
+    for d in (fig8, borromean, disjoint_union(trefoil, hopf)):
+        sites = enumerate_sites(d)
+        got.append((len(sites), _digest("\n".join(map(repr, sites)))))
+    assert got == [
+        (60, "822fd228d02e8ffd"),
+        (96, "94a6ee5253dae513"),
+        (258, "d03e1f8782e1fea8"),
+    ]
+
+
+def _nonplanar_r2_site():
+    d = from_text(TREFOIL)
+    by_pair = {}
+    for s in enumerate_sites(d, kinds=("R2+",)):
+        by_pair.setdefault(s.anchor, set()).add(s.variant)
+    pair, ok = next((p, v) for p, v in by_pair.items() if len(v) < 8)
+    bad = next(v for v in ("par:A:+", "par:A:-", "anti:A:+", "anti:A:-") if v not in ok)
+    return d, MoveSite("R2+", pair, bad)
+
+
+def _non_triangle_r3_site():
+    # The trefoil's triangles are cyclic: no strand lies on top of both
+    # others, so none is an R3 site.
+    d = from_text(TREFOIL)
+    return d, MoveSite("R3", next(f for f in d.faces if len(f) == 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _nonplanar_r2_site,
+        _non_triangle_r3_site,
+        lambda: (from_text(KINK), MoveSite("R1+", (Edge(0, 2),), "OU+")),
+        lambda: (from_text(TREFOIL), MoveSite("R2+", (Edge(0, 1), Edge(0, 9)), "par:A:+")),
+        lambda: (from_text(KINK), MoveSite("R1-", (7,))),
+        lambda: (from_text(R2_PAIR), MoveSite("R2-", (1, 7))),
+        lambda: (from_text(KINK), MoveSite("R1+", (Edge(0, 0),), "XY+")),
+        lambda: (from_text(KINK), MoveSite("R4", (1,))),
+    ],
+    ids=[
+        "nonplanar-r2",
+        "r3-off-pattern",
+        "arc-out-of-range",
+        "r2-arc-out-of-range",
+        "unknown-crossing",
+        "unknown-r2-crossing",
+        "bad-variant",
+        "unknown-kind",
+    ],
+)
+def test_apply_rejects_invalid_sites(make):
+    d, site = make()
+    assert site not in enumerate_sites(d)
+    with pytest.raises(InvalidSiteError):
+        apply_move(d, site)
+    assert issubclass(InvalidSiteError, DomainError)
 
 
 def test_crossing_change_flips_one_crossing():

@@ -1,5 +1,8 @@
 """Chord diagrams, singular knots, and order-two invariant structure."""
 
+import itertools
+import random
+
 import pytest
 
 from knots import (
@@ -133,3 +136,37 @@ def test_4t_rejects_generic_tables_at_order_three():
 def test_4t_accepts_zero_at_order_three():
     assert check_4t(lambda cd: 0, 3)
     assert check_1t(lambda cd: 0, 3)
+
+
+def check_4t_by_permutations(f, n):
+    """The four-term relation over every labelled skeleton word (oracle)."""
+    others = [str(i + 1) for i in range(n - 1)]
+    for w in set(itertools.permutations(others * 2 + ["A"])):
+        for b in others:
+            q1 = w.index(b)
+            q2 = w.index(b, q1 + 1)
+            total = 0
+            for slot, sg in ((q1, 1), (q1 + 1, -1), (q2, 1), (q2 + 1, -1)):
+                full = list(w)
+                full.insert(slot, "A")
+                total += sg * f(ChordDiagram(full))
+            if total != 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_4t_matches_the_permutation_oracle(n):
+    cds = enumerate_chord_diagrams(n)
+    rng = random.Random(n)
+    tables = [{cd: 0 for cd in cds}, {cd: 7 for cd in cds}]
+    tables += [{cd: int(cd == one) for cd in cds} for one in cds]
+    tables += [{cd: rng.randrange(3) for cd in cds} for _ in range(4)]
+    for table in tables:
+        assert check_4t(table, n) == check_4t_by_permutations(table.__getitem__, n)
+
+
+def test_4t_size_limit():
+    assert check_4t(lambda cd: 0, 5)
+    with pytest.raises(DomainError):
+        check_4t(lambda cd: 0, 7)
