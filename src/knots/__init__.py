@@ -3,9 +3,10 @@
 Diagrams are signed oriented Gauss codes; on top of them the package
 provides Reidemeister moves with randomized invariance fuzzing, linking
 numbers, Arf and Casson invariants via skew pairs, the Conway polynomial
-(an Alexander-matrix determinant, O(n^3) on n crossings, to which links
-reduce by the skein relation at n^(m-1) cost for m components), Fox
-p-colorings, chord diagrams and finite-order invariant checks, and
+(an Alexander-matrix determinant, to which links reduce by the skein
+relation at n^(m-1) cost for m components), Fox p-colorings (one sparse
+fraction-free elimination, on the shortest row first, reduces the Fox
+matrix for both), chord diagrams and finite-order invariant checks, and
 spatial geometry for linked triangles and the seven-point theorem, on
 float orientation predicates with a degeneracy tolerance.
 """
@@ -36,11 +37,9 @@ from .codes import (
     genus,
     is_realizable,
     mirror,
-    parse_gauss,
     permute_components,
     reverse_all,
     reverse_component,
-    to_gauss,
     to_text,
 )
 from .moves import (
@@ -157,7 +156,6 @@ __all__ = [
     "lk",
     "lk2",
     "mirror",
-    "parse_gauss",
     "permute_components",
     "poly_text",
     "project",
@@ -170,7 +168,6 @@ __all__ = [
     "skew_pairs",
     "smooth",
     "symbol",
-    "to_gauss",
     "to_text",
     "triangles_linked",
     "verify_seven_points",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .codes import OVER, UNDER, Basepoint, Diagram
+from .codes import OVER, Basepoint, Diagram
 from .errors import DomainError, NotAKnotError
 
 
@@ -47,7 +47,7 @@ def skew_pairs(d: Diagram, p: Optional[Basepoint] = None):
 
     Returns:
         Tuple of SkewPair, one per skew unordered pair, ordered by the
-        walk position of the first 'over' pass.
+        walk position of the first 'over' pass, then by the label of b.
 
     Raises:
         NotAKnotError: if ``d`` has several components.
@@ -59,35 +59,20 @@ def skew_pairs(d: Diagram, p: Optional[Basepoint] = None):
     if p.component != 0:
         raise DomainError(f"basepoint on component {p.component} of a knot")
     m = len(comp)
-    if m == 0:
-        return ()
-    start = p.position % m
-    position = {}  # (crossing, role) -> walk index
+    start = p.position % max(m, 1)
+    over, under = {}, {}  # crossing -> walk index of its over/under pass
     for t in range(m):
         q = comp[(start + t) % m]
-        position[(q.crossing, q.role)] = t
-    out = []
-    labels = sorted(d.signs)
-    for x in range(len(labels)):
-        for y in range(x + 1, len(labels)):
-            a, b = labels[x], labels[y]
-            events = sorted(
-                ((position[(c, r)], c, r) for c in (a, b) for r in (OVER, UNDER))
-            )
-            word = tuple((c, r) for _, c, r in events)
-            for first, second in ((a, b), (b, a)):
-                if word == (
-                    (first, OVER),
-                    (second, UNDER),
-                    (first, UNDER),
-                    (second, OVER),
-                ):
-                    out.append(
-                        SkewPair(first, second, d.signs[a] * d.signs[b])
-                    )
-                    break
-    out.sort(key=lambda sp: position[(sp.a, OVER)])
-    return tuple(out)
+        (over if q.role == OVER else under)[q.crossing] = t
+    firsts = sorted((over[c], under[c], c) for c in d.signs)
+    seconds = [(c, under[c], over[c]) for c in sorted(d.signs)]
+    return tuple(
+        SkewPair(a, b, d.signs[a] * d.signs[b])
+        for oa, ua, a in firsts
+        if oa < ua
+        for b, ub, ob in seconds
+        if oa < ub < ua < ob
+    )
 
 
 def arf(d: Diagram) -> int:

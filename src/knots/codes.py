@@ -118,7 +118,7 @@ def _validate_components(components):
     return signs
 
 
-def parse_gauss(text: str) -> Diagram:
+def from_text(text: str) -> Diagram:
     """Parse the text form of a signed oriented Gauss code.
 
     Args:
@@ -340,23 +340,6 @@ class Diagram:
         )
 
 
-def from_text(text: str) -> Diagram:
-    """Parse text straight to a Diagram (the same as ``parse_gauss``)."""
-    return parse_gauss(text)
-
-
-def to_gauss(diagram: Diagram) -> Diagram:
-    """The same diagram with crossings relabelled 1..n by first use."""
-    relabel = {}
-    for comp in diagram.components:
-        for p in comp:
-            relabel.setdefault(p.crossing, len(relabel) + 1)
-    return Diagram(
-        tuple(Pass(relabel[p.crossing], p.role, p.sign) for p in comp)
-        for comp in diagram.components
-    )
-
-
 def genus(diagram: Diagram) -> tuple:
     """Genus of each connected piece of the diagram's surface.
 
@@ -448,4 +431,9 @@ def canonical_key(diagram: Diagram) -> str:
     equal keys differ only by crossing labels, so any invariant may be
     cached on this key.
     """
-    return to_text(to_gauss(diagram))
+    relabel = {}
+    for comp in diagram.components:
+        for p in comp:
+            relabel.setdefault(p.crossing, len(relabel) + 1)
+    comps = [[Pass(relabel[p.crossing], p.role, p.sign) for p in c] for c in diagram.components]
+    return to_text(Diagram(comps))

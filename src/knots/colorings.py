@@ -10,9 +10,11 @@ Z/p so that at every crossing
 For p = 3 this congruence says exactly "all three colors equal or all
 distinct", the trichromatic rule.  These are the rows of the Fox
 presentation matrix that the Conway polynomial uses, at t = -1.  The
-count of colorings is p to the dimension of the solution space,
-computed by elimination mod p; a coloring is proper when it uses at
-least two colors, and the p monochromatic assignments always work, so
+count of colorings is p to the dimension of the solution space.  Its
+rank comes from ``eliminate``, the one sparse fraction-free kernel that
+also takes the Conway determinant, here over Z/p, each step on the
+shortest row left.  A coloring is proper when it uses at least two
+colors, and the p monochromatic assignments always work, so
 proper = total - p.
 """
 
@@ -112,27 +114,42 @@ def fox_rows(d: Diagram, aset: ArcSet):
     return rows
 
 
-def _rank_mod_p(rows, ncols, p):
-    """Row-echelon rank over Z/p; pivot = first nonzero, lowest row."""
-    rank = 0
-    rows = [row[:] for row in rows]
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def eliminate(rows, div, one):
+    """Fraction-free (Bareiss) elimination of sparse rows; the pivots.
+
+    A row maps columns to nonzero entries of an integral domain with unit
+    ``one`` and exact division ``div(a, b)``.  Each step pivots on the
+    lowest column of the shortest row left (the first on ties), the
+    sparsest-row rule of Markowitz, which also keeps fill-in low.  Every
+    entry is then a minor of the input, so dividing by the previous pivot
+    is exact.  A row without an entry in the pivot column would only be
+    scaled by pivot / previous pivot; these factors telescope, so it keeps
+    the values of the step it last changed at (``level``) until it is used.
+    Rows that vanish are dropped: there are rank-many pivots, and the last
+    one of a nonsingular square matrix is its determinant up to sign.
+    """
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
+    level = dict.fromkeys(live, 0)
+    zero, scale = one - one, [one]
+    while live:
+        r = min(live, key=lambda i: len(live[i]))
+        row, k = live.pop(r), len(scale) - 1
+        if level[r] != k:
+            row = {j: div(scale[k] * v, scale[level[r]]) for j, v in row.items()}
+        col = min(row)
+        pivot = row.pop(col)
+        for i, other in list(live.items()):
+            f = other.pop(col, None)
+            if f is not None:
+                new = {j: pivot * v for j, v in other.items()}
+                for j, v in row.items():
+                    new[j] = new.get(j, zero) - f * v
+                live[i] = {j: q for j, v in new.items() if (q := div(v, scale[level[i]]))}
+                level[i] = k + 1
+                if not live[i]:
+                    del live[i]
+        scale.append(pivot)
+    return scale[1:]
 
 
 def count_colorings(d: Diagram, p: int) -> ColoringCount:
@@ -149,13 +166,12 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
     _check_modulus(p)
     aset = arcs(d)
     n = len(aset)
-    rows = []
-    for fox in fox_rows(d, aset).values():
-        row = [0] * n
-        for col, (a, b) in fox.items():
-            row[col] = (a - b) % p
-        rows.append(row)
-    rank = _rank_mod_p(rows, n, p)
+    # At t = -1 the entry a + b*t is a - b.
+    rows = [
+        {col: e for col, (a, b) in fox.items() if (e := (a - b) % p)}
+        for fox in fox_rows(d, aset).values()
+    ]
+    rank = len(eliminate(rows, lambda a, b: a * pow(b, -1, p) % p, 1))
     total = p ** (n - rank)
     return ColoringCount(p, total, total - p)
 

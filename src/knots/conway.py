@@ -5,9 +5,11 @@ variable (which ``ConwayPoly`` prints as ``t``).  Knots: Fox calculus
 gives the Alexander matrix (``colorings.fox_rows``), one column per arc
 and one row per crossing: ``1 - t`` on the over arc, ``t`` on under-in and
 ``-1`` on under-out at a positive crossing, ``-1`` and ``t`` at a
-negative one.  Its minor without the last row and column is Delta(t) up
-to a unit +-t^k; a fraction-free (Bareiss) determinant over Z[t] takes
-O(n^3) polynomial operations on n crossings.  Normalized to Delta(1) = 1
+negative one.  Any minor without one row and one column is Delta(t) up
+to a unit +-t^k.  ``colorings.eliminate``, the kernel that also ranks
+the coloring matrix, reduces the minor without the last row and column
+fraction-free (Bareiss) over Z[t], each step on the shortest row left,
+and its last pivot is that minor.  Normalized to Delta(1) = 1
 with no negative powers, t^d Delta(t) = sum_j c_2j t^(d-j) (t - 1)^(2j)
 gives the c_2j from the top down.
 
@@ -28,7 +30,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .codes import OVER, UNDER, Basepoint, Diagram, genus
-from .colorings import arcs, fox_rows
+from .colorings import arcs, eliminate, fox_rows
 from .errors import DomainError, NonPlanarError
 from .moves import crossing_change, smooth
 
@@ -173,48 +175,16 @@ def _exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
     return ConwayPoly(q)
 
 
-def _determinant(rows) -> ConwayPoly:
-    """Bareiss determinant of sparse rows (column -> nonzero polynomial).
-
-    After step k every entry is a minor of the input, so the division
-    by the previous pivot is exact.  A row without an entry in the pivot
-    column would only be scaled by pivot / previous pivot.  These
-    factors telescope, so row i keeps its values of step ``level[i]``
-    until it is used, then divides by ``div[level[i]]``, the pivot before
-    that step, instead of by the latest one."""
-    n, sign, div, level = len(rows), 1, [ONE], [0] * len(rows)
-    for k in range(n - 1):
-        below = next((i for i in range(k, n) if k in rows[i]), None)
-        if below is None:
-            return ZERO
-        if below != k:
-            rows[k], rows[below], sign = rows[below], rows[k], -sign
-            level[k], level[below] = level[below], level[k]
-        if level[k] != k:
-            rows[k] = {j: _exact_div(div[k] * v, div[level[k]]) for j, v in rows[k].items()}
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i].pop(k, None)
-            if f:
-                new = {j: pivot * v for j, v in rows[i].items()}
-                for j, v in rows[k].items():
-                    if j > k:
-                        new[j] = new.get(j, ZERO) - f * v
-                rows[i] = {j: _exact_div(v, div[level[i]]) for j, v in new.items() if v}
-                level[i] = k + 1
-        div.append(pivot)
-    last = _exact_div(div[n - 1] * rows[-1].get(n - 1, ZERO), div[level[-1]]) if n else ONE
-    return ConwayPoly([sign * c for c in last])
-
-
 def _knot_conway(d: Diagram) -> ConwayPoly:
     n, aset = d.n_crossings, arcs(d)
-    # Row i is the crossing where arc i ends, under-in on the diagonal.
-    rows = [None] * n
-    for c, row in fox_rows(d, aset).items():
-        rows[aset.under_in[c]] = {col: ConwayPoly(v) for col, v in row.items()}
-    minor = [{j: v for j, v in row.items() if v and j < n - 1} for row in rows[:-1]]
-    delta = list(_determinant(minor))
+    minor = [
+        {col: poly for col, v in row.items() if col < n - 1 and (poly := ConwayPoly(v))}
+        for row in list(fox_rows(d, aset).values())[:-1]
+    ]
+    pivots = eliminate(minor, _exact_div, ONE)
+    if len(pivots) < n - 1:
+        raise ArithmeticError(f"Alexander minor of {d!r} is singular")
+    delta = list(pivots[-1] if pivots else ONE)
     delta = delta[next(i for i, c in enumerate(delta) if c) :]
     if sum(delta) < 0:
         delta = [-c for c in delta]

@@ -143,8 +143,13 @@ def _resolved(base: Diagram, c: int, target_sign: int) -> Diagram:
 
 
 def resolutions(s: SingularDiagram):
-    """The 2^m resolved diagrams with parity = number of minus choices."""
+    """The 2^m resolved diagrams with parity = number of minus choices.
+
+    Raises DomainError past m = 12 double points (4,096 resolutions).
+    """
     doubles = sorted(s.doubles)
+    if len(doubles) > 12:
+        raise DomainError(f"{len(doubles)} double points; resolutions supported for m <= 12")
     out = []
     for choice in itertools.product((1, -1), repeat=len(doubles)):
         d = s.base
@@ -155,7 +160,8 @@ def resolutions(s: SingularDiagram):
 
 
 def extend(inv: Callable[[Diagram], int], s: SingularDiagram):
-    """Alternating-sum extension of a knot invariant to singular knots."""
+    """Alternating-sum extension of a knot invariant to singular knots;
+    ``resolutions`` caps it at 12 double points."""
     return sum((-1) ** parity * inv(d) for d, parity in resolutions(s))
 
 

@@ -1,0 +1,42 @@
+"""Reference skew pairs by sorting the four passes of every pair, for
+tests only.
+
+``knots.skew_pairs`` compares walk positions directly; this sorts the
+events of each pair and matches the word against the skew pattern.
+"""
+
+from knots import OVER, UNDER, Basepoint, SkewPair
+
+
+def skew_pairs_by_events(d, p=Basepoint(0, 0)):
+    """Skew pairs of the knot ``d`` read from ``p``, in the order of
+    ``knots.skew_pairs``."""
+    (comp,) = d.components
+    m = len(comp)
+    if m == 0:
+        return ()
+    start = p.position % m
+    position = {}  # (crossing, role) -> walk index
+    for t in range(m):
+        q = comp[(start + t) % m]
+        position[(q.crossing, q.role)] = t
+    out = []
+    labels = sorted(d.signs)
+    for x in range(len(labels)):
+        for y in range(x + 1, len(labels)):
+            a, b = labels[x], labels[y]
+            events = sorted(
+                ((position[(c, r)], c, r) for c in (a, b) for r in (OVER, UNDER))
+            )
+            word = tuple((c, r) for _, c, r in events)
+            for first, second in ((a, b), (b, a)):
+                if word == (
+                    (first, OVER),
+                    (second, UNDER),
+                    (first, UNDER),
+                    (second, OVER),
+                ):
+                    out.append(SkewPair(first, second, d.signs[a] * d.signs[b]))
+                    break
+    out.sort(key=lambda sp: position[(sp.a, OVER)])
+    return tuple(out)

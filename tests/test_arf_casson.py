@@ -5,15 +5,19 @@ import pytest
 from knots import (
     Basepoint,
     NotAKnotError,
+    WalkPlan,
     arf,
     casson,
+    catalog,
     connected_sum,
     from_text,
     mirror,
+    random_walk,
     reverse_all,
     skew_pairs,
 )
 from knots.codes import Diagram
+from skew_oracle import skew_pairs_by_events
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"
@@ -99,3 +103,36 @@ def test_descending_diagram_has_no_skew_pairs():
     d = from_text("O1+ O2+ U1+ U2+")
     assert skew_pairs(d) == ()
     assert casson(d) == 0
+
+
+GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
+
+
+def _torus_knot(n):
+    """T(2, n) for odd n: one component of 2n alternating passes."""
+    return from_text(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
+
+
+def _agrees_from_every_basepoint(d):
+    for k in range(max(1, len(d.components[0]))):
+        assert skew_pairs(d, Basepoint(0, k)) == skew_pairs_by_events(d, Basepoint(0, k)), (d, k)
+
+
+@pytest.mark.parametrize("n", range(3, 40, 2))
+def test_skew_pairs_match_the_event_sort_on_torus_knots(n):
+    _agrees_from_every_basepoint(_torus_knot(n))
+    _agrees_from_every_basepoint(mirror(_torus_knot(n)))
+
+
+def test_skew_pairs_match_the_event_sort_on_catalog_knots_and_walks():
+    starts = [e.diagram for e in catalog.all() if e.diagram.n_components == 1]
+    for d in starts:
+        _agrees_from_every_basepoint(d)
+    walks = 0
+    for seed in range(26):
+        for i, d in enumerate(starts):
+            weights = GROW if (seed + i) % 2 else None
+            walked = random_walk(d, WalkPlan(seed=seed, steps=12, weights=weights))
+            _agrees_from_every_basepoint(walked)
+            walks += 1
+    assert walks >= 100

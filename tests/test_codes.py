@@ -13,11 +13,9 @@ from knots import (
     genus,
     is_realizable,
     mirror,
-    parse_gauss,
     permute_components,
     reverse_all,
     reverse_component,
-    to_gauss,
     to_text,
 )
 
@@ -33,20 +31,20 @@ def test_round_trip_is_identity_on_normalized_text():
 
 def test_relabelling_is_by_first_occurrence():
     d = from_text("O7+ U3+ O5+ U7+ O3+ U5+")
-    assert to_text(to_gauss(d)) == TREFOIL
+    assert canonical_key(d) == TREFOIL
 
 
 def test_parse_rejects_bad_tokens():
     for bad in ("O1", "X1+", "O0+", "O1+ U1", "O1+ ; U1* "):
         with pytest.raises(ParseError):
-            parse_gauss(bad)
+            from_text(bad)
 
 
 def test_parse_rejects_inconsistent_codes():
     # Same role twice, sign drift, and odd visit counts.
     for bad in ("O1+ O1+", "O1+ U1-", "O1+ U2+ U1+", "O1+"):
         with pytest.raises(ConsistencyError):
-            parse_gauss(bad)
+            from_text(bad)
 
 
 def test_signs_are_shared_per_crossing():

@@ -1,18 +1,33 @@
-"""Fox p-colorings: arc extraction, rank counts, brute-force oracle."""
+"""Fox p-colorings: arc extraction, rank counts, the elimination kernel
+and the brute-force and dense-rank oracles."""
 
 import itertools
+import random
 
 import pytest
 
 from knots import (
+    ConwayPoly,
     DomainError,
+    SpatialLink,
+    WalkPlan,
     arcs,
+    catalog,
     count_colorings,
+    disjoint_union,
     from_text,
     is_colorable,
+    project,
+    random_walk,
 )
+from knots.colorings import eliminate
+from knots.conway import _exact_div
 
-from coloring_oracle import count_colorings_by_enumeration
+from coloring_oracle import (
+    count_colorings_by_dense_rank,
+    count_colorings_by_enumeration,
+    rank_mod_p,
+)
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"
@@ -123,3 +138,113 @@ def test_counts_are_powers_of_p_times_monochromatic_defect():
             c = count_colorings(d, p)
             assert c.total % p == 0
             assert c.proper == c.total - p
+
+
+PRIMES = (3, 5, 7, 11)
+GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
+
+
+def _dense_agrees(d):
+    for p in PRIMES:
+        assert count_colorings(d, p) == count_colorings_by_dense_rank(d, p), (d, p)
+
+
+def test_dense_rank_oracle_on_seeded_walks_and_free_loops():
+    starts = [e.diagram for e in catalog.all()]
+    for seed in range(6):
+        for i, d in enumerate(starts):
+            weights = GROW if (seed + i) % 2 else None
+            walked = random_walk(d, WalkPlan(seed=seed, steps=15, weights=weights))
+            _dense_agrees(walked)
+            _dense_agrees(disjoint_union(walked, from_text("()")))
+    for text in ("() ; " + TREFOIL, "() ; () ; " + FIVE_1, TORUS_2_6 + " ; ()"):
+        _dense_agrees(from_text(text))
+
+
+def test_dense_rank_oracle_on_polygon_projections():
+    rng = random.Random(20261018)
+    sizes = []
+    for comps, m in ((1, 12), (1, 25), (1, 38), (2, 10), (2, 20), (3, 13)):
+        polygon = [
+            [(rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(m)]
+            for c in range(comps)
+        ]
+        d = project(SpatialLink(polygon), seed=rng.randrange(2**31)).diagram
+        sizes.append(d.n_crossings)
+        _dense_agrees(d)
+    assert 120 <= max(sizes) <= 200, sizes
+
+
+def _mod(p):
+    """Division in Z/p."""
+    return lambda a, b: a * pow(b, -1, p) % p
+
+
+def _int_div(a, b):
+    assert a % b == 0, (a, b)
+    return a // b
+
+
+def _leibniz(matrix, one):
+    """Determinant as the signed sum over all permutations."""
+    det = one - one
+    for perm in itertools.permutations(range(len(matrix))):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
+def _sparse(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def test_eliminate_on_empty_zero_and_duplicate_rows():
+    for div, one in ((_int_div, 1), (_exact_div, ConwayPoly((1,)))):
+        assert eliminate([], div, one) == []
+        assert eliminate([{}, {}], div, one) == []
+    assert eliminate([{}, {0: 2, 1: 3}, {}], _int_div, 1) == [2]
+    assert len(eliminate([{0: 2, 1: 3}, {0: 2, 1: 3}, {0: 2, 1: 3}], _int_div, 1)) == 1
+    assert len(eliminate([{0: 4, 2: 1}, {0: 4, 2: 1}, {1: 5}], _mod(7), 1)) == 2
+    poly, one = ConwayPoly((1, -1)), ConwayPoly((1,))
+    assert len(eliminate([{0: poly, 1: poly}, {0: poly, 1: poly}], _exact_div, one)) == 1
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z[t]"])
+def test_eliminate_last_pivot_is_the_determinant(ring):
+    rng = random.Random(5)
+    one, div = (1, _int_div) if ring == "Z" else (ConwayPoly((1,)), _exact_div)
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        matrix = [
+            [
+                rng.choice((0, 0, 0, 1, -1, 2, -3))
+                if ring == "Z"
+                else ConwayPoly([rng.choice((0, 0, 1, -1, 2)) for _ in range(3)])
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        det = _leibniz(matrix, one)
+        pivots = eliminate(_sparse(matrix), div, one)
+        if det:
+            assert len(pivots) == n and pivots[-1] in (det, one - one - det)
+        else:
+            assert len(pivots) < n
+
+
+def test_eliminate_rank_mod_p_matches_the_dense_rank():
+    rng = random.Random(7)
+    for p in PRIMES:
+        for _ in range(60):
+            rows, cols = rng.randrange(0, 7), rng.randrange(1, 7)
+            matrix = [
+                [rng.randrange(p) * (rng.random() < 0.4) for _ in range(cols)] for _ in range(rows)
+            ]
+            if matrix and rng.random() < 0.3:
+                matrix.append(list(matrix[0]))
+            pivots = eliminate(_sparse(matrix), _mod(p), 1)
+            assert len(pivots) == rank_mod_p(matrix, cols, p)

@@ -1,6 +1,7 @@
 """Conway polynomial: determinant, plans, planarity and product formulas."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -215,3 +216,14 @@ def test_knot_conway_is_even():
 def test_canonical_plan_is_the_default():
     d = from_text(TREFOIL)
     assert conway(d).coeffs == conway(d, CANONICAL).coeffs
+
+
+@pytest.mark.parametrize("n", range(3, 82, 2))
+def test_torus_knot_closed_form(n):
+    # T(2, 2k+1) has c_2j = C(k + j, 2j).
+    k = (n - 1) // 2
+    d = from_text(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
+    want = [0] * (2 * k + 1)
+    for j in range(k + 1):
+        want[2 * j] = comb(k + j, 2 * j)
+    assert conway(d).coeffs == tuple(want)

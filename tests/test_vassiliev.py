@@ -93,6 +93,15 @@ def test_extend_on_one_double_point_is_a_skein_difference():
     assert extend(casson, s) == casson(by_parity[0]) - casson(by_parity[1])
 
 
+def test_resolutions_are_capped_at_twelve_double_points():
+    t2_13 = from_text(" ".join(f"{'OU'[i % 2]}{i % 13 + 1}+" for i in range(26)))
+    assert len(resolutions(SingularDiagram(t2_13, range(1, 3)))) == 4
+    with pytest.raises(DomainError):
+        resolutions(SingularDiagram(t2_13, range(1, 14)))
+    with pytest.raises(DomainError):
+        extend(casson, SingularDiagram(t2_13, range(1, 14)))
+
+
 def test_realize_round_trips_the_chord_word():
     for word in ("11", "1122", "1212", "112233", "123123", "12132434"):
         for seed in range(5):
