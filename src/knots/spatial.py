@@ -4,21 +4,26 @@ triangles, and the complete graph on seven points contains a knotted
 Hamiltonian cycle (detected through the Arf invariant).
 
 All geometry is done with orientation predicates (2x2 and 3x3 signed
-determinants) guarded by a relative tolerance; configurations too close
-to degenerate raise instead of guessing.  Projections choose a seeded
-random viewing direction and retry until the shadow is generic: no
-collapsed segments, no vertex on a foreign segment, all crossings
-transversal and simple.
+determinants) in floating point; configurations too close to degenerate
+raise DegeneracyError instead of guessing.  The 3x3 guard compares the
+determinant with EPSILON * max(scale, 1), scale the product of the
+three edge lengths: relative above unit scale but absolute below it,
+so a generic point set shrunk by 1e-3 is rejected as degenerate.  A
+NaN or infinite coordinate passes no tolerance test, so every input
+point is checked first and raises DomainError naming it.  Projections
+choose a seeded random viewing direction and retry until the shadow is
+generic: no collapsed segments, no vertex on a foreign segment, all
+crossings transversal and simple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .arf_casson import arf
 from .codes import OVER, UNDER, Diagram, Pass, genus, is_realizable
 from .errors import DegeneracyError, DomainError, GenericityFailure
 
@@ -42,29 +47,46 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+def _finite(p, where):
+    """``p`` as a tuple of floats; DomainError naming ``where`` when a
+    coordinate is NaN or infinite, which no tolerance test would catch."""
+    v = tuple(float(x) for x in p)
+    if not all(map(math.isfinite, v)):
+        raise DomainError(f"{where} is not finite: {v}")
+    return v
 
 
 def orient2d(a, b, c):
     """Twice the signed area of triangle abc."""
-    return cross2(_sub(b, a), _sub(c, a))
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def orient3d(a, b, c, d):
     """Six times the signed volume of tetrahedron abcd."""
-    u, v, w = _sub(b, a), _sub(c, a), _sub(d, a)
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    return _volume(a, b, c, d)[0]
+
+
+def _volume(a, b, c, d):
+    """orient3d(a, b, c, d) and the product of the lengths of b - a,
+    c - a and d - a, in fixed 3D arithmetic."""
+    ax, ay, az = a[0], a[1], a[2]
+    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
+    vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
+    wx, wy, wz = d[0] - ax, d[1] - ay, d[2] - az
+    val = ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx) + uz * (vx * wy - vy * wx)
+    scale = (
+        math.sqrt(ux * ux + uy * uy + uz * uz)
+        * math.sqrt(vx * vx + vy * vy + vz * vz)
+        * math.sqrt(wx * wx + wy * wy + wz * wz)
     )
+    return val, scale
 
 
 def _orient3d_checked(a, b, c, d):
-    """orient3d with a relative degeneracy guard."""
-    val = orient3d(a, b, c, d)
-    scale = _norm(_sub(b, a)) * _norm(_sub(c, a)) * _norm(_sub(d, a))
+    """Sign of orient3d, raising when |orient3d| <= EPSILON * max(scale,
+    1), scale the product of the three edge lengths from a: relative
+    above unit scale, absolute below it."""
+    val, scale = _volume(a, b, c, d)
     if abs(val) <= EPSILON * max(scale, 1.0):
         raise DegeneracyError("four points are coplanar within tolerance")
     return 1 if val > 0 else -1
@@ -77,23 +99,36 @@ def segment_crossing_2d(p1, p2, q1, q2):
     do not cross.  Raises DegeneracyError for near-parallel overlap or
     crossings too close to an endpoint, so callers can re-jitter.
     """
-    d1, d2 = _sub(p2, p1), _sub(q2, q1)
-    denom = cross2(d1, d2)
-    scale = max(_norm(d1) * _norm(d2), 1e-300)
+    hit = _crossing(_segment(p1, p2), _segment(q1, q2))
+    return None if hit is None else hit[:2]
+
+
+def _segment(p1, p2):
+    """(x1, y1, x2, y2, dx, dy, length) of the plane segment p1 -> p2."""
+    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+    return p1[0], p1[1], p2[0], p2[1], dx, dy, math.sqrt(dx * dx + dy * dy)
+
+
+def _crossing(p, q):
+    """``segment_crossing_2d`` on two ``_segment``s, returning (t, u,
+    det(direction p, direction q)) for a crossing."""
+    px, py, _, _, d1x, d1y, n1 = p
+    qx, qy, qx2, qy2, d2x, d2y, n2 = q
+    denom = d1x * d2y - d1y * d2x
+    scale = max(n1 * n2, 1e-300)
+    rx, ry = qx - px, qy - py
     if abs(denom) <= EPSILON * scale:
         # Parallel: degenerate only if the supporting lines overlap
         # near the segments.
-        gap = cross2(d1, _sub(q1, p1))
-        if abs(gap) <= EPSILON * max(_norm(d1) * _norm(_sub(q1, p1)), scale):
-            lo1, hi1 = sorted((0.0, _dot(d1, d1)))
-            s1 = _dot(_sub(q1, p1), d1)
-            s2 = _dot(_sub(q2, p1), d1)
-            if max(min(s1, s2), lo1) <= min(max(s1, s2), hi1):
+        gap = d1x * ry - d1y * rx
+        if abs(gap) <= EPSILON * max(n1 * math.sqrt(rx * rx + ry * ry), scale):
+            s1 = rx * d1x + ry * d1y
+            s2 = (qx2 - px) * d1x + (qy2 - py) * d1y
+            if max(min(s1, s2), 0.0) <= min(max(s1, s2), d1x * d1x + d1y * d1y):
                 raise DegeneracyError("collinear overlapping segments")
         return None
-    r = _sub(q1, p1)
-    t = cross2(r, d2) / denom
-    u = cross2(r, d1) / denom
+    t = (rx * d2y - ry * d2x) / denom
+    u = (rx * d1y - ry * d1x) / denom
     margin = 1e-7
     if -margin < t < margin or 1 - margin < t < 1 + margin:
         if -2 * margin < u < 1 + 2 * margin:
@@ -102,7 +137,7 @@ def segment_crossing_2d(p1, p2, q1, q2):
         if -2 * margin < t < 1 + 2 * margin:
             raise DegeneracyError("crossing at a segment endpoint")
     if margin < t < 1 - margin and margin < u < 1 - margin:
-        return t, u
+        return t, u, denom
     return None
 
 
@@ -117,7 +152,10 @@ class SpatialLink:
     components: tuple
 
     def __init__(self, components):
-        comps = tuple(tuple(tuple(float(x) for x in v) for v in comp) for comp in components)
+        comps = tuple(
+            tuple(_finite(v, f"component {c} vertex {k}") for k, v in enumerate(comp))
+            for c, comp in enumerate(components)
+        )
         for comp in comps:
             if len(comp) < 3:
                 raise DomainError("a closed polygonal component needs >= 3 vertices")
@@ -212,19 +250,27 @@ def crossings(segs, adjacent):
             crossings at one point (a triple point collapses there).
     """
     found, points = [], []
+    table = [_segment(p, q) for p, q in segs]
     for i, j in itertools.combinations(range(len(segs)), 2):
         if adjacent(i, j):
             continue
-        (p1, p2), (q1, q2) = segs[i], segs[j]
-        hit = segment_crossing_2d(p1, p2, q1, q2)
+        hit = _crossing(table[i], table[j])
         if hit is not None:
-            t, u = hit
-            turn = 1 if cross2(_sub(p2, p1), _sub(q2, q1)) > 0 else -1
-            found.append((i, j, t, u, turn))
-            points.append((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])))
-    for x, y in itertools.combinations(points, 2):
-        if _norm(_sub(x, y)) <= 1e-7:
-            raise DegeneracyError("two crossings coincide")
+            t, u, denom = hit
+            found.append((i, j, t, u, 1 if denom > 0 else -1))
+            x, y, _, _, dx, dy, _ = table[i]
+            points.append((x + t * dx, y + t * dy))
+    # Crossings within 1e-7 of each other are within 1e-7 in x, so in x
+    # order only those in a window after each (twice as wide, to leave
+    # room for rounding) need the distance test.
+    points.sort()
+    for k, (x, y) in enumerate(points):
+        for m in range(k + 1, len(points)):
+            x2, y2 = points[m]
+            if x2 - x > 2e-7:
+                break
+            if math.sqrt((x - x2) * (x - x2) + (y - y2) * (y - y2)) <= 1e-7:
+                raise DegeneracyError("two crossings coincide")
     return found
 
 
@@ -327,7 +373,7 @@ def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
 
 
 def _require_triangle(t):
-    pts = tuple(tuple(float(x) for x in p) for p in t)
+    pts = tuple(_finite(p, f"triangle point {k}") for k, p in enumerate(t))
     if len(pts) != 3:
         raise DomainError("a triangle needs exactly 3 points")
     return pts
@@ -359,7 +405,7 @@ def triangles_linked(t1, t2) -> int:
 
 
 def _check_points(points, n):
-    pts = tuple(tuple(float(x) for x in p) for p in points)
+    pts = tuple(_finite(p, f"point {k}") for k, p in enumerate(points))
     if len(pts) != n:
         raise DomainError(f"need exactly {n} points")
     for quad in itertools.combinations(range(n), 4):
@@ -388,34 +434,68 @@ def verify_six_points(points):
 # Seven points: knotted Hamiltonian cycle
 
 
-def _cycle_diagrams(pts, seed):
-    """(cycle, diagram) for each Hamiltonian cycle on seven points.
+@functools.cache
+def _k7():
+    """The 21 edges of K7, their adjacency table, and its 360
+    Hamiltonian cycles, each once: from point 0, first to the smaller
+    of its two neighbours on the cycle.
 
-    One seeded generic direction, one crossing table of all 21 edges;
-    each cycle, from point 0 and once per direction, walks its edges
-    through that table.
+    A cycle is (vertex order, bitmask of its 7 edges, place), where
+    place[e] is (walk index, reversed) for each edge e of the cycle and
+    None for the others; sharing the 14 distinct steps keeps the table
+    near 0.15 MB.
     """
     edges = list(itertools.combinations(range(7), 2))
     index = {e: k for k, e in enumerate(edges)}
-    segs = [(pts[a], pts[b]) for a, b in edges]
-    _direction, found, over = retry(
-        lambda rng: _shadow(segs, lambda i, j: bool(set(edges[i]) & set(edges[j])), rng),
-        random.Random(seed),
-    )
+    adjacent = [[bool(set(e) & set(f)) for f in edges] for e in edges]
+    steps = [((k, False), (k, True)) for k in range(7)]
+    cycles = []
     for tail in itertools.permutations(range(1, 7)):
         if tail[0] > tail[-1]:
-            continue  # each cycle once, not once per direction
+            continue
         cycle = (0,) + tail
-        walk = [(index[min(a, b), max(a, b)], a > b) for a, b in zip(cycle, tail + (0,))]
-        yield cycle, gauss_code(found, over, [walk])
+        place = [None] * len(edges)
+        for k, (a, b) in enumerate(zip(cycle, tail + (0,))):
+            place[index[min(a, b), max(a, b)]] = steps[k][a > b]
+        mask = sum(1 << e for e, step in enumerate(place) if step)
+        cycles.append((cycle, mask, tuple(place)))
+    return edges, adjacent, cycles
+
+
+def _cycle_skews(pts, seed):
+    """(cycle, number of skew pairs) for each Hamiltonian cycle on seven
+    points, in ``_k7`` order; the parity is the cycle's Arf invariant.
+
+    One seeded generic direction gives one crossing table of all 21
+    edges.  A cycle keeps the crossings of two of its own edges, places
+    each pass at walk index plus parameter along the walked direction,
+    and counts the pairs with over a < under b < under a < over b, as
+    ``skew_pairs`` does from the cycle's first step.
+    """
+    edges, adjacent, cycles = _k7()
+    segs = [(pts[a], pts[b]) for a, b in edges]
+    _direction, found, over = retry(
+        lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), random.Random(seed)
+    )
+    table = [
+        (1 << i | 1 << j, i, t, j, u) if over[x] == i else (1 << i | 1 << j, j, u, i, t)
+        for x, (i, j, t, u, _turn) in enumerate(found)
+    ]
+    for cycle, mask, place in cycles:
+        passes = []  # (over position, under position) along the walk
+        for bits, top, t, bottom, u in table:
+            if mask & bits == bits:
+                (ko, ro), (ku, ru) = place[top], place[bottom]
+                passes.append((ko + (1 - t if ro else t), ku + (1 - u if ru else u)))
+        yield cycle, len([1 for oa, ua in passes for ob, ub in passes if oa < ub < ua < ob])
 
 
 def verify_seven_points(points, seed: int = 0):
     """Scan all 360 Hamiltonian cycles on 7 points for a knotted one.
 
-    Projects the seven points once along a seeded generic direction,
-    then assembles each cycle's diagram from the shared crossing table
-    and computes its Arf invariant.
+    Projects the seven points once along a seeded generic direction and
+    reads each cycle's Arf invariant off that one crossing table, as
+    the parity of its skew pairs; no per-cycle diagram is built.
 
     Returns:
         (witness, parity): the first cycle (vertex order) whose
@@ -424,8 +504,8 @@ def verify_seven_points(points, seed: int = 0):
     """
     witness = None
     total = 0
-    for cycle, diagram in _cycle_diagrams(_check_points(points, 7), seed):
-        value = arf(diagram)
+    for cycle, skew in _cycle_skews(_check_points(points, 7), seed):
+        value = skew % 2
         total += value
         if value and witness is None:
             witness = cycle

@@ -1,6 +1,7 @@
 """Command-line interface: output shapes and exit codes."""
 
 import json
+import math
 
 from click.testing import CliRunner
 
@@ -112,6 +113,17 @@ def test_geom_k7_coplanar_file_degeneracy(tmp_path):
     f.write_text(json.dumps(pts))
     res = _run("geom", "k7", "--points", str(f))
     assert res.exit_code == 4
+
+
+def test_geom_k7_non_finite_file_is_a_domain_error(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        pts = [[0.1 * k, 0.2 * k * k, 0.05 * k**3] for k in range(7)]
+        pts[3][1] = bad
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(pts))  # written as NaN / Infinity
+        res = _run("geom", "k7", "--points", str(f))
+        assert res.exit_code == 3, res.output
+        assert "point 3 is not finite" in res.output
 
 
 def test_geom_json_keys(tmp_path):

@@ -1,10 +1,16 @@
 """Spatial polygons: projection, linked triangles, six and seven points."""
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knots
 from knots import (
     DegeneracyError,
     DomainError,
@@ -14,11 +20,21 @@ from knots import (
     lk,
     lk2,
     project,
+    skew_pairs,
     triangles_linked,
     verify_seven_points,
     verify_six_points,
 )
-from knots.spatial import _cycle_diagrams, orient2d, orient3d, segment_crossing_2d
+from knots.spatial import (
+    _check_points,
+    _cycle_skews,
+    crossings,
+    orient2d,
+    orient3d,
+    segment_crossing_2d,
+)
+
+from cycle_oracle import cycle_diagrams, verify_seven_points_by_diagrams
 
 
 def _circle(n, radius=1.0, z=0.0, phase=0.0):
@@ -207,9 +223,120 @@ def test_shared_table_cycles_match_their_own_projection():
         pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(7)]
         directions = set()
         cycles = 0
-        for cycle, d in _cycle_diagrams(pts, seed=k):
+        for cycle, d in cycle_diagrams(pts, seed=k):
             own = project(SpatialLink(([pts[i] for i in cycle],)), seed=k)
             directions.add(own.direction)
             assert _cyclic_word(d) == _cyclic_word(own.diagram), cycle
             cycles += 1
         assert cycles == 360 and len(directions) == 1
+
+
+def _seven(rng):
+    return [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(7)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneracyError as exc:
+        return type(exc).__name__
+
+
+def test_cycle_skews_match_the_oracle_diagrams():
+    # Every one of the 360 skew counts read off the shared table equals
+    # that of the cycle's own Diagram (so its parity is that Arf), on
+    # several point sets and seeds; the count, unlike the Arf, also
+    # tells a diagram from its mirror.
+    rng = random.Random(7000)
+    for k in range(6):
+        pts = _check_points(_seven(rng), 7)
+        for seed in (k, 1000 + k):
+            fast = list(_cycle_skews(pts, seed))
+            slow = list(cycle_diagrams(pts, seed))
+            assert [c for c, _ in fast] == [c for c, _ in slow]
+            for (cycle, skew), (_, d) in zip(fast, slow):
+                assert skew == len(skew_pairs(d)), cycle
+                assert skew % 2 == arf(d), cycle
+
+
+def test_verify_seven_points_matches_the_oracle():
+    # (witness, parity) or the exception, on generic sets and on sets
+    # shrunk by 1e-3, which the absolute part of the tolerance rejects.
+    rng = random.Random(7100)
+    raised = 0
+    for k in range(24):
+        pts = _seven(rng)
+        if k % 4 == 3:
+            pts = [tuple(1e-3 * x + 0.3 for x in p) for p in pts]
+        seed = rng.randrange(2**31)
+        want = _outcome(verify_seven_points_by_diagrams, pts, seed)
+        assert _outcome(verify_seven_points, pts, seed) == want
+        raised += want == "DegeneracyError"
+    assert 0 < raised < 24
+
+
+def test_crossings_coincidence_window_matches_all_pairs():
+    # Segment soups, some with three segments through one point or two
+    # crossings near one point (one of three lines shifted by 5e-8 or
+    # 2e-7): crossings raises "two crossings coincide" exactly when some
+    # pair of crossings lies within 1e-7.
+    rng = random.Random(7200)
+    outcomes = set()
+    for k in range(120):
+        ends = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(24)]
+        segs = list(zip(ends[::2], ends[1::2]))
+        c = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        for shift in ((0.0, 0.0, 0.0), (0.0, 5e-8, 0.0), (0.0, 2e-7, 0.0), ())[k % 4]:
+            a = rng.uniform(0, math.pi)
+            d = (0.5 * math.cos(a), 0.5 * math.sin(a))
+            segs.append(((c[0] + shift - d[0], c[1] - d[1]), (c[0] + shift + d[0], c[1] + d[1])))
+        loose, points = [], []
+        for i, j in itertools.combinations(range(len(segs)), 2):
+            hit = segment_crossing_2d(*segs[i], *segs[j])
+            if hit is not None:
+                (x1, y1), (x2, y2) = segs[i]
+                loose.append((i, j, *hit))
+                points.append((x1 + hit[0] * (x2 - x1), y1 + hit[0] * (y2 - y1)))
+        want = any(math.dist(a, b) <= 1e-7 for a, b in itertools.combinations(points, 2))
+        try:
+            got = crossings(segs, lambda i, j: False)
+        except DegeneracyError as exc:
+            assert str(exc) == "two crossings coincide"
+            assert want
+            outcomes.add(True)
+        else:
+            assert not want and [f[:4] for f in got] == loose
+            outcomes.add(False)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_domain_errors(bad):
+    rng = random.Random(7300)
+    seven = _seven(rng)
+    seven[4] = (seven[4][0], bad, seven[4][2])
+    with pytest.raises(DomainError, match="point 4 is not finite"):
+        verify_seven_points(seven)
+    six = seven[:6]
+    with pytest.raises(DomainError, match="point 4 is not finite"):
+        verify_six_points(six)
+    t1 = ((0.0, 0.0, 0.0), (2.0, 0.0, 0.1), (0.0, 2.0, bad))
+    t2 = ((0.5, 0.5, -1.0), (0.6, 0.55, 1.3), (2.5, 2.6, 0.2))
+    with pytest.raises(DomainError, match="triangle point 2 is not finite"):
+        triangles_linked(t1, t2)
+    with pytest.raises(DomainError, match="triangle point 2 is not finite"):
+        triangles_linked(t2, t1)
+    ring = _circle(6)
+    ring[1] = (bad, 0.0, 0.0)
+    with pytest.raises(DomainError, match="component 1 vertex 1 is not finite"):
+        SpatialLink((_circle(5, z=3.0), ring))
+
+
+def test_import_builds_no_cycle_table():
+    # The K7 tables are built on the first seven-point call, not on import.
+    code = "import knots, knots.cli, knots.spatial as s; print(s._k7.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(knots.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
