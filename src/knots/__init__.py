@@ -28,7 +28,6 @@ from .codes import (
     OVER,
     UNDER,
     Basepoint,
-    Dart,
     Diagram,
     Edge,
     Pass,
@@ -106,7 +105,6 @@ __all__ = [
     "ConsistencyError",
     "ConwayPoly",
     "DEFAULT_WEIGHTS",
-    "Dart",
     "DegeneracyError",
     "DescendingPlan",
     "Diagram",

@@ -200,9 +200,15 @@ def fuzz(input, steps, seed, invariants, fmt, break_invariant):
         sys.exit(1)
 
 
-def _load_points(path, n):
-    pts = json.loads(click.open_file(path).read())
-    return [tuple(float(x) for x in p) for p in pts][:n] if len(pts) >= n else pts
+def _load_points(path):
+    """Every point of the JSON list in ``path``; the command checks them."""
+    try:
+        pts = json.loads(click.open_file(path).read())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(pts, list):
+        raise ParseError(f"{path} holds no JSON list of points")
+    return pts
 
 
 def _random_points(seed, n):
@@ -225,7 +231,7 @@ def linked_triangles(points_file, seed, trials, fmt):
     """Find a pair of linked triangles among six points."""
     results = []
     if points_file:
-        sets = [_load_points(points_file, 6)]
+        sets = [_load_points(points_file)]
     else:
         sets = [_random_points(seed * 100003 + t, 6) for t in range(trials)]
     for t, pts in enumerate(sets):
@@ -249,7 +255,7 @@ def k7(points_file, seed, trials, fmt):
     """Seven-point check: a cycle with Arf 1 exists; report the parity."""
     results = []
     if points_file:
-        sets = [(_load_points(points_file, 7), seed)]
+        sets = [(_load_points(points_file), seed)]
     else:
         sets = [
             (_random_points(seed * 100003 + t, 7), seed * 100003 + t)

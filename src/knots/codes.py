@@ -21,13 +21,18 @@ strand ends), which turns the code into a surface map; ``genus`` reports
 the genus of each connected piece of that surface, and the code is
 realizable by a plane diagram exactly when every piece has genus zero.
 
-Rotation convention at a crossing, counterclockwise:
+The map is stored in integers.  The four strand ends (darts) of crossing
+c are ``4*c + slot``, with slot 0 over-in, 1 over-out, 2 under-in and
+3 under-out: bit 1 is the role (under), bit 0 the direction (out).  The
+rotation (sigma) takes a dart to the next one counterclockwise at its
+crossing, by sign:
 
     sign +1:  under-in, over-out, under-out, over-in
     sign -1:  under-in, over-in,  under-out, over-out
 
-Faces of the map are orbits of (rotate after flip-to-other-end), the
-usual permutation trick; with V crossings, E = 2V edge arcs and F faces,
+The edge involution (alpha) takes a dart to the other end of its arc.
+Faces are the orbits of dart -> sigma(alpha(dart)), the usual
+permutation model; with V crossings, E = 2V edge arcs and F faces,
 each connected piece has genus (2 - V + E - F) / 2.
 """
 
@@ -37,7 +42,7 @@ import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, DomainError, ParseError, UnknownCrossingError
+from .errors import ConsistencyError, DomainError, ParseError
 
 OVER = "O"
 UNDER = "U"
@@ -49,16 +54,6 @@ class Pass(NamedTuple):
     crossing: int
     role: str  # OVER or UNDER
     sign: int  # +1 or -1, duplicated on both passes of the crossing
-
-
-class Dart(NamedTuple):
-    """One of the four strand ends at a crossing.
-
-    ``slot`` is 'ui', 'oi', 'uo' or 'oo': under/over, in/out.
-    """
-
-    crossing: int
-    slot: str
 
 
 class Edge(NamedTuple):
@@ -82,11 +77,8 @@ class Basepoint(NamedTuple):
 
 _TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])\Z")
 
-# Counterclockwise dart slot order around a crossing, by sign.
-_ROTATION = {
-    1: ("ui", "oo", "uo", "oi"),
-    -1: ("ui", "oi", "uo", "oo"),
-}
+# sign -> slot -> the next slot counterclockwise (see the module docstring).
+_TURN = {1: (2, 3, 1, 0), -1: (3, 2, 0, 1)}
 
 
 def _validate_components(components):
@@ -97,6 +89,8 @@ def _validate_components(components):
     seen = {}  # crossing -> {role: sign}
     for comp in components:
         for p in comp:
+            if not isinstance(p.crossing, int):
+                raise ConsistencyError(f"crossing label {p.crossing!r} is not an integer")
             if p.role not in (OVER, UNDER):
                 raise ConsistencyError(f"bad role {p.role!r} at crossing {p.crossing}")
             if p.sign not in (1, -1):
@@ -209,10 +203,6 @@ class Diagram:
             out.extend(Edge(ci, k) for k in range(len(comp)))
         return tuple(out)
 
-    def pass_at(self, component: int, position: int) -> Pass:
-        comp = self.components[component]
-        return comp[position % len(comp)]
-
     @cached_property
     def locate(self):
         """crossing label -> {role: (component, position)}."""
@@ -222,63 +212,34 @@ class Diagram:
                 where.setdefault(p.crossing, {})[p.role] = (ci, k)
         return where
 
-    def component_of(self, crossing: int, role: str) -> int:
-        try:
-            return self.locate[crossing][role][0]
-        except KeyError:
-            raise UnknownCrossingError(f"no crossing {crossing!r}") from None
-
     # ------------------------------------------------------------------
-    # Surface map: darts, rotation, edge involution, faces, genus.
+    # Surface map: integer darts, rotation, edge involution, faces, genus.
 
     @cached_property
-    def _dart_edges(self):
-        """dart -> Edge containing it.
+    def _darts(self):
+        """(dart -> Edge containing it, alpha: dart -> other end of its arc).
 
-        Edge (c, k) runs from pass k-1 to pass k, so it contains the
+        Edge (c, k) runs from pass k-1 to pass k, so it holds the
         out-dart of pass k-1 and the in-dart of pass k.
         """
-        mapping = {}
+        arc, alpha = {}, {}
         for ci, comp in enumerate(self.components):
-            m = len(comp)
-            for k, p in enumerate(comp):
-                inslot = "ui" if p.role == UNDER else "oi"
-                outslot = "uo" if p.role == UNDER else "oo"
-                mapping[Dart(p.crossing, inslot)] = Edge(ci, k)
-                mapping[Dart(p.crossing, outslot)] = Edge(ci, (k + 1) % m)
-        return mapping
-
-    @cached_property
-    def _alpha(self):
-        """Edge involution: each dart to the other end of its arc."""
-        ends = {}
-        for dart, edge in self._dart_edges.items():
-            ends.setdefault(edge, []).append(dart)
-        alpha = {}
-        for pair in ends.values():
-            a, b = pair  # every arc has exactly two ends
-            alpha[a] = b
-            alpha[b] = a
-        return alpha
-
-    @cached_property
-    def _sigma(self):
-        """Rotation: dart to the next dart counterclockwise at its crossing."""
-        nxt = {}
-        for label, sign in self.signs.items():
-            order = _ROTATION[sign]
-            for i, slot in enumerate(order):
-                nxt[Dart(label, slot)] = Dart(label, order[(i + 1) % 4])
-        return nxt
+            ins = [4 * p.crossing + (2 if p.role == UNDER else 0) for p in comp]
+            for k, d in enumerate(ins):
+                out = ins[k - 1] + 1
+                arc[d] = arc[out] = Edge(ci, k)
+                alpha[d], alpha[out] = out, d
+        return arc, alpha
 
     @cached_property
     def faces(self):
-        """Faces of the surface map as tuples of darts.
+        """Faces of the surface map as tuples of integer darts.
 
-        Each face is an orbit of dart -> sigma(alpha(dart)); a dart
+        Each face is an orbit of dart -> sigma(alpha(dart)) and starts at
+        its smallest dart; faces come in order of that dart, and a dart
         appears in exactly one face.  Free loops contribute no darts.
         """
-        alpha, sigma = self._alpha, self._sigma
+        alpha, signs = self._darts[1], self.signs
         unseen = set(alpha)
         out = []
         for start in sorted(alpha):
@@ -289,13 +250,15 @@ class Diagram:
             while d in unseen:
                 unseen.discard(d)
                 orbit.append(d)
-                d = sigma[alpha[d]]
+                e = alpha[d]
+                d = e - (e & 3) + _TURN[signs[e >> 2]][e & 3]
             out.append(tuple(orbit))
         return tuple(out)
 
     def face_edges(self, face) -> tuple:
         """The arcs along a face, one per dart in face order."""
-        return tuple(self._dart_edges[d] for d in face)
+        arc = self._darts[0]
+        return tuple(arc[d] for d in face)
 
     @cached_property
     def _arc_faces(self):
@@ -305,10 +268,11 @@ class Diagram:
         boundary follows the arc's orientation.  An arc lies on two
         faces, or twice on one.
         """
+        arc = self._darts[0]
         out = {}
         for i, face in enumerate(self.faces):
             for dart in face:
-                out.setdefault(self._dart_edges[dart], []).append((i, dart.slot[1] == "o"))
+                out.setdefault(arc[dart], []).append((i, bool(dart & 1)))
         return out
 
     @cached_property
@@ -339,6 +303,11 @@ class Diagram:
             frozenset(g) for g in sorted(groups.values(), key=min)
         )
 
+    @cached_property
+    def _piece_of(self):
+        """crossing label -> index of its piece in ``pieces``."""
+        return {c: i for i, piece in enumerate(self.pieces) for c in piece}
+
 
 def genus(diagram: Diagram) -> tuple:
     """Genus of each connected piece of the diagram's surface.
@@ -347,19 +316,14 @@ def genus(diagram: Diagram) -> tuple:
     one 0 per free loop.  A code is drawable in the plane exactly when
     all entries are 0.
     """
-    piece_face_count = {piece: 0 for piece in diagram.pieces}
+    piece_of = diagram._piece_of
+    face_count = [0] * len(diagram.pieces)
     for face in diagram.faces:
-        rep = next(iter(face)).crossing
-        for piece in diagram.pieces:
-            if rep in piece:
-                piece_face_count[piece] += 1
-                break
+        face_count[piece_of[face[0] >> 2]] += 1
     out = []
-    for piece in diagram.pieces:
-        v = len(piece)
-        f = piece_face_count[piece]
+    for piece, f in zip(diagram.pieces, face_count):
         # Euler: V - E + F = 2 - 2g with E = 2V.
-        twice_genus = 2 + v - f
+        twice_genus = 2 + len(piece) - f
         if twice_genus % 2:
             raise AssertionError("odd Euler defect; face trace broken")
         out.append(twice_genus // 2)
@@ -397,12 +361,10 @@ def reverse_component(diagram: Diagram, index: int) -> Diagram:
     """
     if not 0 <= index < diagram.n_components:
         raise DomainError(f"no component {index}")
-    comp_of = {}
-    for ci, comp in enumerate(diagram.components):
-        for p in comp:
-            comp_of.setdefault(p.crossing, []).append(ci)
     flips = {
-        c for c, comps in comp_of.items() if comps.count(index) == 1
+        c
+        for c, where in diagram.locate.items()
+        if (where[OVER][0] == index) != (where[UNDER][0] == index)
     }
     newcomps = []
     for ci, comp in enumerate(diagram.components):

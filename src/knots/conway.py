@@ -82,12 +82,6 @@ class ConwayPoly:
     def __str__(self):
         return poly_text(self)
 
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 ONE = ConwayPoly((1,))
 ZERO = ConwayPoly()
@@ -205,7 +199,7 @@ def _conway(d: Diagram, plan: DescendingPlan) -> ConwayPoly:
         return ZERO
     total = ZERO
     for v in violations(d, plan):
-        if d.component_of(v, OVER) != d.component_of(v, UNDER):
+        if d.locate[v][OVER][0] != d.locate[v][UNDER][0]:
             term = _conway(smooth(d, v), CANONICAL).shifted()
             total = total + term if d.signs[v] > 0 else total - term
             d = crossing_change(d, v)

@@ -52,7 +52,8 @@ class MoveSite:
 
     kind: 'R1+', 'R1-', 'R2+', 'R2-' or 'R3'.
     anchor: crossing ids for removals, arcs for insertions, the face's
-        dart tuple for R3.
+        tuple of integer darts (``4*crossing + slot``, see ``codes``)
+        for R3.
     variant: strand/chirality choice for insertions, '' otherwise.
     """
 
@@ -107,25 +108,24 @@ def fresh_label(d: Diagram, count: int = 1):
 
 
 def _bigon_pairs(d: Diagram):
-    """Crossing pairs removable by R2, from bigon faces."""
+    """Crossing pairs removable by R2, from bigon faces.
+
+    A two-dart face at two crossings has two side arcs: side i holds the
+    face's dart i and, at the other corner, ``alpha`` of it.  Bit 1 of a
+    dart is its role (set for under).
+    """
+    alpha = d._darts[1]
     pairs = set()
     for face in d.faces:
         if len(face) != 2:
             continue
-        c1, c2 = face[0].crossing, face[1].crossing
+        c1, c2 = face[0] >> 2, face[1] >> 2
         if c1 == c2:
             continue
-        e1, e2 = d.face_edges(face)
-        if e1 == e2:
-            continue
-        roles = []
-        for edge in (e1, e2):
-            head = d.pass_at(edge.component, edge.position)
-            tail = d.pass_at(edge.component, edge.position - 1)
-            roles.append({head.role, tail.role})
+        (r1, s1), (r2, s2) = ((x & 2, alpha[x] & 2) for x in face)
         # One side arc is the over strand at both crossings, the other
         # the under strand at both; anything else is not an R2 bigon.
-        if (roles[0], roles[1]) not in (({OVER}, {UNDER}), ({UNDER}, {OVER})):
+        if r1 != s1 or r2 != s2 or r1 == r2:
             continue
         if d.signs[c1] != -d.signs[c2]:
             continue
@@ -133,48 +133,35 @@ def _bigon_pairs(d: Diagram):
     return sorted(pairs)
 
 
-def _canonical_face(face):
-    k = min(range(len(face)), key=lambda i: face[i])
-    return face[k:] + face[:k]
-
-
 def _triangles(d: Diagram):
-    """R3 triangles, as canonical faces: three strands totally ordered."""
+    """R3 triangles, as faces: three strands totally ordered.
+
+    Faces start at their smallest dart, in order of it, so the list is
+    canonical and sorted.  Three crossings give three distinct sides.
+    """
     out = []
-    alpha = d._alpha
+    alpha = d._darts[1]
     for face in d.faces:
-        if len(face) != 3:
-            continue
-        if len({dart.crossing for dart in face}) != 3:
-            continue
-        if len(set(d.face_edges(face))) != 3:
+        if len(face) != 3 or len({dart >> 2 for dart in face}) != 3:
             continue
         # Walking the boundary, side i runs from the corner of face[i]
         # to the corner of face[i+1]: it reaches that corner as the
         # dart alpha(face[i]), and side i+1 leaves it as face[i+1].
-        ok = True
         wins = [0, 0, 0]
         for i in range(3):
             arriving = alpha[face[i]]
-            leaving = face[(i + 1) % 3]
-            # Both darts sit at the shared corner; equal role letters
-            # would mean one strand running straight through it.
-            if arriving.slot[0] == leaving.slot[0]:
-                ok = False
+            # Both darts sit at the shared corner; equal role bits would
+            # mean one strand running straight through it.
+            if not (arriving ^ face[(i + 1) % 3]) & 2:
                 break
-            if arriving.slot[0] == "o":
-                wins[i] += 1
-            else:
-                wins[(i + 1) % 3] += 1
-        if not ok:
-            continue
-        # A transitive tournament on 3 players scores {0, 1, 2}; the
-        # cyclic one scores {1, 1, 1} and admits no R3 (the trefoil's
-        # two triangles are the standard example).
-        if sorted(wins) != [0, 1, 2]:
-            continue
-        out.append(_canonical_face(face))
-    return sorted(out)
+            wins[(i + 1) % 3 if arriving & 2 else i] += 1
+        else:
+            # A transitive tournament on 3 players scores {0, 1, 2}; the
+            # cyclic one scores {1, 1, 1} and admits no R3 (the trefoil's
+            # two triangles are the standard example).
+            if sorted(wins) == [0, 1, 2]:
+                out.append(face)
+    return out
 
 
 def _insertion_edges(d: Diagram):
@@ -186,11 +173,7 @@ def _edge_piece(d: Diagram, edge: Edge):
     comp = d.components[edge.component]
     if not comp:
         return ("loop", edge.component)
-    crossing = comp[edge.position].crossing
-    for idx, piece in enumerate(d.pieces):
-        if crossing in piece:
-            return ("piece", idx)
-    raise AssertionError("edge not in any piece")
+    return ("piece", d._piece_of[comp[edge.position].crossing])
 
 
 def _r2_candidate_pairs(d: Diagram):
@@ -237,7 +220,7 @@ def _r2_variants(d: Diagram, a: Edge, b: Edge):
 def _anchors(d: Diagram, kind: str):
     """The anchors of every ``kind`` site on ``d``, in a fixed order."""
     if kind == "R1-":
-        return sorted({(face[0].crossing,) for face in d.faces if len(face) == 1})
+        return sorted({(face[0] >> 2,) for face in d.faces if len(face) == 1})
     if kind == "R2-":
         return _bigon_pairs(d)
     if kind == "R3":

@@ -22,6 +22,7 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .codes import OVER, UNDER, Diagram, Pass, genus, is_realizable
@@ -48,9 +49,13 @@ def _norm(a):
 
 
 def _finite(p, where):
-    """``p`` as a tuple of floats; DomainError naming ``where`` when a
-    coordinate is NaN or infinite, which no tolerance test would catch."""
-    v = tuple(float(x) for x in p)
+    """``p`` as a tuple of three floats; DomainError naming ``where`` when
+    it has not exactly three int or float coordinates, or when one is NaN or
+    infinite, which no tolerance test would catch."""
+    coords = tuple(p) if isinstance(p, Iterable) and not isinstance(p, (bytes, Mapping)) else ()
+    if len(coords) != 3 or not all(isinstance(x, (int, float)) for x in coords):
+        raise DomainError(f"{where} needs three numeric coordinates: {p!r}")
+    v = tuple(map(float, coords))
     if not all(map(math.isfinite, v)):
         raise DomainError(f"{where} is not finite: {v}")
     return v

@@ -149,3 +149,51 @@ def test_catalog_json():
     doc = json.loads(res.output)
     assert doc["name"] == "whitehead"
     assert doc["invariants"]["conway"] == [0, 0, 0, -1]
+
+
+def _k7_file(tmp_path, pts, raw=None):
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps(pts) if raw is None else raw)
+    return _run("geom", "k7", "--points", str(f))
+
+
+def _generic_points(n):
+    return [[0.1 * k, 0.2 * k * k, 0.05 * k**3] for k in range(n)]
+
+
+def test_geom_k7_nine_point_file_is_a_domain_error(tmp_path):
+    res = _k7_file(tmp_path, _generic_points(9))
+    assert res.exit_code == 3, res.output
+    assert "need exactly 7 points" in res.output
+
+
+def test_geom_linked_triangles_seven_point_file_is_a_domain_error(tmp_path):
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps(_generic_points(7)))
+    res = _run("geom", "linked-triangles", "--points", str(f))
+    assert res.exit_code == 3, res.output
+    assert "need exactly 6 points" in res.output
+
+
+def test_geom_k7_planar_points_are_a_domain_error(tmp_path):
+    res = _k7_file(tmp_path, [p[:2] for p in _generic_points(7)])
+    assert res.exit_code == 3, res.output
+    assert "point 0 needs three numeric coordinates" in res.output
+
+
+def test_geom_k7_four_dimensional_points_are_a_domain_error(tmp_path):
+    res = _k7_file(tmp_path, [p + [1.0] for p in _generic_points(7)])
+    assert res.exit_code == 3, res.output
+    assert "point 0 needs three numeric coordinates" in res.output
+
+
+def test_geom_k7_non_list_file_is_a_parse_error(tmp_path):
+    res = _k7_file(tmp_path, {"points": _generic_points(7)})
+    assert res.exit_code == 2, res.output
+    assert "no JSON list of points" in res.output
+
+
+def test_geom_k7_bad_json_is_a_parse_error(tmp_path):
+    res = _k7_file(tmp_path, None, raw="[[0, 1, 2], [3, 4")
+    assert res.exit_code == 2, res.output
+    assert "is not JSON" in res.output

@@ -8,6 +8,7 @@ from knots import (
     Diagram,
     Edge,
     ParseError,
+    Pass,
     canonical_key,
     from_text,
     genus,
@@ -45,6 +46,13 @@ def test_parse_rejects_inconsistent_codes():
     for bad in ("O1+ O1+", "O1+ U1-", "O1+ U2+ U1+", "O1+"):
         with pytest.raises(ConsistencyError):
             from_text(bad)
+
+
+def test_crossing_labels_must_be_integers():
+    # Darts are 4 * label + slot, so a label has to be an integer.
+    for label in ("a", 1.5, None):
+        with pytest.raises(ConsistencyError, match="is not an integer"):
+            Diagram([[Pass(label, "O", 1), Pass(label, "U", 1)]])
 
 
 def test_signs_are_shared_per_crossing():

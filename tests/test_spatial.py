@@ -332,6 +332,30 @@ def test_non_finite_coordinates_are_domain_errors(bad):
         SpatialLink((_circle(5, z=3.0), ring))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(0.5, 0.25), (0.5, 0.25, 0.75, 1.0), 0.5, {"x": 0.5, "y": 0.25, "z": 0.75}, ("0.5", 0.25, 0.75)],
+    ids=["2d", "4d", "scalar", "dict", "text"],
+)
+def test_points_without_three_numeric_coordinates_are_domain_errors(bad):
+    rng = random.Random(7301)
+    seven = _seven(rng)
+    seven[4] = bad
+    need = "needs three numeric coordinates"
+    with pytest.raises(DomainError, match=f"point 4 {need}"):
+        verify_seven_points(seven)
+    with pytest.raises(DomainError, match=f"point 4 {need}"):
+        verify_six_points(seven[:6])
+    t1 = ((0.0, 0.0, 0.0), (2.0, 0.0, 0.1), bad)
+    t2 = ((0.5, 0.5, -1.0), (0.6, 0.55, 1.3), (2.5, 2.6, 0.2))
+    with pytest.raises(DomainError, match=f"triangle point 2 {need}"):
+        triangles_linked(t1, t2)
+    ring = _circle(6)
+    ring[1] = bad
+    with pytest.raises(DomainError, match=f"component 1 vertex 1 {need}"):
+        SpatialLink((_circle(5, z=3.0), ring))
+
+
 def test_import_builds_no_cycle_table():
     # The K7 tables are built on the first seven-point call, not on import.
     code = "import knots, knots.cli, knots.spatial as s; print(s._k7.cache_info().currsize)"
