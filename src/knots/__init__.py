@@ -32,6 +32,7 @@ from .codes import (
     Edge,
     Pass,
     canonical_key,
+    crossing_change,
     from_text,
     genus,
     is_realizable,
@@ -46,7 +47,6 @@ from .moves import (
     MoveSite,
     WalkPlan,
     connected_sum,
-    crossing_change,
     disjoint_union,
     enumerate_sites,
     random_walk,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .codes import OVER, Basepoint, Diagram
+from .codes import OVER, UNDER, Basepoint, Diagram
 from .errors import DomainError, NotAKnotError
 
 
@@ -59,11 +59,9 @@ def skew_pairs(d: Diagram, p: Optional[Basepoint] = None):
     if p.component != 0:
         raise DomainError(f"basepoint on component {p.component} of a knot")
     m = len(comp)
-    start = p.position % max(m, 1)
-    over, under = {}, {}  # crossing -> walk index of its over/under pass
-    for t in range(m):
-        q = comp[(start + t) % m]
-        (over if q.role == OVER else under)[q.crossing] = t
+    # crossing -> walk index of its over/under pass
+    over = {c: (w[OVER][1] - p.position) % m for c, w in d.locate.items()}
+    under = {c: (w[UNDER][1] - p.position) % m for c, w in d.locate.items()}
     firsts = sorted((over[c], under[c], c) for c in d.signs)
     seconds = [(c, under[c], over[c]) for c in sorted(d.signs)]
     return tuple(

@@ -42,7 +42,7 @@ import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, DomainError, ParseError
+from .errors import ConsistencyError, DomainError, ParseError, UnknownCrossingError
 
 OVER = "O"
 UNDER = "U"
@@ -79,37 +79,6 @@ _TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])\Z")
 
 # sign -> slot -> the next slot counterclockwise (see the module docstring).
 _TURN = {1: (2, 3, 1, 0), -1: (3, 2, 0, 1)}
-
-
-def _validate_components(components):
-    """Check the two-passes/opposite-roles/equal-signs rules.
-
-    Returns the crossing sign map.  Raises ConsistencyError otherwise.
-    """
-    seen = {}  # crossing -> {role: sign}
-    for comp in components:
-        for p in comp:
-            if not isinstance(p.crossing, int):
-                raise ConsistencyError(f"crossing label {p.crossing!r} is not an integer")
-            if p.role not in (OVER, UNDER):
-                raise ConsistencyError(f"bad role {p.role!r} at crossing {p.crossing}")
-            if p.sign not in (1, -1):
-                raise ConsistencyError(f"bad sign {p.sign!r} at crossing {p.crossing}")
-            roles = seen.setdefault(p.crossing, {})
-            if p.role in roles:
-                raise ConsistencyError(
-                    f"crossing {p.crossing} passed twice with role {p.role}"
-                )
-            roles[p.role] = p.sign
-    signs = {}
-    for label, roles in seen.items():
-        if set(roles) != {OVER, UNDER}:
-            missing = UNDER if OVER in roles else OVER
-            raise ConsistencyError(f"crossing {label} has no {missing} pass")
-        if roles[OVER] != roles[UNDER]:
-            raise ConsistencyError(f"crossing {label} has inconsistent signs")
-        signs[label] = roles[OVER]
-    return signs
 
 
 def from_text(text: str) -> Diagram:
@@ -166,11 +135,40 @@ class Diagram:
             traversal order (cyclic; the starting pass is remembered but
             carries no meaning beyond serialization and basepoints).
         signs: crossing label -> +1/-1.
+        locate: crossing label -> {role: (component, position)}.
+
+    Raises:
+        ConsistencyError: unless every crossing has an integer label, one
+            OVER and one UNDER pass, and the same sign +1 or -1 on both.
+            A faulty pass is reported first; then, in order of first
+            appearance, a crossing missing a pass or with unequal signs.
     """
 
     def __init__(self, components: Iterable[Sequence[Pass]]):
-        self.components = tuple(tuple(c) for c in components)
-        self.signs = _validate_components(self.components)
+        self.components = comps = tuple(tuple(c) for c in components)
+        self.signs, self.locate = signs, locate = {}, {}
+        for ci, comp in enumerate(comps):
+            for k, p in enumerate(comp):
+                if not isinstance(p.crossing, int):
+                    raise ConsistencyError(f"crossing label {p.crossing!r} is not an integer")
+                if p.role not in (OVER, UNDER):
+                    raise ConsistencyError(f"bad role {p.role!r} at crossing {p.crossing}")
+                if p.sign not in (1, -1):
+                    raise ConsistencyError(f"bad sign {p.sign!r} at crossing {p.crossing}")
+                where = locate.setdefault(p.crossing, {})
+                if p.role in where:
+                    raise ConsistencyError(
+                        f"crossing {p.crossing} passed twice with role {p.role}"
+                    )
+                where[p.role] = (ci, k)
+        for c, where in locate.items():
+            if len(where) == 1:
+                missing = UNDER if OVER in where else OVER
+                raise ConsistencyError(f"crossing {c} has no {missing} pass")
+            (ci, k), (cj, j) = where.values()
+            if comps[ci][k].sign != comps[cj][j].sign:
+                raise ConsistencyError(f"crossing {c} has inconsistent signs")
+            signs[c] = comps[ci][k].sign
 
     # Diagrams are equal when their pass structure is literally equal.
     def __eq__(self, other):
@@ -202,15 +200,6 @@ class Diagram:
         for ci, comp in enumerate(self.components):
             out.extend(Edge(ci, k) for k in range(len(comp)))
         return tuple(out)
-
-    @cached_property
-    def locate(self):
-        """crossing label -> {role: (component, position)}."""
-        where = {}
-        for ci, comp in enumerate(self.components):
-            for k, p in enumerate(comp):
-                where.setdefault(p.crossing, {})[p.role] = (ci, k)
-        return where
 
     # ------------------------------------------------------------------
     # Surface map: integer darts, rotation, edge involution, faces, genus.
@@ -336,15 +325,27 @@ def is_realizable(diagram: Diagram) -> bool:
     return all(g == 0 for g in genus(diagram))
 
 
-def mirror(diagram: Diagram) -> Diagram:
-    """Reflect the diagram: swap over/under everywhere, flip all signs."""
-    flip = {OVER: UNDER, UNDER: OVER}
+def crossing_change(diagram: Diagram, *crossings) -> Diagram:
+    """Exchange over and under at each of ``crossings`` (and so flip
+    their signs), rebuilding the diagram once."""
+    for c in crossings:
+        if c not in diagram.signs:
+            raise UnknownCrossingError(f"no crossing {c!r}")
+    swap, changed = {OVER: UNDER, UNDER: OVER}, set(crossings)
     return Diagram(
         tuple(
-            tuple(Pass(p.crossing, flip[p.role], -p.sign) for p in comp)
+            tuple(
+                Pass(p.crossing, swap[p.role], -p.sign) if p.crossing in changed else p
+                for p in comp
+            )
             for comp in diagram.components
         )
     )
+
+
+def mirror(diagram: Diagram) -> Diagram:
+    """Reflect the diagram: a crossing change at every crossing."""
+    return crossing_change(diagram, *diagram.signs)
 
 
 def reverse_all(diagram: Diagram) -> Diagram:

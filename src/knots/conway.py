@@ -29,10 +29,10 @@ from itertools import zip_longest
 from math import comb
 from typing import Optional, Sequence
 
-from .codes import OVER, UNDER, Basepoint, Diagram, genus
+from .codes import OVER, UNDER, Basepoint, Diagram, crossing_change, genus
 from .colorings import arcs, eliminate, fox_rows
 from .errors import DomainError, NonPlanarError
-from .moves import crossing_change, smooth
+from .moves import smooth
 
 
 @dataclass(frozen=True)
@@ -127,27 +127,22 @@ class DescendingPlan:
 CANONICAL = DescendingPlan()
 
 
-def _traversal(d: Diagram, plan: DescendingPlan):
-    """Passes in plan order: components as ordered, each from its base."""
-    order, bases = plan.resolve(d)
-    for ci in order:
-        comp = d.components[ci]
-        if not comp:
-            continue
-        start = bases[ci].position % len(comp)
-        for t in range(len(comp)):
-            yield comp[(start + t) % len(comp)]
-
-
 def violations(d: Diagram, plan: DescendingPlan = CANONICAL):
-    """Crossings whose first visit is an under pass, in visit order."""
-    seen, out = set(), []
-    for p in _traversal(d, plan):
-        if p.crossing not in seen:
-            seen.add(p.crossing)
-            if p.role != OVER:
-                out.append(p.crossing)
-    return tuple(out)
+    """Crossings whose first visit is an under pass, in visit order.
+
+    Components are visited in plan order, each from its basepoint.
+    """
+    order, bases = plan.resolve(d)
+    rank = {ci: r for r, ci in enumerate(order)}
+
+    def visit(where):
+        ci, k = where
+        return rank[ci], (k - bases[ci].position) % len(d.components[ci])
+
+    firsts = sorted(
+        (u, c) for c, w in d.locate.items() if (u := visit(w[UNDER])) < visit(w[OVER])
+    )
+    return tuple(c for _, c in firsts)
 
 
 def is_descending(d: Diagram, plan: DescendingPlan = CANONICAL) -> bool:

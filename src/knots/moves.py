@@ -10,7 +10,8 @@ Move detection works on the face structure of the combinatorial map:
 * a face with three darts at three crossings is an R3 triangle when the
   three strands along its sides are totally ordered by the over/under
   relations at the corners (top strand over both others, bottom strand
-  under both) and no strand runs straight through a corner.
+  under both).  No strand runs straight through a corner: the rotation
+  alternates roles.
 
 Insertion moves are parameterized: every arc admits four R1 curls
 (role order x sign), and an R2 poke pushes one arc across another
@@ -40,6 +41,7 @@ from .codes import (
     Diagram,
     Edge,
     Pass,
+    crossing_change,  # re-exported beside smooth and the other surgery
     genus,
     is_realizable,
 )
@@ -117,19 +119,14 @@ def _bigon_pairs(d: Diagram):
     alpha = d._darts[1]
     pairs = set()
     for face in d.faces:
-        if len(face) != 2:
+        if len(face) != 2 or face[0] >> 2 == face[1] >> 2:
             continue
-        c1, c2 = face[0] >> 2, face[1] >> 2
-        if c1 == c2:
-            continue
-        (r1, s1), (r2, s2) = ((x & 2, alpha[x] & 2) for x in face)
-        # One side arc is the over strand at both crossings, the other
-        # the under strand at both; anything else is not an R2 bigon.
-        if r1 != s1 or r2 != s2 or r1 == r2:
-            continue
-        if d.signs[c1] != -d.signs[c2]:
-            continue
-        pairs.add(tuple(sorted((c1, c2))))
+        # An R2 bigon has one side over at both ends, the other under at
+        # both.  Sigma swaps the role bit, so once side 0 keeps its role,
+        # side 1 keeps the other one, and the direction bits then force
+        # opposite signs: side 0 alone decides.
+        if not (face[0] ^ alpha[face[0]]) & 2:
+            pairs.add(tuple(sorted((face[0] >> 2, face[1] >> 2))))
     return sorted(pairs)
 
 
@@ -147,20 +144,17 @@ def _triangles(d: Diagram):
         # Walking the boundary, side i runs from the corner of face[i]
         # to the corner of face[i+1]: it reaches that corner as the
         # dart alpha(face[i]), and side i+1 leaves it as face[i+1].
+        # Sigma swaps the role bit, so the two strands at a corner always
+        # differ in role: none runs straight through it, and the one
+        # arriving under loses to the one leaving.
         wins = [0, 0, 0]
         for i in range(3):
-            arriving = alpha[face[i]]
-            # Both darts sit at the shared corner; equal role bits would
-            # mean one strand running straight through it.
-            if not (arriving ^ face[(i + 1) % 3]) & 2:
-                break
-            wins[(i + 1) % 3 if arriving & 2 else i] += 1
-        else:
-            # A transitive tournament on 3 players scores {0, 1, 2}; the
-            # cyclic one scores {1, 1, 1} and admits no R3 (the trefoil's
-            # two triangles are the standard example).
-            if sorted(wins) == [0, 1, 2]:
-                out.append(face)
+            wins[(i + 1) % 3 if alpha[face[i]] & 2 else i] += 1
+        # A transitive tournament on 3 players scores {0, 1, 2}; the
+        # cyclic one scores {1, 1, 1} and admits no R3 (the trefoil's
+        # two triangles are the standard example).
+        if sorted(wins) == [0, 1, 2]:
+            out.append(face)
     return out
 
 
@@ -341,22 +335,6 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
 
 # ----------------------------------------------------------------------
 # Non-Reidemeister surgery
-
-
-def crossing_change(d: Diagram, c) -> Diagram:
-    """Exchange over and under at ``c`` (and so flip its sign)."""
-    if c not in d.signs:
-        raise UnknownCrossingError(f"no crossing {c!r}")
-    swap = {OVER: UNDER, UNDER: OVER}
-    return Diagram(
-        tuple(
-            tuple(
-                Pass(p.crossing, swap[p.role], -p.sign) if p.crossing == c else p
-                for p in comp
-            )
-            for comp in d.components
-        )
-    )
 
 
 def smooth(d: Diagram, c) -> Diagram:

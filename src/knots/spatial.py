@@ -48,6 +48,14 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
+def _sequence(xs, where):
+    """``xs`` as a tuple; DomainError naming ``where`` unless it is an
+    iterable other than bytes or a mapping."""
+    if not isinstance(xs, Iterable) or isinstance(xs, (bytes, Mapping)):
+        raise DomainError(f"{where} is not a sequence: {xs!r}")
+    return tuple(xs)
+
+
 def _finite(p, where):
     """``p`` as a tuple of three floats; DomainError naming ``where`` when
     it has not exactly three int or float coordinates, or when one is NaN or
@@ -158,8 +166,11 @@ class SpatialLink:
 
     def __init__(self, components):
         comps = tuple(
-            tuple(_finite(v, f"component {c} vertex {k}") for k, v in enumerate(comp))
-            for c, comp in enumerate(components)
+            tuple(
+                _finite(v, f"component {c} vertex {k}")
+                for k, v in enumerate(_sequence(comp, f"component {c}"))
+            )
+            for c, comp in enumerate(_sequence(components, "components"))
         )
         for comp in comps:
             if len(comp) < 3:
@@ -377,8 +388,8 @@ def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
 # Linked triangles
 
 
-def _require_triangle(t):
-    pts = tuple(_finite(p, f"triangle point {k}") for k, p in enumerate(t))
+def _require_triangle(t, where):
+    pts = tuple(_finite(p, f"triangle point {k}") for k, p in enumerate(_sequence(t, where)))
     if len(pts) != 3:
         raise DomainError("a triangle needs exactly 3 points")
     return pts
@@ -391,7 +402,7 @@ def triangles_linked(t1, t2) -> int:
     spanned by t1.  Raises DegeneracyError when any four of the six
     vertices are coplanar within tolerance.
     """
-    t1, t2 = _require_triangle(t1), _require_triangle(t2)
+    t1, t2 = _require_triangle(t1, "t1"), _require_triangle(t2, "t2")
     pts = t1 + t2
     for quad in itertools.combinations(range(6), 4):
         _orient3d_checked(*(pts[i] for i in quad))
@@ -410,7 +421,7 @@ def triangles_linked(t1, t2) -> int:
 
 
 def _check_points(points, n):
-    pts = tuple(_finite(p, f"point {k}") for k, p in enumerate(points))
+    pts = tuple(_finite(p, f"point {k}") for k, p in enumerate(_sequence(points, "points")))
     if len(pts) != n:
         raise DomainError(f"need exactly {n} points")
     for quad in itertools.combinations(range(n), 4):

@@ -31,9 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .codes import Diagram, is_realizable
+from .codes import Diagram, crossing_change, is_realizable
 from .errors import DegeneracyError, DomainError
-from .moves import crossing_change
 from .spatial import crossings, gauss_code, retry
 
 
@@ -138,10 +137,6 @@ def sigma(s: SingularDiagram) -> ChordDiagram:
     return ChordDiagram(word)
 
 
-def _resolved(base: Diagram, c: int, target_sign: int) -> Diagram:
-    return base if base.signs[c] == target_sign else crossing_change(base, c)
-
-
 def resolutions(s: SingularDiagram):
     """The 2^m resolved diagrams with parity = number of minus choices.
 
@@ -152,10 +147,8 @@ def resolutions(s: SingularDiagram):
         raise DomainError(f"{len(doubles)} double points; resolutions supported for m <= 12")
     out = []
     for choice in itertools.product((1, -1), repeat=len(doubles)):
-        d = s.base
-        for c, target in zip(doubles, choice):
-            d = _resolved(d, c, target)
-        out.append((d, sum(1 for t in choice if t < 0)))
+        changed = (c for c, t in zip(doubles, choice) if s.base.signs[c] != t)
+        out.append((crossing_change(s.base, *changed), sum(1 for t in choice if t < 0)))
     return tuple(out)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from knots import moves
 from knots import (
     Basepoint,
     ConsistencyError,
@@ -9,7 +10,9 @@ from knots import (
     Edge,
     ParseError,
     Pass,
+    UnknownCrossingError,
     canonical_key,
+    crossing_change,
     from_text,
     genus,
     is_realizable,
@@ -158,3 +161,13 @@ def test_diagram_equality_is_structural():
     assert from_text(TREFOIL) == from_text(TREFOIL)
     assert from_text(TREFOIL) != from_text(FIG8)
     assert len({from_text(TREFOIL), from_text(TREFOIL)}) == 1
+
+
+def test_crossing_change_takes_several_crossings_at_once():
+    d = from_text(FIG8)
+    assert crossing_change(d, 1, 3) == crossing_change(crossing_change(d, 3), 1)
+    assert crossing_change(d) == d
+    assert crossing_change(d, *d.signs) == mirror(d)
+    with pytest.raises(UnknownCrossingError, match="no crossing 7"):
+        crossing_change(d, 1, 7)
+    assert moves.crossing_change is crossing_change

@@ -1,0 +1,122 @@
+"""Errors raised on bad input, one case per raise no other test reaches."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from knots import (
+    Basepoint,
+    ConsistencyError,
+    DescendingPlan,
+    Diagram,
+    DomainError,
+    NonPlanarError,
+    ParseError,
+    Pass,
+    UnknownCrossingError,
+    WalkPlan,
+    connected_sum,
+    crossing_change,
+    from_text,
+    random_walk,
+    reverse_component,
+    skew_pairs,
+    smooth,
+    triangles_linked,
+    violations,
+)
+from knots.cli import main
+
+TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
+HOPF = "O1+ U2+ ; O2+ U1+"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (5, "expected a string, got int"),
+        (" \n ", "empty code text"),
+        ("O1+ U1+ ;  ", "empty component"),
+    ],
+)
+def test_from_text_rejects_non_strings_and_empty_parts(text, message):
+    with pytest.raises(ParseError, match=message):
+        from_text(text)
+
+
+@pytest.mark.parametrize(
+    "passes,message",
+    [
+        ([Pass(1, "X", 1), Pass(1, "U", 1)], "bad role 'X' at crossing 1"),
+        ([Pass(1, "O", 1), Pass(1, "U", 0)], "bad sign 0 at crossing 1"),
+    ],
+)
+def test_diagram_rejects_bad_roles_and_signs(passes, message):
+    with pytest.raises(ConsistencyError, match=message):
+        Diagram([passes])
+
+
+def test_reverse_component_rejects_a_bad_index():
+    with pytest.raises(DomainError, match="no component 2"):
+        reverse_component(from_text(HOPF), 2)
+
+
+@pytest.mark.parametrize("surgery", [crossing_change, smooth])
+def test_surgery_at_an_unknown_crossing(surgery):
+    with pytest.raises(UnknownCrossingError, match="no crossing 9"):
+        surgery(from_text(TREFOIL), 9)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((3, 0), "no component 3 in first diagram"),
+        ((0, -1), "no component -1 in second diagram"),
+        ((0, 0, 6, 0), "no arc 6 on the chosen first component"),
+        ((0, 0, 0, 7), "no arc 7 on the chosen second component"),
+    ],
+)
+def test_connected_sum_rejects_bad_components_and_arcs(args, message):
+    a, b = from_text(TREFOIL), from_text(TREFOIL)
+    comp_a, comp_b, *arcs = args
+    with pytest.raises(DomainError, match=message):
+        connected_sum(a, comp_a, b, comp_b, *arcs)
+
+
+def test_random_walk_needs_a_planar_start():
+    with pytest.raises(NonPlanarError, match="genus-0 start"):
+        random_walk(from_text("O1+ U2+ U1+ O2+"), WalkPlan(seed=0, steps=3))
+
+
+def test_walk_plan_rejects_all_zero_weights():
+    with pytest.raises(DomainError, match="bad walk weights"):
+        WalkPlan(seed=0, steps=1, weights={"R1+": 0.0, "R3": 0})
+
+
+def test_skew_pairs_basepoint_must_lie_on_the_knot():
+    with pytest.raises(DomainError, match="basepoint on component 1"):
+        skew_pairs(from_text(TREFOIL), Basepoint(1, 0))
+
+
+def test_descending_plan_bases_follow_component_index():
+    plan = DescendingPlan(base=((1, 0), (0, 0)))
+    with pytest.raises(DomainError, match="follow component index"):
+        violations(from_text(HOPF), plan)
+
+
+def test_triangles_linked_needs_three_points_each():
+    t1 = ((0.0, 0.0, 0.0), (2.0, 0.0, 0.1))
+    t2 = ((0.5, 0.5, -1.0), (0.6, 0.55, 1.3), (2.5, 2.6, 0.2))
+    with pytest.raises(DomainError, match="a triangle needs exactly 3 points"):
+        triangles_linked(t1, t2)
+
+
+def test_geom_linked_triangles_json():
+    args = ["geom", "linked-triangles", "--trials", "2", "--format", "json"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert [r["trial"] for r in doc["witness"]] == [0, 1]
+    for r in doc["witness"]:
+        assert len(r["witness"]) == 2 and all(len(half) == 3 for half in r["witness"])

@@ -364,3 +364,18 @@ def test_import_builds_no_cycle_table():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0"
+
+
+def test_containers_that_are_not_sequences_are_domain_errors():
+    calls = [
+        (lambda: verify_seven_points(7), "points is not a sequence: 7"),
+        (lambda: verify_six_points(7), "points is not a sequence: 7"),
+        (lambda: triangles_linked(1, 2), "t1 is not a sequence: 1"),
+        (lambda: triangles_linked(((0, 0, 0), (1, 0, 0), (0, 1, 0)), 2), "t2 is not a sequence"),
+        (lambda: SpatialLink(5), "components is not a sequence: 5"),
+        (lambda: SpatialLink([5]), "component 0 is not a sequence: 5"),
+        (lambda: SpatialLink([_circle(5), 5]), "component 1 is not a sequence: 5"),
+    ]
+    for call, message in calls:
+        with pytest.raises(DomainError, match=message):
+            call()

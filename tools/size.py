@@ -2,12 +2,16 @@
 """Print the size of the package as one JSON line.
 
 ``src_lines`` counts the lines of every ``src/knots/**/*.py`` file and
-``all_names`` the names in ``knots.__all__``.  Design changes report
-these two numbers before and after.  Run from anywhere:
+``all_names`` the names in ``knots.__all__``.  ``code_lines`` counts the
+same files' lines that are not blank, not comment-only and not inside a
+module, class or function docstring, so it shows whether a change
+removed code rather than prose.  Design changes report these numbers
+before and after.  Run from anywhere:
 
     python3 tools/size.py
 """
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -17,5 +21,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 import knots  # noqa: E402  (from this checkout's src/, not an installed copy)
 
-lines = sum(len(p.read_text().splitlines()) for p in sorted((SRC / "knots").rglob("*.py")))
-print(json.dumps({"src_lines": lines, "all_names": len(knots.__all__)}))
+
+def code_lines(text):
+    """Lines of ``text`` that hold code, docstrings and comments aside."""
+    prose = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                prose.update(range(first.lineno, first.end_lineno + 1))
+    return sum(
+        1
+        for n, line in enumerate(text.splitlines(), 1)
+        if n not in prose and line.strip() and not line.lstrip().startswith("#")
+    )
+
+
+texts = [p.read_text() for p in sorted((SRC / "knots").rglob("*.py"))]
+print(
+    json.dumps(
+        {
+            "src_lines": sum(len(t.splitlines()) for t in texts),
+            "code_lines": sum(code_lines(t) for t in texts),
+            "all_names": len(knots.__all__),
+        }
+    )
+)
