@@ -31,6 +31,9 @@ crossing, by sign:
     sign -1:  under-in, over-in,  under-out, over-out
 
 The edge involution (alpha) takes a dart to the other end of its arc.
+Arcs are integers too: component c owns ``max(len, 1)`` consecutive
+numbers, the k-th for the arc arriving at its pass k (a free loop owns
+one arc without darts), so arc order is (component, position) order.
 Faces are the orbits of dart -> sigma(alpha(dart)), the usual
 permutation model; with V crossings, E = 2V edge arcs and F faces,
 each connected piece has genus (2 - V + E - F) / 2.
@@ -39,6 +42,7 @@ each connected piece has genus (2 - V + E - F) / 2.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -138,29 +142,31 @@ class Diagram:
         locate: crossing label -> {role: (component, position)}.
 
     Raises:
-        ConsistencyError: unless every crossing has an integer label, one
-            OVER and one UNDER pass, and the same sign +1 or -1 on both.
-            A faulty pass is reported first; then, in order of first
-            appearance, a crossing missing a pass or with unequal signs.
+        ConsistencyError: unless every crossing has a positive integer
+            label (not a bool: the text form could not read either back),
+            one OVER and one UNDER pass, and the same sign +1 or -1 on
+            both.  A faulty pass is reported first; then, in order of
+            first appearance, a crossing missing a pass or with unequal
+            signs.
     """
 
     def __init__(self, components: Iterable[Sequence[Pass]]):
         self.components = comps = tuple(tuple(c) for c in components)
         self.signs, self.locate = signs, locate = {}, {}
         for ci, comp in enumerate(comps):
-            for k, p in enumerate(comp):
-                if not isinstance(p.crossing, int):
-                    raise ConsistencyError(f"crossing label {p.crossing!r} is not an integer")
-                if p.role not in (OVER, UNDER):
-                    raise ConsistencyError(f"bad role {p.role!r} at crossing {p.crossing}")
-                if p.sign not in (1, -1):
-                    raise ConsistencyError(f"bad sign {p.sign!r} at crossing {p.crossing}")
-                where = locate.setdefault(p.crossing, {})
-                if p.role in where:
-                    raise ConsistencyError(
-                        f"crossing {p.crossing} passed twice with role {p.role}"
-                    )
-                where[p.role] = (ci, k)
+            for k, (c, role, sign) in enumerate(comp):
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise ConsistencyError(f"crossing label {c!r} is not an integer")
+                if c < 1:
+                    raise ConsistencyError(f"crossing label {c} is not positive")
+                if role not in (OVER, UNDER):
+                    raise ConsistencyError(f"bad role {role!r} at crossing {c}")
+                if sign not in (1, -1):
+                    raise ConsistencyError(f"bad sign {sign!r} at crossing {c}")
+                where = locate.setdefault(c, {})
+                if role in where:
+                    raise ConsistencyError(f"crossing {c} passed twice with role {role}")
+                where[role] = (ci, k)
         for c, where in locate.items():
             if len(where) == 1:
                 missing = UNDER if OVER in where else OVER
@@ -205,22 +211,75 @@ class Diagram:
     # Surface map: integer darts, rotation, edge involution, faces, genus.
 
     @cached_property
-    def _darts(self):
-        """(dart -> Edge containing it, alpha: dart -> other end of its arc).
+    def _arc_base(self):
+        """Component -> index of its first arc, then the number of arcs.
 
-        Edge (c, k) runs from pass k-1 to pass k, so it holds the
-        out-dart of pass k-1 and the in-dart of pass k.
+        Component c owns the integer arcs ``base[c]`` to ``base[c+1] - 1``,
+        ``max(len, 1)`` of them: arc ``base[c] + k`` is Edge (c, k), and a
+        free loop owns one arc without darts.  So integer order is Edge
+        order.
         """
-        arc, alpha = {}, {}
-        for ci, comp in enumerate(self.components):
+        base = [0]
+        for comp in self.components:
+            base.append(base[-1] + max(len(comp), 1))
+        return tuple(base)
+
+    def _edge(self, arc: int) -> Edge:
+        """The Edge of an integer arc."""
+        base = self._arc_base
+        c = bisect_right(base, arc) - 1
+        return Edge(c, arc - base[c])
+
+    def _arc(self, edge):
+        """The integer arc of ``edge``, or None if it names no arc here."""
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            return None
+        c, k = edge
+        base = self._arc_base
+        if not (isinstance(c, int) and isinstance(k, int) and 0 <= c < len(base) - 1):
+            return None
+        return base[c] + k if 0 <= k < base[c + 1] - base[c] else None
+
+    @cached_property
+    def _darts(self):
+        """(dart -> arc, alpha: dart -> other end of its arc, arc -> in-dart).
+
+        Arc (c, k) runs from pass k-1 to pass k, so it holds the
+        out-dart of pass k-1 and the in-dart of pass k.  A free loop's
+        arc has no in-dart (None).
+        """
+        arc, alpha, head = {}, {}, []
+        for comp in self.components:
             ins = [4 * p.crossing + (2 if p.role == UNDER else 0) for p in comp]
             for k, d in enumerate(ins):
                 out = ins[k - 1] + 1
-                arc[d] = arc[out] = Edge(ci, k)
+                arc[d] = arc[out] = len(head)
                 alpha[d], alpha[out] = out, d
-        return arc, alpha
+                head.append(d)
+            if not comp:
+                head.append(None)
+        return arc, alpha, head
 
     @cached_property
+    def _faces(self):
+        """(faces, dart -> index of its face); see ``faces``."""
+        alpha, signs = self._darts[1], self.signs
+        face_of = {}
+        out = []
+        for start in sorted(alpha):
+            if start in face_of:
+                continue
+            orbit = []
+            d = start
+            while d not in face_of:
+                face_of[d] = len(out)
+                orbit.append(d)
+                e = alpha[d]
+                d = e - (e & 3) + _TURN[signs[e >> 2]][e & 3]
+            out.append(tuple(orbit))
+        return tuple(out), face_of
+
+    @property
     def faces(self):
         """Faces of the surface map as tuples of integer darts.
 
@@ -228,50 +287,22 @@ class Diagram:
         its smallest dart; faces come in order of that dart, and a dart
         appears in exactly one face.  Free loops contribute no darts.
         """
-        alpha, signs = self._darts[1], self.signs
-        unseen = set(alpha)
-        out = []
-        for start in sorted(alpha):
-            if start not in unseen:
-                continue
-            orbit = []
-            d = start
-            while d in unseen:
-                unseen.discard(d)
-                orbit.append(d)
-                e = alpha[d]
-                d = e - (e & 3) + _TURN[signs[e >> 2]][e & 3]
-            out.append(tuple(orbit))
-        return tuple(out)
+        return self._faces[0]
 
     def face_edges(self, face) -> tuple:
         """The arcs along a face, one per dart in face order."""
         arc = self._darts[0]
-        return tuple(arc[d] for d in face)
+        return tuple(self._edge(arc[d]) for d in face)
 
     @cached_property
-    def _arc_faces(self):
-        """Arc -> [(face index, whether the face runs along the arc)].
+    def _pieces(self):
+        """(pieces, component -> index of its piece).
 
-        The face's dart on the arc is an out-dart exactly when its
-        boundary follows the arc's orientation.  An arc lies on two
-        faces, or twice on one.
+        A component's crossings all lie in one piece, so a union-find
+        over components, joined at each crossing, finds the pieces.  Free
+        loops are numbered after the pieces with crossings.
         """
-        arc = self._darts[0]
-        out = {}
-        for i, face in enumerate(self.faces):
-            for dart in face:
-                out.setdefault(arc[dart], []).append((i, bool(dart & 1)))
-        return out
-
-    @cached_property
-    def pieces(self):
-        """Connected pieces as frozensets of crossing labels.
-
-        Ordered by smallest crossing label.  Free loops are separate
-        pieces but, carrying no crossings, are not listed here.
-        """
-        parent = {c: c for c in self.signs}
+        parent = list(range(self.n_components))
 
         def find(x):
             while parent[x] != x:
@@ -279,23 +310,31 @@ class Diagram:
                 x = parent[x]
             return x
 
-        for comp in self.components:
-            for k in range(len(comp)):
-                a = find(comp[k - 1].crossing)
-                b = find(comp[k].crossing)
-                if a != b:
-                    parent[a] = b
+        for where in self.locate.values():
+            (a, _), (b, _) = where.values()
+            a, b = find(a), find(b)
+            if a != b:
+                parent[a] = b
         groups = {}
-        for c in self.signs:
-            groups.setdefault(find(c), set()).add(c)
-        return tuple(
-            frozenset(g) for g in sorted(groups.values(), key=min)
+        for c, where in self.locate.items():
+            groups.setdefault(find(where[OVER][0]), set()).add(c)
+        roots = sorted(groups, key=lambda r: min(groups[r]))
+        index = {r: i for i, r in enumerate(roots)}
+        for ci in self.free_loops:
+            index[ci] = len(index)
+        return (
+            tuple(frozenset(groups[r]) for r in roots),
+            tuple(index[find(ci)] for ci in range(self.n_components)),
         )
 
-    @cached_property
-    def _piece_of(self):
-        """crossing label -> index of its piece in ``pieces``."""
-        return {c: i for i, piece in enumerate(self.pieces) for c in piece}
+    @property
+    def pieces(self):
+        """Connected pieces as frozensets of crossing labels.
+
+        Ordered by smallest crossing label.  Free loops are separate
+        pieces but, carrying no crossings, are not listed here.
+        """
+        return self._pieces[0]
 
 
 def genus(diagram: Diagram) -> tuple:
@@ -305,12 +344,13 @@ def genus(diagram: Diagram) -> tuple:
     one 0 per free loop.  A code is drawable in the plane exactly when
     all entries are 0.
     """
-    piece_of = diagram._piece_of
-    face_count = [0] * len(diagram.pieces)
+    pieces, piece_of = diagram._pieces
+    locate = diagram.locate
+    face_count = [0] * len(pieces)
     for face in diagram.faces:
-        face_count[piece_of[face[0] >> 2]] += 1
+        face_count[piece_of[locate[face[0] >> 2][OVER][0]]] += 1
     out = []
-    for piece, f in zip(diagram.pieces, face_count):
+    for piece, f in zip(pieces, face_count):
         # Euler: V - E + F = 2 - 2g with E = 2V.
         twice_genus = 2 + len(piece) - f
         if twice_genus % 2:

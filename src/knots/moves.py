@@ -25,6 +25,9 @@ side arcs; the three crossings keep their signs.
 
 ``enumerate_sites``, ``random_walk`` and ``apply`` all read one site
 table: the anchors of each move kind and the variants at an anchor.
+Insertion anchors are kept as integers (an arc, or ``a*n + b`` for a
+pair of the n arcs) and decoded to ``Edge`` tuples only where a caller
+sees them; ``apply`` checks an insertion site on its own arcs and faces.
 All operations return new diagrams; inputs are never modified.
 """
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -39,7 +43,6 @@ from .codes import (
     OVER,
     UNDER,
     Diagram,
-    Edge,
     Pass,
     crossing_change,  # re-exported beside smooth and the other surgery
     genus,
@@ -158,61 +161,76 @@ def _triangles(d: Diagram):
     return out
 
 
-def _insertion_edges(d: Diagram):
-    """Real arcs plus one pseudo-arc per free loop."""
-    return tuple(d.edges) + tuple(Edge(ci, 0) for ci in d.free_loops)
+def _r1_arcs(d: Diagram):
+    """Integer arcs taking an R1 curl: the real arcs, then the free loops."""
+    head = d._darts[2]
+    return [a for a, dart in enumerate(head) if dart is not None] + [
+        d._arc_base[ci] for ci in d.free_loops
+    ]
 
 
-def _edge_piece(d: Diagram, edge: Edge):
-    comp = d.components[edge.component]
-    if not comp:
-        return ("loop", edge.component)
-    return ("piece", d._piece_of[comp[edge.position].crossing])
+def _arc_piece(d: Diagram, a: int):
+    """The index of the piece holding integer arc ``a``."""
+    return d._pieces[1][bisect_right(d._arc_base, a) - 1]
 
 
-def _r2_candidate_pairs(d: Diagram):
-    """Unordered arc pairs eligible for an R2 poke.
+def _r2_keys(d: Diagram):
+    """Sorted keys ``a*n + b`` (arcs a < b of n) of the arc pairs
+    eligible for an R2 poke; in key order the pairs are in Edge order.
 
     Distinct arcs bounding a common face (the poke happens inside that
     face), plus every pair of arcs from different connected pieces (a
     split piece can always be slid next to another).
     """
-    pairs = set()
+    arc, base = d._darts[0], d._arc_base
+    n = base[-1]
+    keys = set()
     for face in d.faces:
-        pairs.update(itertools.combinations(sorted(set(d.face_edges(face))), 2))
+        arcs = sorted({arc[dart] for dart in face})
+        keys.update(a * n + b for a, b in itertools.combinations(arcs, 2))
     by_piece = {}
-    for edge in _insertion_edges(d):
-        by_piece.setdefault(_edge_piece(d, edge), []).append(edge)
+    for ci, piece in enumerate(d._pieces[1]):
+        by_piece.setdefault(piece, []).extend(range(base[ci], base[ci + 1]))
     groups = list(by_piece.values())
     for i, group in enumerate(groups):
         for other in groups[i + 1 :]:
-            pairs.update(tuple(sorted(p)) for p in itertools.product(group, other))
-    return sorted(pairs)
+            keys.update(min(a, b) * n + max(a, b) for a in group for b in other)
+    return sorted(keys)
 
 
-def _r2_variants(d: Diagram, a: Edge, b: Edge):
-    """The R2+ variants poking arcs ``a`` and ``b`` that keep ``d`` planar.
+def _r2_variants(d: Diagram, a: int, b: int):
+    """The R2+ variants poking integer arcs ``a`` and ``b`` that keep ``d``
+    planar.
 
     Arcs in different pieces admit all eight.  Otherwise each face both
     arcs bound admits two: the strands run antiparallel when the face
     runs along both arcs or against both, and the first new crossing is
     negative with ``a`` on top exactly when the face runs along ``b``.
+    An arc's two darts are its in-dart and, through alpha, its out-dart;
+    a face runs along the arc where its dart there is the out-dart.
     """
-    if _edge_piece(d, a) != _edge_piece(d, b):
+    if _arc_piece(d, a) != _arc_piece(d, b):
         return _R2_VARIANTS
+    _, alpha, head = d._darts
+    face_of = d._faces[1]
     ok = set()
-    for face_a, fwd_a in d._arc_faces[a]:
-        for face_b, fwd_b in d._arc_faces[b]:
-            if face_a != face_b:
+    for dart_a in (head[a], alpha[head[a]]):
+        for dart_b in (head[b], alpha[head[b]]):
+            if face_of[dart_a] != face_of[dart_b]:
                 continue
+            fwd_a, fwd_b = dart_a & 1, dart_b & 1
             rel = "anti" if fwd_a == fwd_b else "par"
             ok.add(f"{rel}:A:{'+-'[fwd_b]}")
             ok.add(f"{rel}:B:{'-+'[fwd_b]}")
     return tuple(v for v in _R2_VARIANTS if v in ok)
 
 
-def _anchors(d: Diagram, kind: str):
-    """The anchors of every ``kind`` site on ``d``, in a fixed order."""
+def _keys(d: Diagram, kind: str):
+    """The anchors of every ``kind`` site on ``d``, in a fixed order.
+
+    Insertions are keyed by integers (see ``_decode``); the other kinds
+    by their anchors.
+    """
     if kind == "R1-":
         return sorted({(face[0] >> 2,) for face in d.faces if len(face) == 1})
     if kind == "R2-":
@@ -220,18 +238,42 @@ def _anchors(d: Diagram, kind: str):
     if kind == "R3":
         return _triangles(d)
     if kind == "R1+":
-        return [(edge,) for edge in _insertion_edges(d)]
+        return _r1_arcs(d)
     if kind == "R2+":
-        return _r2_candidate_pairs(d)
+        return _r2_keys(d)
     raise InvalidSiteError(f"unknown move kind {kind!r}")
 
 
-def _variants(d: Diagram, kind: str, anchor: tuple):
-    """The variants of the ``kind`` site at ``anchor``."""
+def _decode(d: Diagram, kind: str, key):
+    """The ``MoveSite`` anchor of a ``_keys`` entry."""
+    if kind == "R1+":
+        return (d._edge(key),)
+    if kind == "R2+":
+        return tuple(map(d._edge, divmod(key, d._arc_base[-1])))
+    return key
+
+
+def _encode(d: Diagram, kind: str, anchor):
+    """The ``_keys`` entry of a site's anchor, or None if ``d`` has no
+    ``kind`` site there; only removals and R3 scan the table."""
+    if kind not in ("R1+", "R2+"):
+        return anchor if anchor in _keys(d, kind) else None
+    arcs = [d._arc(edge) for edge in anchor] if isinstance(anchor, tuple) else [None]
+    if None in arcs or len(arcs) != int(kind[1]):  # R1+ takes one arc, R2+ two
+        return None
+    if kind == "R1+":
+        return arcs[0]
+    a, b = arcs
+    # A pair is a candidate exactly when it admits some variant.
+    return a * d._arc_base[-1] + b if a < b and _r2_variants(d, a, b) else None
+
+
+def _variants(d: Diagram, kind: str, key):
+    """The variants of the ``kind`` site at the ``_keys`` entry ``key``."""
     if kind == "R1+":
         return _R1_VARIANTS
     if kind == "R2+":
-        return _r2_variants(d, *anchor)
+        return _r2_variants(d, *divmod(key, d._arc_base[-1]))
     return ("",)
 
 
@@ -254,13 +296,13 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
     if not is_realizable(d):
         raise NonPlanarError(f"genus {genus(d)} diagram; moves need genus 0")
     wanted = _KINDS if kinds is None else set(kinds)
-    return tuple(
-        MoveSite(kind, anchor, variant)
-        for kind in _KINDS
-        if kind in wanted
-        for anchor in _anchors(d, kind)
-        for variant in _variants(d, kind, anchor)
-    )
+    out = []
+    for kind in _KINDS:
+        if kind in wanted:
+            for key in _keys(d, kind):
+                anchor = _decode(d, kind, key)
+                out.extend(MoveSite(kind, anchor, v) for v in _variants(d, kind, key))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +367,10 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
     Raises:
         InvalidSiteError: if ``site`` is not among ``enumerate_sites(d)``.
     """
-    _require(site.anchor in _anchors(d, site.kind), f"no {site.kind} site at {site.anchor!r}")
+    key = _encode(d, site.kind, site.anchor)
+    _require(key is not None, f"no {site.kind} site at {site.anchor!r}")
     _require(
-        site.variant in _variants(d, site.kind, site.anchor),
+        site.variant in _variants(d, site.kind, key),
         f"no {site.kind} variant {site.variant!r} at {site.anchor!r}",
     )
     return _BUILD[site.kind](d, site)
@@ -424,11 +467,11 @@ def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
     cur = d
     for _ in range(plan.steps):
         kind = rng.choices(kinds, [weights[k] for k in kinds])[0]
-        anchors = _anchors(cur, kind)
-        if not anchors:
+        keys = _keys(cur, kind)
+        if not keys:
             continue
-        anchor = rng.choice(anchors)
-        variants = _variants(cur, kind, anchor)
+        key = rng.choice(keys)
+        variants = _variants(cur, kind, key)
         variant = rng.choice(variants) if len(variants) > 1 else variants[0]
-        cur = _BUILD[kind](cur, MoveSite(kind, anchor, variant))
+        cur = _BUILD[kind](cur, MoveSite(kind, _decode(cur, kind, key), variant))
     return cur

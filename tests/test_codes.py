@@ -1,5 +1,7 @@
 """Gauss code parsing, combinatorial maps, and genus."""
 
+import random
+
 import pytest
 
 from knots import moves
@@ -10,14 +12,19 @@ from knots import (
     Edge,
     ParseError,
     Pass,
+    SpatialLink,
     UnknownCrossingError,
+    WalkPlan,
     canonical_key,
+    catalog,
     crossing_change,
     from_text,
     genus,
     is_realizable,
     mirror,
     permute_components,
+    project,
+    random_walk,
     reverse_all,
     reverse_component,
     to_text,
@@ -56,6 +63,37 @@ def test_crossing_labels_must_be_integers():
     for label in ("a", 1.5, None):
         with pytest.raises(ConsistencyError, match="is not an integer"):
             Diagram([[Pass(label, "O", 1), Pass(label, "U", 1)]])
+
+
+def test_crossing_labels_must_read_back_from_text():
+    # to_text would write OTrue+ or O0+, which from_text rejects.
+    faults = {True: "is not an integer", 0: "is not positive", -2: "is not positive"}
+    for label, fault in faults.items():
+        with pytest.raises(ConsistencyError, match=f"crossing label {label} {fault}"):
+            Diagram([[Pass(label, "O", 1), Pass(label, "U", 1)]])
+    # True == 1, so it would otherwise pass as the second pass of crossing 1.
+    with pytest.raises(ConsistencyError, match="crossing label True is not an integer"):
+        Diagram([[Pass(1, "O", 1), Pass(True, "U", 1)]])
+
+
+def test_text_round_trip_on_walks_and_projections():
+    names = catalog.names()
+    grow = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
+    found = []
+    for seed in range(12):
+        start = catalog.lookup(names[seed % len(names)]).diagram
+        plan = WalkPlan(seed=seed, steps=30, weights=grow if seed % 2 else None)
+        found.append(random_walk(start, plan))
+    rng = random.Random(5)
+
+    def vertex(c):
+        return (rng.uniform(-1, 1) + 0.7 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    for seed in range(6):
+        link = SpatialLink([[vertex(c) for _ in range(8)] for c in range(1 + seed % 3)])
+        found.append(project(link, seed).diagram)
+    for d in found:
+        assert from_text(to_text(d)) == d
 
 
 def test_signs_are_shared_per_crossing():

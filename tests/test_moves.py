@@ -1,5 +1,6 @@
 """Reidemeister move detection, application, and random walks."""
 
+import functools
 import hashlib
 
 import pytest
@@ -159,12 +160,20 @@ WALKS = (
     ("hopf-", GROW, 10, 30, 37, "1c2f67e60c928c14"),
     ("borromean", GROW, 11, 30, 48, "28dd522280afb618"),
     ("unknot", GROW, 12, 30, 32, "3c1e7034e54ad3b3"),
+    # Split starts ("a|b" is their disjoint union), recorded from the
+    # table of sorted Edge-tuple pairs: the walks join the pieces with
+    # cross-piece pokes and grow past 90 crossings.
+    ("trefoil-r|hopf+", GROW, 13, 100, 106, "5ee64bbc2a497fc1"),
+    ("trefoil-r|hopf+", GROW, 14, 100, 96, "45672a795f154528"),
+    ("fig8|unknot", GROW, 13, 100, 111, "e8375d944a576311"),
+    ("fig8|unknot", GROW, 14, 100, 93, "d4d610e20357f5b7"),
 )
 
 
 @pytest.mark.parametrize("name,weights,seed,steps,size,digest", WALKS)
 def test_seeded_walks_match_recorded_endpoints(name, weights, seed, steps, size, digest):
-    d = catalog.lookup(name).diagram
+    first, *rest = (catalog.lookup(part).diagram for part in name.split("|"))
+    d = functools.reduce(disjoint_union, rest, first)
     end = random_walk(d, WalkPlan(seed=seed, steps=steps, weights=weights))
     assert (end.n_crossings, _digest(canonical_key(end))) == (size, digest)
 
@@ -230,6 +239,43 @@ def test_apply_rejects_invalid_sites(make):
     with pytest.raises(InvalidSiteError):
         apply_move(d, site)
     assert issubclass(InvalidSiteError, DomainError)
+
+
+R1_VARIANTS = ("OU+", "OU-", "UO+", "UO-", "XY+")
+R2_VARIANTS = tuple(
+    f"{rel}:{over}:{s}" for rel in ("par", "anti", "bad") for over in "AB" for s in "+-"
+)
+
+
+def _insertion_trials(d):
+    """Every arc with every R1+ variant, and every ordered arc pair with
+    every R2+ variant, a malformed variant and an arc past the end
+    included."""
+    arcs = list(d.edges) + [Edge(ci, 0) for ci in d.free_loops]
+    arcs.append(Edge(0, max(len(d.components[0]), 1)))
+    for a in arcs:
+        yield from (MoveSite("R1+", (a,), v) for v in R1_VARIANTS)
+        for b in arcs:
+            yield from (MoveSite("R2+", (a, b), v) for v in R2_VARIANTS)
+
+
+def _accepted(d, site):
+    try:
+        apply_move(d, site)
+    except InvalidSiteError:
+        return False
+    return True
+
+
+def test_apply_accepts_exactly_the_enumerated_insertion_sites():
+    starts = [catalog.lookup(name).diagram for name in catalog.names()]
+    starts += [from_text("() ; ()"), from_text("() ; O1+ U1+")]
+    walks = [random_walk(d, WalkPlan(seed=i, steps=20)) for i, d in enumerate(starts)]
+    walks += [random_walk(starts[i], WalkPlan(seed=i, steps=4, weights=GROW)) for i in (1, 8)]
+    for d in starts + walks:
+        listed = set(enumerate_sites(d, kinds=("R1+", "R2+")))
+        accepted = {site for site in _insertion_trials(d) if _accepted(d, site)}
+        assert accepted == listed, d
 
 
 def test_crossing_change_flips_one_crossing():

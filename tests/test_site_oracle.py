@@ -1,0 +1,129 @@
+"""The integer insertion-site table against the Edge-tuple oracle.
+
+``moves`` keys R1+ anchors by integer arc and R2+ anchors by ``a*n + b``,
+decoding only the anchors a caller needs; decoded, they must be the
+oracle's ``Edge`` anchors in the same order (so seeded walks draw the
+same sites), with the same R2+ variants.  ``Diagram.pieces`` and
+``genus`` come from a union-find over components and must match the
+oracle's union-find over passes.  Inputs: default and growth walks up
+to about 110 crossings, split starts with free loops, 2-3-component
+polygon projections, and random (mostly non-planar) codes for the
+pieces.
+"""
+
+import random
+
+import pytest
+
+from knots import (
+    DEFAULT_WEIGHTS,
+    Diagram,
+    Pass,
+    SpatialLink,
+    WalkPlan,
+    catalog,
+    disjoint_union,
+    from_text,
+    genus,
+    project,
+    random_walk,
+)
+from knots.moves import _decode, _keys, _variants
+
+import site_oracle
+
+GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
+
+
+def _check_pieces(d):
+    assert d.pieces == site_oracle.pieces(d), d
+    assert genus(d) == site_oracle.genus(d), d
+
+
+def _check(d):
+    _check_pieces(d)
+    table = site_oracle.SiteTable(d)
+    r1 = [_decode(d, "R1+", key) for key in _keys(d, "R1+")]
+    assert r1 == table.r1_anchors(), d
+    keys = _keys(d, "R2+")
+    pairs = [_decode(d, "R2+", key) for key in keys]
+    assert pairs == table.r2_pairs(), d
+    for key, pair in zip(keys, pairs):
+        assert _variants(d, "R2+", key) == table.r2_variants(*pair), (d, pair)
+    return d.n_crossings
+
+
+def _split_starts():
+    entry = {name: catalog.lookup(name).diagram for name in catalog.names()}
+    loop = from_text("()")
+    return {
+        "fig8+unknot": disjoint_union(entry["fig8"], entry["unknot"]),
+        "loops": from_text("() ; ()"),
+        "trefoil+hopf": disjoint_union(entry["trefoil-r"], entry["hopf+"]),
+        "loop+trefoil+loop": disjoint_union(disjoint_union(loop, entry["trefoil-l"]), loop),
+        "split-kinks": from_text("O1+ U1+ ; O2+ U2+"),
+    }
+
+
+SPLIT = _split_starts()
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_seeded_walks(grow):
+    weights, steps = (GROW, 100) if grow else (DEFAULT_WEIGHTS, 60)
+    names = catalog.names()
+    sizes = []
+    for seed in range(8):
+        start = catalog.lookup(names[seed % len(names)]).diagram
+        sizes.append(_check(random_walk(start, WalkPlan(seed=seed, steps=steps, weights=weights))))
+    assert max(sizes) >= (90 if grow else 5)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT))
+def test_split_starts_with_free_loops(name):
+    d = SPLIT[name]
+    _check(d)
+    for seed in range(3):
+        _check(random_walk(d, WalkPlan(seed=seed, steps=6, weights=GROW)))
+        _check(random_walk(d, WalkPlan(seed=seed, steps=40)))
+
+
+def test_seeded_polygon_projections():
+    rng = random.Random(20261019)
+
+    def vertex(c):
+        return (rng.uniform(-1, 1) + 0.7 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    components = set()
+    for seed in range(8):
+        link = SpatialLink([[vertex(c) for _ in range(7)] for c in range(2 + seed % 2)])
+        d = project(link, seed).diagram
+        _check(d)
+        components.add(d.n_components)
+    assert components == {2, 3}
+
+
+def _random_code(rng):
+    """1-3 random codes on disjoint labels, each shuffled into one or two
+    components, with the components in random order and a free loop."""
+    comps, label = [[]], 1
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, 6)
+        signs = {c: rng.choice((1, -1)) for c in range(label, label + n)}
+        passes = [Pass(c, role, sign) for c, sign in signs.items() for role in "OU"]
+        label += n
+        rng.shuffle(passes)
+        cut = rng.randint(1, 2 * n)
+        comps += [passes[:cut], passes[cut:]] if cut < 2 * n else [passes]
+    rng.shuffle(comps)
+    return Diagram(comps)
+
+
+def test_pieces_of_random_codes():
+    rng = random.Random(31)
+    several = 0
+    for _ in range(300):
+        d = _random_code(rng)
+        _check_pieces(d)
+        several += len(d.pieces) > 1
+    assert several > 100

@@ -15,8 +15,10 @@ def validate(components):
     seen = {}  # crossing -> {role: sign}
     for comp in components:
         for p in comp:
-            if not isinstance(p.crossing, int):
+            if isinstance(p.crossing, bool) or not isinstance(p.crossing, int):
                 raise ConsistencyError(f"crossing label {p.crossing!r} is not an integer")
+            if p.crossing < 1:
+                raise ConsistencyError(f"crossing label {p.crossing} is not positive")
             if p.role not in (OVER, UNDER):
                 raise ConsistencyError(f"bad role {p.role!r} at crossing {p.crossing}")
             if p.sign not in (1, -1):
