@@ -11,11 +11,11 @@ For p = 3 this congruence says exactly "all three colors equal or all
 distinct", the trichromatic rule.  These are the rows of the Fox
 presentation matrix that the Conway polynomial uses, at t = -1.  The
 count of colorings is p to the dimension of the solution space.  Its
-rank comes from ``eliminate``, the one sparse fraction-free kernel that
-also takes the Conway determinant, here over Z/p, each step on the
-shortest row left.  A coloring is proper when it uses at least two
-colors, and the p monochromatic assignments always work, so
-proper = total - p.
+rank comes from ``eliminate``, the pivots of ``pivot_steps``, the one
+sparse fraction-free kernel that also takes the Conway determinant,
+here over Z/p, each step on the shortest row left.  A coloring is
+proper when it uses at least two colors, and the p monochromatic
+assignments always work, so proper = total - p.
 """
 
 from __future__ import annotations
@@ -114,19 +114,22 @@ def fox_rows(d: Diagram, aset: ArcSet):
     return rows
 
 
-def eliminate(rows, div, one):
-    """Fraction-free (Bareiss) elimination of sparse rows; the pivots.
+def pivot_steps(rows, div, one):
+    """Fraction-free (Bareiss) elimination of sparse rows, step by step.
 
     A row maps columns to nonzero entries of an integral domain with unit
     ``one`` and exact division ``div(a, b)``.  Each step pivots on the
     lowest column of the shortest row left (the first on ties), the
-    sparsest-row rule of Markowitz, which also keeps fill-in low.  Every
-    entry is then a minor of the input, so dividing by the previous pivot
-    is exact.  A row without an entry in the pivot column would only be
-    scaled by pivot / previous pivot; these factors telescope, so it keeps
-    the values of the step it last changed at (``level``) until it is used.
-    Rows that vanish are dropped: there are rank-many pivots, and the last
-    one of a nonsingular square matrix is its determinant up to sign.
+    sparsest-row rule of Markowitz, which also keeps fill-in low, and
+    yields ``(row, column, pivot)`` with ``row`` the index in ``rows``.
+    Every entry is then a minor of the input, so dividing by the previous
+    pivot is exact.  A row without an entry in the pivot column would only
+    be scaled by pivot / previous pivot; these factors telescope, so it
+    keeps the values of the step it last changed at (``level``) until it
+    is used.  Rows that vanish are dropped: there are rank-many steps.
+    The k-th pivot is the minor on the first k pivot rows and columns,
+    taken in pivot order, so the last one of a nonsingular square matrix
+    is its determinant times the sign of the permutation row -> column.
     """
     live = {i: dict(row) for i, row in enumerate(rows) if row}
     level = dict.fromkeys(live, 0)
@@ -149,7 +152,13 @@ def eliminate(rows, div, one):
                 if not live[i]:
                     del live[i]
         scale.append(pivot)
-    return scale[1:]
+        yield r, col, pivot
+
+
+def eliminate(rows, div, one):
+    """The pivots of ``pivot_steps``: rank-many, and the last one of a
+    nonsingular square matrix is its determinant up to sign."""
+    return [pivot for _, _, pivot in pivot_steps(rows, div, one)]
 
 
 def count_colorings(d: Diagram, p: int) -> ColoringCount:

@@ -1,25 +1,35 @@
-"""Conway polynomial of a plane diagram, by determinant.
+"""Conway polynomial of a plane diagram, by one signed determinant.
 
 Below, t is the Alexander variable and z = t^1/2 - t^-1/2, the Conway
-variable (which ``ConwayPoly`` prints as ``t``).  Knots: Fox calculus
-gives the Alexander matrix (``colorings.fox_rows``), one column per arc
-and one row per crossing: ``1 - t`` on the over arc, ``t`` on under-in and
-``-1`` on under-out at a positive crossing, ``-1`` and ``t`` at a
-negative one.  Any minor without one row and one column is Delta(t) up
-to a unit +-t^k.  ``colorings.eliminate``, the kernel that also ranks
-the coloring matrix, reduces the minor without the last row and column
-fraction-free (Bareiss) over Z[t], each step on the shortest row left,
-and its last pivot is that minor.  Normalized to Delta(1) = 1
-with no negative powers, t^d Delta(t) = sum_j c_2j t^(d-j) (t - 1)^(2j)
-gives the c_2j from the top down.
+variable (which ``ConwayPoly`` prints as ``t``).  Fox calculus gives the
+Alexander matrix (``colorings.fox_rows``), one row per crossing and one
+column per arc: ``1 - t`` on the over arc, ``t`` on under-in and ``-1`` on
+under-out at a positive crossing, ``-1`` and ``t`` at a negative one.
+When there are as many arcs as crossings, every arc ends at an under
+pass; keying each arc's column by the crossing where it ends gives rows
+and columns the same labels c1 < c2 < ... < cn.  Otherwise some
+component never goes under (a free loop, say) and lifts off the rest:
+the polynomial is 1 for a knot and 0 for a link.
 
-Links: walk the components in plan order, each from its basepoint.
-Changing, in visit order, each crossing between two components that is
-first met from below stacks the components, which splits the link
-(polynomial 0).  The skein relation C(K+) - C(K-) = z C(K0) at each
-change sums C(L) from +-z C(smoothing) with one component fewer: about
-n^(m-1) knot determinants for m components.  A free loop splits too.
-Codes that no plane diagram realizes raise ``NonPlanarError``.
+The principal minor D without c1 is Delta(t) up to a unit +-t^k, and
+the diagram fixes the sign (as Hartley, "The Conway potential function
+for links", Comment. Math. Helv. 58, 1983, shows): with
+eps = sign(c1) * (-1)^(number of negative crossings),
+
+    eps * D = t^k * t^(K/2) * C(t^1/2 - t^-1/2),   K = deg C.
+
+With t^k dropped, c_j is the coefficient of t^((K+j)/2) once the terms
+of higher j are taken off, for j = K, K-2, ...  ``colorings.pivot_steps``,
+the kernel that also ranks the coloring matrix, reduces D fraction-free
+(Bareiss) over Z[t], each step on the shortest row left; its last pivot
+times the sign of the pivots' row -> column permutation is D.  A
+singular minor means C = 0 for a link.  For a knot it, like C(0) != 1,
+would mean the sign rule failed, and raises ``ArithmeticError``.  Codes
+that no plane diagram realizes raise ``NonPlanarError``.
+
+``DescendingPlan``, ``violations`` and ``is_descending`` describe the
+crossing changes that unknot a diagram or split a link; ``conway``
+validates a plan but does not need one.
 """
 
 from __future__ import annotations
@@ -29,10 +39,9 @@ from itertools import zip_longest
 from math import comb
 from typing import Optional, Sequence
 
-from .codes import OVER, UNDER, Basepoint, Diagram, crossing_change, genus
-from .colorings import arcs, eliminate, fox_rows
+from .codes import OVER, UNDER, Basepoint, Diagram, genus
+from .colorings import arcs, fox_rows, pivot_steps
 from .errors import DomainError, NonPlanarError
-from .moves import smooth
 
 
 @dataclass(frozen=True)
@@ -164,41 +173,16 @@ def _exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
     return ConwayPoly(q)
 
 
-def _knot_conway(d: Diagram) -> ConwayPoly:
-    n, aset = d.n_crossings, arcs(d)
-    minor = [
-        {col: poly for col, v in row.items() if col < n - 1 and (poly := ConwayPoly(v))}
-        for row in list(fox_rows(d, aset).values())[:-1]
-    ]
-    pivots = eliminate(minor, _exact_div, ONE)
-    if len(pivots) < n - 1:
-        raise ArithmeticError(f"Alexander minor of {d!r} is singular")
-    delta = list(pivots[-1] if pivots else ONE)
-    delta = delta[next(i for i, c in enumerate(delta) if c) :]
-    if sum(delta) < 0:
-        delta = [-c for c in delta]
-    half, coeffs = len(delta) // 2, [0] * len(delta)
-    for j in range(half, -1, -1):
-        coeffs[2 * j] = c = delta[half + j]
-        for i in range(2 * j + 1):
-            delta[half - j + i] -= c * comb(2 * j, i) * (-1) ** i
-    if any(delta) or coeffs[0] != 1:
-        raise ArithmeticError(f"Alexander minor of {d!r} is no knot's")
-    return ConwayPoly(coeffs)
-
-
-def _conway(d: Diagram, plan: DescendingPlan) -> ConwayPoly:
-    if d.n_components == 1:
-        return _knot_conway(d)
-    if d.free_loops:
-        return ZERO
-    total = ZERO
-    for v in violations(d, plan):
-        if d.locate[v][OVER][0] != d.locate[v][UNDER][0]:
-            term = _conway(smooth(d, v), CANONICAL).shifted()
-            total = total + term if d.signs[v] > 0 else total - term
-            d = crossing_change(d, v)
-    return total
+def _sign(perm: dict) -> int:
+    """Sign of a permutation given as a dict, by walking its cycles."""
+    sign, left = 1, set(perm)
+    for start in perm:
+        if start in left:
+            k = perm[start]
+            while k != start:
+                left.discard(k)
+                k, sign = perm[k], -sign
+    return sign
 
 
 def conway(d: Diagram, plan: Optional[DescendingPlan] = None) -> ConwayPoly:
@@ -206,8 +190,8 @@ def conway(d: Diagram, plan: Optional[DescendingPlan] = None) -> ConwayPoly:
 
     Args:
         d: a diagram realizable in the plane.
-        plan: optional traversal plan for the link reduction; the result
-            does not depend on it (a tested property of the invariant).
+        plan: optional traversal plan, validated against ``d``; the
+            determinant does not use it.
 
     Returns:
         ConwayPoly with integer coefficients.
@@ -221,7 +205,33 @@ def conway(d: Diagram, plan: Optional[DescendingPlan] = None) -> ConwayPoly:
     genera = genus(d)
     if any(genera):
         raise NonPlanarError(f"no plane diagram has this code: genera {genera}")
-    return _conway(d, plan)
+    knot, aset, n = d.n_components == 1, arcs(d), d.n_crossings
+    if len(aset) != n:
+        return ONE if knot else ZERO
+    order = sorted(d.signs)
+    col = {aset.under_in[c]: j - 1 for j, c in enumerate(order)}
+    minor = [
+        {col[a]: poly for a, v in row.items() if col[a] >= 0 and (poly := ConwayPoly(v))}
+        for row in list(fox_rows(d, aset).values())[1:]
+    ]
+    steps = list(pivot_steps(minor, _exact_div, ONE))
+    if len(steps) < n - 1:
+        if knot:
+            raise ArithmeticError(f"Alexander minor of {d!r} is singular")
+        return ZERO
+    negatives = sum(s < 0 for s in d.signs.values())
+    sign = d.signs[order[0]] * (-1) ** negatives * _sign({r: c for r, c, _ in steps})
+    q = [sign * c for c in (steps[-1][2] if steps else ONE)]
+    q = q[next(i for i, c in enumerate(q) if c) :]
+    top = len(q) - 1
+    coeffs = [0] * len(q)
+    for j in range(top, -1, -2):
+        coeffs[j] = c = q[(top + j) // 2]
+        for i in range(j + 1):
+            q[(top - j) // 2 + i] -= c * comb(j, i) * (-1) ** (j - i)
+    if any(q) or coeffs[0] != knot:
+        raise ArithmeticError(f"Alexander minor of {d!r} is no link's")
+    return ConwayPoly(coeffs)
 
 
 def coefficient(d: Diagram, n: int) -> int:

@@ -291,11 +291,17 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
         Tuple of MoveSite in a deterministic order.
 
     Raises:
+        InvalidSiteError: if ``kinds`` names a kind that is not one of the five.
         NonPlanarError: if some piece of ``d`` has genus > 0.
     """
+    if isinstance(kinds, str):
+        raise InvalidSiteError(f"kinds takes a collection of move kinds, not the string {kinds!r}")
+    wanted = set(_KINDS if kinds is None else kinds)
+    unknown = sorted(map(repr, wanted - set(_KINDS)))
+    if unknown:
+        raise InvalidSiteError(f"unknown move kind {', '.join(unknown)}")
     if not is_realizable(d):
         raise NonPlanarError(f"genus {genus(d)} diagram; moves need genus 0")
-    wanted = _KINDS if kinds is None else set(kinds)
     out = []
     for kind in _KINDS:
         if kind in wanted:

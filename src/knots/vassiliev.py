@@ -328,10 +328,20 @@ def symbol(inv: Callable[[Diagram], int], n: int, samples: int = 20, seed: int =
         (values, consistent): mapping ChordDiagram -> value from the
         first realization, and True iff every class was single-valued
         across its samples.
+
+    Raises:
+        DomainError: before any resolving, if the call would resolve
+            more than 100,000 diagrams (chord diagrams * samples * 2^n; at
+            20 samples n = 5 makes 67,200, about 10 s, and n = 6 is
+            refused).
     """
+    chords = enumerate_chord_diagrams(n)
+    work = len(chords) * samples * 2**n
+    if work > 100_000:
+        raise DomainError(f"symbol would resolve {work:,} diagrams, past the limit of 100,000")
     values = {}
     consistent = True
-    for i, cd in enumerate(enumerate_chord_diagrams(n)):
+    for i, cd in enumerate(chords):
         seen = []
         for k in range(samples):
             s = realize(cd, seed=seed + 1009 * i + k)

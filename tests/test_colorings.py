@@ -20,7 +20,7 @@ from knots import (
     project,
     random_walk,
 )
-from knots.colorings import eliminate
+from knots.colorings import eliminate, pivot_steps
 from knots.conway import _exact_div
 
 from coloring_oracle import (
@@ -234,6 +234,36 @@ def test_eliminate_last_pivot_is_the_determinant(ring):
             assert len(pivots) == n and pivots[-1] in (det, one - one - det)
         else:
             assert len(pivots) < n
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z[t]"])
+def test_pivot_steps_give_the_exact_determinant(ring):
+    # The last pivot times the sign of the permutation row -> column of
+    # the steps is the determinant, sign included.
+    rng = random.Random(11)
+    one, div = (1, _int_div) if ring == "Z" else (ConwayPoly((1,)), _exact_div)
+
+    def entry():
+        if ring == "Z":
+            return rng.choice((0, 0, 1, -1, 2, -3))
+        return ConwayPoly([rng.choice((0, 0, 1, -1, 2)) for _ in range(2)])
+
+    odd = even = 0
+    for _ in range(150):
+        n = rng.randrange(1, 6)
+        matrix = [[entry() for _ in range(n)] for _ in range(n)]
+        det = _leibniz(matrix, one)
+        steps = list(pivot_steps(_sparse(matrix), div, one))
+        if not det:
+            assert len(steps) < n
+            continue
+        perm = {r: c for r, c, _ in steps}
+        cols = [perm[r] for r in range(n)]
+        inversions = sum(a > b for a, b in itertools.combinations(cols, 2))
+        last = steps[-1][2]
+        assert (one - one - last if inversions % 2 else last) == det, matrix
+        odd, even = odd + inversions % 2, even + 1 - inversions % 2
+    assert odd > 10 and even > 10, (odd, even)
 
 
 def test_eliminate_rank_mod_p_matches_the_dense_rank():

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import re
 
 import pytest
 
@@ -128,6 +129,15 @@ def test_r3_fires_after_an_r2_setup():
 def test_enumerate_sites_rejects_nonplanar_diagrams():
     with pytest.raises(NonPlanarError):
         enumerate_sites(from_text("O1+ U2+ U1+ O2+"))
+
+
+def test_enumerate_sites_rejects_unknown_kinds():
+    d = from_text("O1+ U1+")
+    for kinds, named in ((("R9",), "'R9'"), (("r1-", "R1-"), "'r1-'"), ("R1+", "'R1+'")):
+        with pytest.raises(InvalidSiteError, match=re.escape(named)):
+            enumerate_sites(d, kinds=kinds)
+    assert enumerate_sites(d, kinds=()) == ()
+    assert enumerate_sites(d, kinds=["R1-"]) == enumerate_sites(d, kinds=("R1-",))
 
 
 def test_apply_rejects_stale_sites():

@@ -124,6 +124,15 @@ def test_symbol_of_casson_is_the_order_two_weight_system():
     assert values[ChordDiagram("1122")] == 0
 
 
+def test_symbol_refuses_work_past_its_limit():
+    # 902 six-chord diagrams * 20 samples * 2^6 resolutions each.
+    with pytest.raises(DomainError, match="1,154,560 diagrams, past the limit of 100,000"):
+        symbol(casson, 6)
+    # 105 * 20 * 2^5 = 67,200 would pass; 105 * 30 * 2^5 = 100,800 does not.
+    with pytest.raises(DomainError, match="100,800"):
+        symbol(casson, 5, samples=30)
+
+
 def test_casson_extension_vanishes_on_three_double_points():
     for i, cd in enumerate(enumerate_chord_diagrams(3)):
         for seed in range(4):

@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Print the cost of one ``conway`` call, in milliseconds, as JSON.
+
+Diagrams: T(2, n) torus knots (odd n) and 2-component torus links (even
+n), and seeded projections of 1-3 random polygons (the recipe of
+``bench/workloads._polygon``, components offset by 0.6) at about 25, 50,
+100 and 150 crossings.  A projection is kept when its crossing count is
+within 10 % of the target; the polygon grows by a vertex per component
+while its projections fall short.  Each call runs on a fresh copy of the
+diagram (nothing cached), so the planarity trace is counted; the median
+of ``REPEATS`` calls is reported.  Run from anywhere:
+
+    python3 tools/conway_cost.py
+"""
+
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+sys.path.insert(0, str(SRC))
+from knots import Diagram, SpatialLink, conway, from_text, project  # noqa: E402
+
+SIZES = (25, 50, 100, 150)
+REPEATS = 5
+
+
+def torus(n):
+    """T(2, n), the closed 2-braid sigma_1^n."""
+    if n % 2:
+        return from_text(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
+    comps = (" ".join(f"{'OU'[(i + s) % 2]}{i + 1}+" for i in range(n)) for s in (0, 1))
+    return from_text(" ; ".join(comps))
+
+
+def projection(comps, target):
+    """A seeded projection of ``comps`` polygons with about ``target`` crossings."""
+    rng = random.Random(1000 * comps + target)
+    m = 4
+    while True:
+        polygon = [
+            [
+                (rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for _ in range(m)
+            ]
+            for c in range(comps)
+        ]
+        d = project(SpatialLink(polygon), seed=rng.randrange(2**31)).diagram
+        if abs(d.n_crossings - target) <= 0.1 * target:
+            return d
+        if d.n_crossings < target:
+            m += 1
+
+
+def call_ms(d):
+    """Median milliseconds of ``conway`` on fresh copies of ``d``."""
+    times = []
+    for _ in range(REPEATS):
+        fresh = Diagram(d.components)
+        start = time.perf_counter()
+        conway(fresh)
+        times.append(time.perf_counter() - start)
+    return round(1000 * statistics.median(times), 2)
+
+
+def row(kind, d):
+    return {
+        "kind": kind,
+        "components": d.n_components,
+        "crossings": d.n_crossings,
+        "ms": call_ms(d),
+    }
+
+
+def main():
+    rows = []
+    for size in SIZES:
+        rows.append(row("torus", torus(size | 1)))
+        rows.append(row("torus", torus(size + size % 2)))
+        for comps in (1, 2, 3):
+            rows.append(row("projection", projection(comps, size)))
+    print(
+        json.dumps(
+            {
+                "python": platform.python_version(),
+                "host": platform.node(),
+                "machine": platform.machine(),
+                "repeats": REPEATS,
+                "rows": rows,
+            }
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()
