@@ -27,7 +27,6 @@ from .errors import (
 from .codes import (
     OVER,
     UNDER,
-    Basepoint,
     Diagram,
     Edge,
     Pass,
@@ -56,9 +55,7 @@ from .moves import apply as apply_move
 from .linking import LinkingReport, linking_matrix, lk, lk2
 from .arf_casson import SkewPair, arf, casson, skew_pairs
 from .conway import (
-    CANONICAL,
     ConwayPoly,
-    DescendingPlan,
     coefficient,
     conway,
     is_descending,
@@ -98,15 +95,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcSet",
-    "Basepoint",
-    "CANONICAL",
     "ChordDiagram",
     "ColoringCount",
     "ConsistencyError",
     "ConwayPoly",
     "DEFAULT_WEIGHTS",
     "DegeneracyError",
-    "DescendingPlan",
     "Diagram",
     "DomainError",
     "Edge",

@@ -1,8 +1,8 @@
 """Skew pairs of crossings; Arf and Casson invariants of knot diagrams.
 
-Walk a knot diagram from a basepoint and write down each crossing twice
-(once per pass).  An unordered pair of crossings {A, B} is *skew* when
-its four passes interleave as
+Walk a knot diagram from its first pass and write down each crossing
+twice (once per pass).  An unordered pair of crossings {A, B} is *skew*
+when its four passes interleave as
 
     over A, under B, under A, over B
 
@@ -10,15 +10,16 @@ for one of the two orderings of the pair.  The Arf invariant is the
 parity of the number of skew pairs; the Casson invariant weights each
 skew pair by the product of its two crossing signs and sums.  Both are
 independent of the basepoint and of traversal direction, which the test
-suite checks exhaustively on small diagrams.
+suite checks exhaustively on small diagrams: another basepoint is the
+same knot with its passes rotated.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .codes import OVER, UNDER, Basepoint, Diagram
-from .errors import DomainError, NotAKnotError
+from .codes import OVER, UNDER, Diagram
+from .errors import NotAKnotError
 
 
 class SkewPair(NamedTuple):
@@ -29,21 +30,11 @@ class SkewPair(NamedTuple):
     sign: int  # product of the two crossing signs
 
 
-def _knot_component(d: Diagram):
-    if d.n_components != 1:
-        raise NotAKnotError(
-            f"{d.n_components}-component diagram; skew pairs need a knot"
-        )
-    return d.components[0]
-
-
-def skew_pairs(d: Diagram, p: Optional[Basepoint] = None):
-    """All skew pairs of a knot diagram read from basepoint ``p``.
+def skew_pairs(d: Diagram):
+    """All skew pairs of a knot diagram read from its first pass.
 
     Args:
         d: a one-component diagram.
-        p: where to start reading; pass k of the component.  Defaults
-            to the serialization start.
 
     Returns:
         Tuple of SkewPair, one per skew unordered pair, ordered by the
@@ -51,17 +42,12 @@ def skew_pairs(d: Diagram, p: Optional[Basepoint] = None):
 
     Raises:
         NotAKnotError: if ``d`` has several components.
-        DomainError: if the basepoint is off-component.
     """
-    comp = _knot_component(d)
-    if p is None:
-        p = Basepoint(0, 0)
-    if p.component != 0:
-        raise DomainError(f"basepoint on component {p.component} of a knot")
-    m = len(comp)
+    if d.n_components != 1:
+        raise NotAKnotError(f"{d.n_components}-component diagram; skew pairs need a knot")
     # crossing -> walk index of its over/under pass
-    over = {c: (w[OVER][1] - p.position) % m for c, w in d.locate.items()}
-    under = {c: (w[UNDER][1] - p.position) % m for c, w in d.locate.items()}
+    over = {c: w[OVER][1] for c, w in d.locate.items()}
+    under = {c: w[UNDER][1] for c, w in d.locate.items()}
     firsts = sorted((over[c], under[c], c) for c in d.signs)
     seconds = [(c, under[c], over[c]) for c in sorted(d.signs)]
     return tuple(

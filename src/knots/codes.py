@@ -72,13 +72,6 @@ class Edge(NamedTuple):
     position: int
 
 
-class Basepoint(NamedTuple):
-    """A starting edge for traversals: begin with pass ``position``."""
-
-    component: int
-    position: int
-
-
 _TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])\Z")
 
 # sign -> slot -> the next slot counterclockwise (see the module docstring).
@@ -136,8 +129,8 @@ class Diagram:
 
     Attributes:
         components: tuple of components, each a tuple of Pass entries in
-            traversal order (cyclic; the starting pass is remembered but
-            carries no meaning beyond serialization and basepoints).
+            traversal order (cyclic; the starting pass is where walks
+            begin, and rotating it gives the same link).
         signs: crossing label -> +1/-1.
         locate: crossing label -> {role: (component, position)}.
 

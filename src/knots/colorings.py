@@ -88,8 +88,15 @@ def arcs(d: Diagram) -> ArcSet:
 
 
 def _check_modulus(p: int):
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
-        raise DomainError(f"modulus must be an odd prime, got {p}")
+    """Refuse anything but an odd prime int below 2**31, before trial division."""
+    if (
+        isinstance(p, bool)
+        or not isinstance(p, int)
+        or not 3 <= p < 2**31
+        or p % 2 == 0
+        or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2))
+    ):
+        raise DomainError(f"modulus must be an odd prime int below 2**31, got {p!r}")
 
 
 def fox_rows(d: Diagram, aset: ArcSet):
@@ -166,7 +173,8 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
 
     Args:
         d: any diagram.
-        p: an odd prime.
+        p: an odd prime ``int`` below 2**31; anything else raises
+            ``DomainError`` at once, before any trial division.
 
     Returns:
         ColoringCount with total = p^(solution dimension) and

@@ -28,9 +28,11 @@ there a singular minor, or C(0) != 1 (a failed sign rule), raises
 ``ArithmeticError``.  Codes that no plane diagram realizes raise
 ``NonPlanarError``.
 
-``DescendingPlan``, ``violations`` and ``is_descending`` describe the
-crossing changes that unknot a diagram or split a link; ``conway``
-validates a plan but does not need one.
+``violations`` and ``is_descending`` describe the crossing changes that
+unknot a diagram or split a link.  They walk each component from its
+first pass and visit components in stored order; another basepoint or
+component order is another diagram (rotate a component's passes, or
+``permute_components``).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .codes import OVER, UNDER, Basepoint, Diagram, genus
+from .codes import OVER, UNDER, Diagram, genus
 from .colorings import arcs, fox_rows, pivot_steps
 from .errors import DomainError, NonPlanarError
 
@@ -109,55 +111,18 @@ def poly_text(p: ConwayPoly) -> str:
     return " ".join(terms) or "0"
 
 
-@dataclass(frozen=True)
-class DescendingPlan:
-    """Traversal recipe: component order and one basepoint for each.
-
-    ``None`` fields mean the canonical choice — components in stored
-    order, each starting at its pass 0.
-    """
-
-    component_order: Optional[tuple] = None
-    base: Optional[tuple] = None
-
-    def resolve(self, d: Diagram):
-        n = d.n_components
-        order = tuple(range(n) if self.component_order is None else self.component_order)
-        if sorted(order) != list(range(n)):
-            raise DomainError(f"bad component order {order!r}")
-        base = ((ci, 0) for ci in range(n)) if self.base is None else self.base
-        bases = tuple(Basepoint(*b) for b in base)
-        if len(bases) != n:
-            raise DomainError("need one basepoint per component")
-        if any(bp.component != ci for ci, bp in enumerate(bases)):
-            raise DomainError("basepoint list must follow component index")
-        return order, bases
-
-
-CANONICAL = DescendingPlan()
-
-
-def violations(d: Diagram, plan: DescendingPlan = CANONICAL):
+def violations(d: Diagram):
     """Crossings whose first visit is an under pass, in visit order.
 
-    Components are visited in plan order, each from its basepoint.
+    Components are visited in stored order, each from its first pass.
     """
-    order, bases = plan.resolve(d)
-    rank = {ci: r for r, ci in enumerate(order)}
-
-    def visit(where):
-        ci, k = where
-        return rank[ci], (k - bases[ci].position) % len(d.components[ci])
-
-    firsts = sorted(
-        (u, c) for c, w in d.locate.items() if (u := visit(w[UNDER])) < visit(w[OVER])
-    )
+    firsts = sorted((w[UNDER], c) for c, w in d.locate.items() if w[UNDER] < w[OVER])
     return tuple(c for _, c in firsts)
 
 
-def is_descending(d: Diagram, plan: DescendingPlan = CANONICAL) -> bool:
+def is_descending(d: Diagram) -> bool:
     """True when every crossing is met on top first (see module doc)."""
-    return not violations(d, plan)
+    return not violations(d)
 
 
 def _exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
@@ -186,23 +151,18 @@ def _sign(perm: dict) -> int:
     return sign
 
 
-def conway(d: Diagram, plan: Optional[DescendingPlan] = None) -> ConwayPoly:
+def conway(d: Diagram) -> ConwayPoly:
     """Conway polynomial of the diagram.
 
     Args:
         d: a diagram realizable in the plane.
-        plan: optional traversal plan, validated against ``d``; the
-            determinant does not use it.
 
     Returns:
         ConwayPoly with integer coefficients.
 
     Raises:
-        DomainError: if ``plan`` does not fit the diagram.
         NonPlanarError: if no plane diagram has this code.
     """
-    plan = CANONICAL if plan is None else plan
-    plan.resolve(d)
     genera = genus(d)
     if any(genera):
         raise NonPlanarError(f"no plane diagram has this code: genera {genera}")

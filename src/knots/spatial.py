@@ -69,11 +69,6 @@ def _finite(p, where):
     return v
 
 
-def orient2d(a, b, c):
-    """Twice the signed area of triangle abc."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def orient3d(a, b, c, d):
     """Six times the signed volume of tetrahedron abcd."""
     return _volume(a, b, c, d)[0]

@@ -102,10 +102,20 @@ def _chord_letters(size: int):
         yield letters
 
 
+# The number of n-chord diagrams up to rotation, n = 0..6: the range
+# that ``enumerate_chord_diagrams`` supports and ``symbol`` plans by.
+CHORD_COUNTS = (1, 1, 2, 5, 18, 105, 902)
+
+
+def _chord_count(n: int) -> int:
+    if not 0 <= n < len(CHORD_COUNTS):
+        raise DomainError(f"chord enumeration supported for 0 <= n <= {len(CHORD_COUNTS) - 1}")
+    return CHORD_COUNTS[n]
+
+
 def enumerate_chord_diagrams(n: int):
     """All distinct n-chord diagrams, canonical and sorted."""
-    if not 0 <= n <= 6:
-        raise DomainError("chord enumeration supported for 0 <= n <= 6")
+    _chord_count(n)
     found = {ChordDiagram("".join(w)) for w in _chord_letters(2 * n)}
     return tuple(sorted(found, key=lambda cd: cd.word))
 
@@ -330,15 +340,15 @@ def symbol(inv: Callable[[Diagram], int], n: int, samples: int = 20, seed: int =
         across its samples.
 
     Raises:
-        DomainError: before any resolving, if the call would resolve
-            more than 100,000 diagrams (chord diagrams * samples * 2^n; at
-            20 samples n = 5 makes 67,200, about 10 s, and n = 6 is
-            refused).
+        DomainError: before any enumerating, if n is outside 0..6 (the
+            range of ``CHORD_COUNTS``) or the call would resolve more than
+            100,000 diagrams (chord diagrams * samples * 2^n; at 20
+            samples n = 5 makes 67,200, about 10 s, and n = 6 is refused).
     """
-    chords = enumerate_chord_diagrams(n)
-    work = len(chords) * samples * 2**n
+    work = _chord_count(n) * samples * 2**n
     if work > 100_000:
         raise DomainError(f"symbol would resolve {work:,} diagrams, past the limit of 100,000")
+    chords = enumerate_chord_diagrams(n)
     values = {}
     consistent = True
     for i, cd in enumerate(chords):

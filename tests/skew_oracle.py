@@ -5,21 +5,14 @@ tests only.
 events of each pair and matches the word against the skew pattern.
 """
 
-from knots import OVER, UNDER, Basepoint, SkewPair
+from knots import OVER, UNDER, SkewPair
 
 
-def skew_pairs_by_events(d, p=Basepoint(0, 0)):
-    """Skew pairs of the knot ``d`` read from ``p``, in the order of
-    ``knots.skew_pairs``."""
+def skew_pairs_by_events(d):
+    """Skew pairs of the knot ``d`` read from its first pass, in the
+    order of ``knots.skew_pairs``."""
     (comp,) = d.components
-    m = len(comp)
-    if m == 0:
-        return ()
-    start = p.position % m
-    position = {}  # (crossing, role) -> walk index
-    for t in range(m):
-        q = comp[(start + t) % m]
-        position[(q.crossing, q.role)] = t
+    position = {(q.crossing, q.role): t for t, q in enumerate(comp)}  # -> walk index
     out = []
     labels = sorted(d.signs)
     for x in range(len(labels)):

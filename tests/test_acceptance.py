@@ -10,7 +10,6 @@ enumeration.  ``5_1`` has determinant 5: it is 5-colorable and not
 3-colorable.
 """
 
-import itertools
 import random
 import time
 
@@ -46,12 +45,12 @@ from knots import (
     verify_six_points,
 )
 from knots.arf_casson import casson as c2
-from knots.conway import DescendingPlan
-from knots.codes import Basepoint, Diagram
+from knots.codes import Diagram
 from knots.errors import DegeneracyError
 from knots.vassiliev import ChordDiagram
 
 from coloring_oracle import count_colorings_by_enumeration
+from diagram_variants import traversals
 
 
 def _entries():
@@ -236,22 +235,11 @@ def test_criterion_06_well_definedness():
     for e in _entries():
         d = e.diagram
         want = conway(d).coeffs
-        plans = []
-        for order in itertools.permutations(range(d.n_components)):
-            plans.append(DescendingPlan(component_order=order))
-        sizes = [max(1, len(c)) for c in d.components]
-        for shift in (1, 2):
-            plans.append(
-                DescendingPlan(
-                    base=tuple(
-                        Basepoint(ci, shift % sizes[ci])
-                        for ci in range(d.n_components)
-                    )
-                )
-            )
+        # Each plan is the diagram itself, permuted or rotated.
+        plans = traversals(d)
         assert len(plans) >= 3
         for plan in plans:
-            ok &= conway(d, plan).coeffs == want
+            ok &= conway(plan).coeffs == want
     _report(6, ok)
     assert ok, "an invariant depended on basepoint, direction, or plan"
 

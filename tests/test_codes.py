@@ -6,7 +6,6 @@ import pytest
 
 from knots import moves
 from knots import (
-    Basepoint,
     ConsistencyError,
     Diagram,
     Edge,
@@ -188,11 +187,6 @@ def test_edges_and_locate():
     assert Edge(0, 0) in d.edges and Edge(1, 1) in d.edges
     c, r = d.locate[1]["O"]
     assert d.components[c][r].crossing == 1
-
-
-def test_basepoint_type_is_plain_data():
-    b = Basepoint(0, 2)
-    assert b.component == 0 and b.position == 2
 
 
 def test_diagram_equality_is_structural():

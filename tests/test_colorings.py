@@ -3,6 +3,7 @@ and the brute-force and dense-rank oracles."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -124,11 +125,16 @@ def test_trichromatic_equivalence_on_the_trefoil():
 
 def test_modulus_must_be_an_odd_prime():
     d = from_text(TREFOIL)
-    for p in (0, 1, 2, 4, 9, 15):
-        with pytest.raises(DomainError):
+    for p in (0, 1, 2, 4, 9, 15, 2**61 - 1, 2**31, 3.0, True, "3"):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="odd prime int below 2\\*\\*31"):
             count_colorings(d, p)
-    # Large prime moduli are fine.
+        # Trial division up to the root of 2**61 - 1 would take minutes.
+        assert time.perf_counter() - start < 1.0, p
+    # Large prime moduli are fine, up to the limit.
     assert count_colorings(d, 7).proper == 0
+    p = 2**31 - 1  # prime
+    assert count_colorings(d, p).total == p
 
 
 def test_counts_are_powers_of_p_times_monochromatic_defect():

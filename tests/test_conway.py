@@ -1,4 +1,4 @@
-"""Conway polynomial: determinant, plans, planarity and product formulas."""
+"""Conway polynomial: determinant, traversals, planarity and product formulas."""
 
 import itertools
 from math import comb
@@ -6,13 +6,13 @@ from math import comb
 import pytest
 
 from knots import (
-    CANONICAL,
-    Basepoint,
+    UNDER,
     ConwayPoly,
-    DescendingPlan,
+    Diagram,
     DomainError,
     NonPlanarError,
     casson,
+    catalog,
     coefficient,
     connected_sum,
     conway,
@@ -22,10 +22,13 @@ from knots import (
     is_descending,
     is_realizable,
     lk,
+    permute_components,
     poly_text,
     smooth,
     violations,
 )
+
+from diagram_variants import traversals
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"
@@ -120,43 +123,50 @@ def test_descending_multi_component_diagram_is_split():
     assert conway(d).coeffs == ()
 
 
+def test_violations_are_the_under_first_visits_of_the_walk():
+    # Walk every component from its first pass, in stored order; the
+    # permuted and rotated diagrams are the other traversals.
+    for entry in catalog.all():
+        for d in [entry.diagram] + traversals(entry.diagram):
+            seen, want = set(), []
+            for p in itertools.chain.from_iterable(d.components):
+                if p.crossing not in seen:
+                    seen.add(p.crossing)
+                    want += [p.crossing] if p.role == UNDER else []
+            assert violations(d) == tuple(want), d
+            assert is_descending(d) == (not want)
+
+
+# A traversal plan (component order, basepoints) is the diagram itself,
+# permuted or with its passes rotated.
 def test_plan_component_order_does_not_change_the_answer():
     for text in (HOPF_MINUS, WHITEHEAD, BORROMEAN):
         d = from_text(text)
         base = conway(d)
         for order in itertools.permutations(range(d.n_components)):
-            plan = DescendingPlan(component_order=order)
-            assert conway(d, plan).coeffs == base.coeffs
+            assert conway(permute_components(d, order)).coeffs == base.coeffs
 
 
 def test_plan_basepoints_do_not_change_the_answer():
     for text in (TREFOIL, FIG8, FIVE_1):
         d = from_text(text)
         base = conway(d)
-        n = len(d.components[0])
-        for k in range(n):
-            plan = DescendingPlan(base=(Basepoint(0, k),))
-            assert conway(d, plan).coeffs == base.coeffs
+        comp = d.components[0]
+        for k in range(len(comp)):
+            assert conway(Diagram((comp[k:] + comp[:k],))).coeffs == base.coeffs
 
 
 def test_mixed_plans_on_a_link():
     d = from_text(WHITEHEAD)
     base = conway(d)
-    plans = [
-        DescendingPlan(component_order=(1, 0)),
-        DescendingPlan(base=(Basepoint(0, 2), Basepoint(1, 3))),
-        DescendingPlan(component_order=(1, 0), base=(Basepoint(0, 1), Basepoint(1, 4))),
+    c0, c1 = d.components
+    variants = [
+        permute_components(d, (1, 0)),
+        Diagram((c0[2:] + c0[:2], c1[3:] + c1[:3])),
+        Diagram((c1[4:] + c1[:4], c0[1:] + c0[:1])),
     ]
-    for plan in plans:
-        assert conway(d, plan).coeffs == base.coeffs
-
-
-def test_plan_validation():
-    d = from_text(HOPF_PLUS)
-    with pytest.raises(DomainError):
-        conway(d, DescendingPlan(component_order=(0, 0)))
-    with pytest.raises(DomainError):
-        conway(d, DescendingPlan(base=(Basepoint(0, 99),)))
+    for variant in variants:
+        assert conway(variant).coeffs == base.coeffs
 
 
 def test_connected_sum_multiplies_conway():
@@ -211,11 +221,6 @@ def test_knot_conway_is_even():
         p = conway(from_text(text))
         assert all(p[j] == 0 for j in range(1, p.degree + 1, 2))
         assert p[0] == 1
-
-
-def test_canonical_plan_is_the_default():
-    d = from_text(TREFOIL)
-    assert conway(d).coeffs == conway(d, CANONICAL).coeffs
 
 
 @pytest.mark.parametrize("n", range(3, 82, 2))

@@ -6,9 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from knots import (
-    Basepoint,
     ConsistencyError,
-    DescendingPlan,
     Diagram,
     DomainError,
     NonPlanarError,
@@ -21,10 +19,8 @@ from knots import (
     from_text,
     random_walk,
     reverse_component,
-    skew_pairs,
     smooth,
     triangles_linked,
-    violations,
 )
 from knots.cli import main
 
@@ -92,17 +88,6 @@ def test_random_walk_needs_a_planar_start():
 def test_walk_plan_rejects_all_zero_weights():
     with pytest.raises(DomainError, match="bad walk weights"):
         WalkPlan(seed=0, steps=1, weights={"R1+": 0.0, "R3": 0})
-
-
-def test_skew_pairs_basepoint_must_lie_on_the_knot():
-    with pytest.raises(DomainError, match="basepoint on component 1"):
-        skew_pairs(from_text(TREFOIL), Basepoint(1, 0))
-
-
-def test_descending_plan_bases_follow_component_index():
-    plan = DescendingPlan(base=((1, 0), (0, 0)))
-    with pytest.raises(DomainError, match="follow component index"):
-        violations(from_text(HOPF), plan)
 
 
 def test_triangles_linked_needs_three_points_each():

@@ -2,11 +2,11 @@
 
 Inputs: every catalog entry, T(2, n) for n <= 14 in both hands from
 several start passes, seeded connected sums of small knots, and random
-Reidemeister walks of every entry.  Links are also computed under every
-component order and two basepoint shifts.
+Reidemeister walks of every entry.  Each diagram is also computed with
+its components in every order and with every component started one and
+two passes later (``diagram_variants.traversals``).
 """
 
-import itertools
 import random
 
 import pytest
@@ -14,8 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knots import (
-    Basepoint,
-    DescendingPlan,
     DomainError,
     WalkPlan,
     catalog,
@@ -26,31 +24,16 @@ from knots import (
     mirror,
     random_walk,
 )
+from diagram_variants import traversals
 from skein_oracle import CROSSING_CAP, skein_conway
 
 SUMMANDS = ("trefoil-r", "trefoil-l", "fig8", "5_1")
 
 
-def _plans(d):
-    """Every component order, then two shifts of every basepoint."""
-    plans = [
-        DescendingPlan(component_order=order)
-        for order in itertools.permutations(range(d.n_components))
-    ]
-    sizes = [max(1, len(c)) for c in d.components]
-    for shift in (1, 2):
-        plans.append(
-            DescendingPlan(
-                base=tuple(Basepoint(ci, shift % sizes[ci]) for ci in range(d.n_components))
-            )
-        )
-    return plans
-
-
 def _agrees(d):
     want = skein_conway(d)
-    for plan in [None] + _plans(d):
-        assert conway(d, plan) == want, (d, plan)
+    for variant in [d] + traversals(d):
+        assert conway(variant) == want, (d, variant)
 
 
 def _torus(n, shift):

@@ -29,7 +29,6 @@ from knots.spatial import (
     _check_points,
     _cycle_skews,
     crossings,
-    orient2d,
     orient3d,
     segment_crossing_2d,
 )
@@ -63,8 +62,6 @@ def _hopf_pair():
 
 
 def test_orientation_predicates():
-    assert orient2d((0, 0), (1, 0), (0, 1)) > 0
-    assert orient2d((0, 0), (1, 0), (2, 0)) == 0
     assert orient3d((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)) != 0
     assert orient3d((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)) == 0
 

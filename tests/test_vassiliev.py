@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import knots.vassiliev as vassiliev
 from knots import (
     ChordDiagram,
     DomainError,
@@ -21,7 +22,7 @@ from knots import (
     sigma,
     symbol,
 )
-from knots.vassiliev import canonical_word, has_isolated_chord
+from knots.vassiliev import CHORD_COUNTS, canonical_word, has_isolated_chord
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 
@@ -131,6 +132,22 @@ def test_symbol_refuses_work_past_its_limit():
     # 105 * 20 * 2^5 = 67,200 would pass; 105 * 30 * 2^5 = 100,800 does not.
     with pytest.raises(DomainError, match="100,800"):
         symbol(casson, 5, samples=30)
+
+
+def test_chord_count_table_matches_the_enumeration():
+    assert CHORD_COUNTS == tuple(len(enumerate_chord_diagrams(n)) for n in range(7))
+
+
+def test_symbol_refuses_before_enumerating(monkeypatch):
+    def enumerate_(n):
+        raise AssertionError(f"enumerated {n}-chord diagrams")
+
+    monkeypatch.setattr(vassiliev, "enumerate_chord_diagrams", enumerate_)
+    with pytest.raises(DomainError, match="1,154,560"):
+        symbol(casson, 6)
+    for n in (-1, 7):
+        with pytest.raises(DomainError, match="0 <= n <= 6"):
+            symbol(casson, n)
 
 
 def test_casson_extension_vanishes_on_three_double_points():

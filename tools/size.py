@@ -5,8 +5,9 @@
 ``all_names`` the names in ``knots.__all__``.  ``code_lines`` counts the
 same files' lines that are not blank, not comment-only and not inside a
 module, class or function docstring, so it shows whether a change
-removed code rather than prose.  Design changes report these numbers
-before and after.  Run from anywhere:
+removed code rather than prose; ``modules`` gives the same count for
+each file, keyed by its path under ``src/knots``.  Design changes
+report these numbers before and after.  Run from anywhere:
 
     python3 tools/size.py
 """
@@ -41,13 +42,18 @@ def code_lines(text):
     )
 
 
-texts = [p.read_text() for p in sorted((SRC / "knots").rglob("*.py"))]
+texts = {
+    p.relative_to(SRC / "knots").as_posix(): p.read_text()
+    for p in sorted((SRC / "knots").rglob("*.py"))
+}
+modules = {name: code_lines(t) for name, t in texts.items()}
 print(
     json.dumps(
         {
-            "src_lines": sum(len(t.splitlines()) for t in texts),
-            "code_lines": sum(code_lines(t) for t in texts),
+            "src_lines": sum(len(t.splitlines()) for t in texts.values()),
+            "code_lines": sum(modules.values()),
             "all_names": len(knots.__all__),
+            "modules": modules,
         }
     )
 )
