@@ -62,13 +62,7 @@ from .conway import (
     poly_text,
     violations,
 )
-from .colorings import (
-    ArcSet,
-    ColoringCount,
-    arcs,
-    count_colorings,
-    is_colorable,
-)
+from .colorings import ColoringCount, count_colorings, is_colorable
 from .vassiliev import (
     ChordDiagram,
     SingularDiagram,
@@ -94,7 +88,6 @@ from . import catalog
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSet",
     "ChordDiagram",
     "ColoringCount",
     "ConsistencyError",
@@ -123,7 +116,6 @@ __all__ = [
     "UnknownNameError",
     "WalkPlan",
     "apply_move",
-    "arcs",
     "arf",
     "canonical_key",
     "casson",

@@ -2,16 +2,18 @@
 
 An arc is a maximal run of a component between consecutive under
 passes; a component that never goes under (in particular a free loop)
-is a single closed arc.  A p-coloring assigns each arc a color in
-Z/p so that at every crossing
+is a single closed arc.  Each arc is keyed by the label of the crossing
+whose under pass ends it, so the under-in arc of crossing c is c
+itself; the closed arc of component i is keyed ``-1 - i``.  A
+p-coloring assigns each arc a color in Z/p so that at every crossing
 
     2 * (over arc)  =  (under-in arc) + (under-out arc)   (mod p)
 
 For p = 3 this congruence says exactly "all three colors equal or all
 distinct", the trichromatic rule.  These are the rows of the Fox
-presentation matrix that the Conway polynomial uses, at t = -1.  The
-count of colorings is p to the dimension of the solution space.  Its
-rank comes from ``eliminate``, the pivots of ``pivot_steps``, the one
+presentation matrix (``fox_rows``) that the Conway polynomial uses, at
+t = -1.  The count of colorings is p to the dimension of the solution
+space, whose rank is the number of steps of ``pivot_steps``, the one
 sparse fraction-free kernel that also takes the Conway determinant,
 here over Z/p, each step on the shortest row left.  A coloring is
 proper when it uses at least two colors, and the p monochromatic
@@ -27,64 +29,12 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class ArcSet:
-    """Arc decomposition of a diagram.
-
-    arcs: per arc, (component, tuple of pass positions it covers) with
-        the bounding under passes included at both ends.
-    over_arc: crossing -> arc index of its over pass.
-    under_in: crossing -> arc index ending at its under pass.
-    under_out: crossing -> arc index starting at its under pass.
-    """
-
-    arcs: tuple
-    over_arc: dict
-    under_in: dict
-    under_out: dict
-
-    def __len__(self):
-        return len(self.arcs)
-
-
-@dataclass(frozen=True)
 class ColoringCount:
     """Coloring census for one modulus."""
 
     p: int
     total: int
     proper: int
-
-
-def arcs(d: Diagram) -> ArcSet:
-    """Split every component into arcs at its under passes."""
-    arc_list = []
-    over_arc = {}
-    under_in = {}
-    under_out = {}
-    for ci, comp in enumerate(d.components):
-        m = len(comp)
-        upos = [k for k, p in enumerate(comp) if p.role == UNDER]
-        if not upos:
-            # Closed arc: a free loop or a component that stays on top.
-            idx = len(arc_list)
-            arc_list.append((ci, tuple(range(m))))
-            for k, p in enumerate(comp):
-                over_arc[p.crossing] = idx
-            continue
-        for t, u in enumerate(upos):
-            nxt = upos[(t + 1) % len(upos)]
-            idx = len(arc_list)
-            covered = [u]
-            k = (u + 1) % m
-            while k != nxt:
-                covered.append(k)
-                over_arc[comp[k].crossing] = idx
-                k = (k + 1) % m
-            covered.append(nxt)
-            arc_list.append((ci, tuple(covered)))
-            under_out[comp[u].crossing] = idx
-            under_in[comp[nxt].crossing] = idx
-    return ArcSet(tuple(arc_list), over_arc, under_in, under_out)
 
 
 def _check_modulus(p: int):
@@ -99,22 +49,38 @@ def _check_modulus(p: int):
         raise DomainError(f"modulus must be an odd prime int below 2**31, got {p!r}")
 
 
-def fox_rows(d: Diagram, aset: ArcSet):
+def closed_arcs(d: Diagram) -> int:
+    """The number of components that never go under, each one closed arc."""
+    return sum(all(p.role != UNDER for p in comp) for comp in d.components)
+
+
+def fox_rows(d: Diagram):
     """The Fox-calculus presentation matrix: crossing -> row, in label order.
 
-    A row maps an arc to (a, b), the entry a + b*t: ``1 - t`` on the over
-    arc, ``t`` on under-in and ``-1`` on under-out at a positive crossing,
-    ``-1`` and ``t`` at a negative one.  At t = -1 every row is the
-    coloring congruence 2*over - under_in - under_out, whatever the sign.
+    A row maps an arc's key (see the module docstring) to (a, b), the
+    entry a + b*t: ``1 - t`` on the over arc, ``t`` on under-in and ``-1``
+    on under-out at a positive crossing, ``-1`` and ``t`` at a negative
+    one.  At t = -1 every row is the coloring congruence
+    2*over - under_in - under_out, whatever the sign.
     """
+    over, out = {}, {}
+    for i, comp in enumerate(d.components):
+        # Walking backwards, ``key`` is the arc that holds the pass: it
+        # ends at the next under pass ahead, cyclically.
+        key = next((p.crossing for p in comp if p.role == UNDER), -1 - i)
+        for c, role, _ in reversed(comp):
+            if role == UNDER:
+                out[c], key = key, c
+            else:
+                over[c] = key
     rows = {}
     for c in sorted(d.signs):
         row = rows[c] = {}
         positive = d.signs[c] > 0
         for col, (a, b) in (
-            (aset.over_arc[c], (1, -1)),
-            (aset.under_in[c], (0, 1) if positive else (-1, 0)),
-            (aset.under_out[c], (-1, 0) if positive else (0, 1)),
+            (over[c], (1, -1)),
+            (c, (0, 1) if positive else (-1, 0)),
+            (out[c], (-1, 0) if positive else (0, 1)),
         ):
             old_a, old_b = row.get(col, (0, 0))
             row[col] = (old_a + a, old_b + b)
@@ -162,12 +128,6 @@ def pivot_steps(rows, div, one):
         yield r, col, pivot
 
 
-def eliminate(rows, div, one):
-    """The pivots of ``pivot_steps``: rank-many, and the last one of a
-    nonsingular square matrix is its determinant up to sign."""
-    return [pivot for _, _, pivot in pivot_steps(rows, div, one)]
-
-
 def count_colorings(d: Diagram, p: int) -> ColoringCount:
     """Count all and proper p-colorings by elimination mod p.
 
@@ -181,15 +141,13 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
         proper = total - p.
     """
     _check_modulus(p)
-    aset = arcs(d)
-    n = len(aset)
     # At t = -1 the entry a + b*t is a - b.
     rows = [
         {col: e for col, (a, b) in fox.items() if (e := (a - b) % p)}
-        for fox in fox_rows(d, aset).values()
+        for fox in fox_rows(d).values()
     ]
-    rank = len(eliminate(rows, lambda a, b: a * pow(b, -1, p) % p, 1))
-    total = p ** (n - rank)
+    rank = sum(1 for _ in pivot_steps(rows, lambda a, b: a * pow(b, -1, p) % p, 1))
+    total = p ** (d.n_crossings + closed_arcs(d) - rank)
     return ColoringCount(p, total, total - p)
 
 

@@ -5,11 +5,11 @@ variable (which ``ConwayPoly`` prints as ``t``).  Fox calculus gives the
 Alexander matrix (``colorings.fox_rows``), one row per crossing and one
 column per arc: ``1 - t`` on the over arc, ``t`` on under-in and ``-1`` on
 under-out at a positive crossing, ``-1`` and ``t`` at a negative one.
-When there are as many arcs as crossings, every arc ends at an under
-pass; keying each arc's column by the crossing where it ends gives rows
-and columns the same labels c1 < c2 < ... < cn.  Otherwise some
-component never goes under (a free loop, say) and lifts off the rest:
-the polynomial is 1 for a knot and 0 for a link.
+Each arc's column is keyed by the crossing where it ends, at an under
+pass.  When every component goes under, rows and columns so carry the
+same labels c1 < c2 < ... < cn.  Otherwise some component is a closed
+arc (``colorings.closed_arcs``; a free loop, say) and lifts off the
+rest: the polynomial is 1 for a knot and 0 for a link.
 
 The principal minor D without c1 is Delta(t) up to a unit +-t^k, and
 the diagram fixes the sign (as Hartley, "The Conway potential function
@@ -43,7 +43,7 @@ from math import comb
 from typing import Sequence
 
 from .codes import OVER, UNDER, Diagram, genus
-from .colorings import arcs, fox_rows, pivot_steps
+from .colorings import closed_arcs, fox_rows, pivot_steps
 from .errors import DomainError, NonPlanarError
 
 
@@ -166,14 +166,13 @@ def conway(d: Diagram) -> ConwayPoly:
     genera = genus(d)
     if any(genera):
         raise NonPlanarError(f"no plane diagram has this code: genera {genera}")
-    knot, aset, n = d.n_components == 1, arcs(d), d.n_crossings
-    if len(aset) != n:
+    knot, n = d.n_components == 1, d.n_crossings
+    if closed_arcs(d):
         return ONE if knot else ZERO
-    order = sorted(d.signs)
-    col = {aset.under_in[c]: j - 1 for j, c in enumerate(order)}
+    rows, order = fox_rows(d), sorted(d.signs)
     minor = [
-        {col[a]: poly for a, v in row.items() if col[a] >= 0 and (poly := ConwayPoly(v))}
-        for row in list(fox_rows(d, aset).values())[1:]
+        {a: poly for a, v in rows[c].items() if a != order[0] and (poly := ConwayPoly(v))}
+        for c in order[1:]
     ]
     steps = list(pivot_steps(minor, _exact_div, ONE))
     if len(steps) < n - 1:
@@ -181,7 +180,7 @@ def conway(d: Diagram) -> ConwayPoly:
             raise ArithmeticError(f"Alexander minor of {d!r} is singular")
         return ZERO
     negatives = sum(s < 0 for s in d.signs.values())
-    sign = d.signs[order[0]] * (-1) ** negatives * _sign({r: c for r, c, _ in steps})
+    sign = d.signs[order[0]] * (-1) ** negatives * _sign({order[r + 1]: c for r, c, _ in steps})
     q = [sign * c for c in (steps[-1][2] if steps else ONE)]
     q = q[next(i for i, c in enumerate(q) if c) :]
     top = len(q) - 1

@@ -302,10 +302,10 @@ def check_4t(lam: Lambda, n: int) -> bool:
     starts with A: A followed by an (n-1)-chord matching on 2n-2 points.
 
     Raises:
-        DomainError: if n > 6, the limit of ``enumerate_chord_diagrams``.
+        DomainError: if n is outside 0..6, the range of
+            ``enumerate_chord_diagrams``.
     """
-    if n > 6:
-        raise DomainError("check_4t supported for n <= 6")
+    _chord_count(n)
     if n < 2:
         return True
     f = _as_function(lam)
@@ -340,11 +340,14 @@ def symbol(inv: Callable[[Diagram], int], n: int, samples: int = 20, seed: int =
         across its samples.
 
     Raises:
-        DomainError: before any enumerating, if n is outside 0..6 (the
-            range of ``CHORD_COUNTS``) or the call would resolve more than
+        DomainError: before any enumerating, if samples is not an int of
+            at least 1, if n is outside 0..6 (the range of
+            ``CHORD_COUNTS``) or if the call would resolve more than
             100,000 diagrams (chord diagrams * samples * 2^n; at 20
             samples n = 5 makes 67,200, about 10 s, and n = 6 is refused).
     """
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise DomainError(f"samples must be an int of at least 1, got {samples!r}")
     work = _chord_count(n) * samples * 2**n
     if work > 100_000:
         raise DomainError(f"symbol would resolve {work:,} diagrams, past the limit of 100,000")

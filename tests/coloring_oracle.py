@@ -1,16 +1,55 @@
 """Reference Fox coloring census, for tests only.
 
+``arc_split`` numbers the arcs on its own, in walk order: component by
+component, each arc numbered where it starts.
 ``count_colorings_by_enumeration`` tries every one of the p^arcs
-assignments of colors to the arcs of ``knots.arcs`` against the crossing
-congruence.  ``count_colorings_by_dense_rank`` writes the congruences as
-dense rows and takes their rank by Gauss-Jordan elimination mod p.
-Both share nothing with ``count_colorings`` but the arc split; in
-particular not the presentation matrix or the sparse elimination.
+assignments of colors to those arcs against the crossing congruence.
+``count_colorings_by_dense_rank`` writes the congruences as dense rows
+and takes their rank by Gauss-Jordan elimination mod p.  Both share
+nothing with ``count_colorings``: not the arc keys, the presentation
+matrix or the sparse elimination.
 """
 
 import itertools
+from typing import NamedTuple
 
-from knots import ColoringCount, DomainError, arcs
+from knots import UNDER, ColoringCount, DomainError
+
+
+class Arcs(NamedTuple):
+    """Walk-order arc numbers: crossing -> over arc, under-in arc and
+    under-out arc, and the number of arcs."""
+
+    over: dict
+    under_in: dict
+    under_out: dict
+    count: int
+
+
+def arc_split(d):
+    """Split every component into arcs at its under passes.
+
+    A component that never goes under is one closed arc.
+    """
+    over, under_in, under_out, count = {}, {}, {}, 0
+    for comp in d.components:
+        m = len(comp)
+        upos = [k for k, p in enumerate(comp) if p.role == UNDER]
+        if not upos:
+            for p in comp:
+                over[p.crossing] = count
+            count += 1
+            continue
+        for t, u in enumerate(upos):
+            nxt = upos[(t + 1) % len(upos)]
+            k = (u + 1) % m
+            while k != nxt:
+                over[comp[k].crossing] = count
+                k = (k + 1) % m
+            under_out[comp[u].crossing] = count
+            under_in[comp[nxt].crossing] = count
+            count += 1
+    return Arcs(over, under_in, under_out, count)
 
 
 def _check_modulus(p):
@@ -21,12 +60,12 @@ def _check_modulus(p):
 def count_colorings_by_enumeration(d, p):
     """Brute-force census over all p^arcs assignments."""
     _check_modulus(p)
-    aset = arcs(d)
+    a = arc_split(d)
     crossings = sorted(d.signs)
     total = 0
-    for colors in itertools.product(range(p), repeat=len(aset)):
+    for colors in itertools.product(range(p), repeat=a.count):
         if all(
-            (2 * colors[aset.over_arc[c]] - colors[aset.under_in[c]] - colors[aset.under_out[c]]) % p == 0
+            (2 * colors[a.over[c]] - colors[a.under_in[c]] - colors[a.under_out[c]]) % p == 0
             for c in crossings
         ):
             total += 1
@@ -59,13 +98,13 @@ def rank_mod_p(rows, ncols, p):
 def count_colorings_by_dense_rank(d, p):
     """Census from the dense rank of 2*over - under_in - under_out mod p."""
     _check_modulus(p)
-    aset = arcs(d)
+    a = arc_split(d)
     rows = []
     for c in sorted(d.signs):
-        row = [0] * len(aset)
-        row[aset.over_arc[c]] += 2
-        row[aset.under_in[c]] -= 1
-        row[aset.under_out[c]] -= 1
+        row = [0] * a.count
+        row[a.over[c]] += 2
+        row[a.under_in[c]] -= 1
+        row[a.under_out[c]] -= 1
         rows.append(row)
-    total = p ** (len(aset) - rank_mod_p(rows, len(aset), p))
+    total = p ** (a.count - rank_mod_p(rows, a.count, p))
     return ColoringCount(p, total, total - p)

@@ -5,6 +5,7 @@ import math
 
 from click.testing import CliRunner
 
+import knots.cli
 from knots import ConwayPoly, catalog, poly_text
 from knots.cli import main
 
@@ -79,8 +80,11 @@ def test_fuzz_passes_on_catalog_knot():
     assert "PASS" in res.output
 
 
-def test_fuzz_break_hook_fails():
-    res = _run("fuzz", "trefoil-r", "--steps", "5", "--break-invariant")
+def test_fuzz_break_hook_fails(monkeypatch):
+    # A walk that ends on another knot changes the invariants.
+    fig8 = catalog.lookup("fig8").diagram
+    monkeypatch.setattr(knots.cli, "random_walk", lambda d, plan: fig8)
+    res = _run("fuzz", "trefoil-r", "--steps", "5")
     assert res.exit_code == 1
     assert "FAIL" in res.output
 
@@ -124,6 +128,15 @@ def test_geom_k7_non_finite_file_is_a_domain_error(tmp_path):
         res = _run("geom", "k7", "--points", str(f))
         assert res.exit_code == 3, res.output
         assert "point 3 is not finite" in res.output
+
+
+def test_geom_trials_below_one_are_a_usage_error():
+    for command in ("k7", "linked-triangles"):
+        res = _run("geom", command, "--trials", "0", "--format", "json")
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Invalid value for '--trials'" in res.output
+        assert "Traceback" not in res.output
 
 
 def test_geom_json_keys(tmp_path):

@@ -1,5 +1,5 @@
-"""Fox p-colorings: arc extraction, rank counts, the elimination kernel
-and the brute-force and dense-rank oracles."""
+"""Fox p-colorings: arc extraction, rank counts, the elimination kernel,
+the brute-force and dense-rank oracles, and independence of the labels."""
 
 import itertools
 import random
@@ -9,11 +9,13 @@ import pytest
 
 from knots import (
     ConwayPoly,
+    Diagram,
     DomainError,
+    Pass,
     SpatialLink,
     WalkPlan,
-    arcs,
     catalog,
+    conway,
     count_colorings,
     disjoint_union,
     from_text,
@@ -21,10 +23,11 @@ from knots import (
     project,
     random_walk,
 )
-from knots.colorings import eliminate, pivot_steps
+from knots.colorings import pivot_steps
 from knots.conway import _exact_div
 
 from coloring_oracle import (
+    arc_split,
     count_colorings_by_dense_rank,
     count_colorings_by_enumeration,
     rank_mod_p,
@@ -41,21 +44,20 @@ TORUS_2_6 = "O1+ U2+ O3+ U4+ O5+ U6+ ; O2+ U3+ O4+ U5+ O6+ U1+"
 
 
 def test_arc_counts():
-    assert len(arcs(from_text(TREFOIL))) == 3
-    assert len(arcs(from_text(FIG8))) == 4
-    assert len(arcs(from_text(FIVE_1))) == 5
+    assert arc_split(from_text(TREFOIL)).count == 3
+    assert arc_split(from_text(FIG8)).count == 4
+    assert arc_split(from_text(FIVE_1)).count == 5
     # One under pass per Hopf component, so one arc each.
-    assert len(arcs(from_text(HOPF))) == 2
-    assert len(arcs(from_text(WHITEHEAD))) == 5
-    assert len(arcs(from_text(BORROMEAN))) == 6
-    assert len(arcs(from_text("()"))) == 1
-    assert len(arcs(from_text("() ; ()"))) == 2
+    assert arc_split(from_text(HOPF)).count == 2
+    assert arc_split(from_text(WHITEHEAD)).count == 5
+    assert arc_split(from_text(BORROMEAN)).count == 6
+    assert arc_split(from_text("()")).count == 1
+    assert arc_split(from_text("() ; ()")).count == 2
 
 
 def test_component_with_no_unders_is_one_closed_arc():
     d = from_text("O1+ O2+ ; U1+ U2+")
-    a = arcs(d)
-    assert len(a) == 3  # one closed over-arc, two under-cut arcs
+    assert arc_split(d).count == 3  # one closed over-arc, two under-cut arcs
 
 
 def test_three_colorings_golden():
@@ -99,23 +101,19 @@ def test_brute_force_agreement_on_small_diagrams():
     for text in texts:
         d = from_text(text)
         for p in (3, 5):
-            if p ** len(arcs(d)) <= 5**6:
+            if p ** arc_split(d).count <= 5**6:
                 assert count_colorings(d, p) == count_colorings_by_enumeration(d, p)
 
 
 def test_trichromatic_equivalence_on_the_trefoil():
     # 2*over = a + b mod 3 is the same as "all equal or all distinct".
     d = from_text(TREFOIL)
-    aset = arcs(d)
+    a = arc_split(d)
     good = 0
-    for combo in itertools.product(range(3), repeat=len(aset.arcs)):
+    for combo in itertools.product(range(3), repeat=a.count):
         ok = True
         for c in d.signs:
-            trio = (
-                combo[aset.over_arc[c]],
-                combo[aset.under_in[c]],
-                combo[aset.under_out[c]],
-            )
+            trio = (combo[a.over[c]], combo[a.under_in[c]], combo[a.under_out[c]])
             if len(set(trio)) == 2:  # exactly two values meet at a crossing
                 ok = False
                 break
@@ -163,8 +161,37 @@ def test_dense_rank_oracle_on_seeded_walks_and_free_loops():
             walked = random_walk(d, WalkPlan(seed=seed, steps=15, weights=weights))
             _dense_agrees(walked)
             _dense_agrees(disjoint_union(walked, from_text("()")))
-    for text in ("() ; " + TREFOIL, "() ; () ; " + FIVE_1, TORUS_2_6 + " ; ()"):
+    # ``closed`` has two components that never go under: two closed arcs.
+    closed = "O1+ O2+ ; O3+ O4+ ; U1+ U3+ U2+ U4+"
+    for text in ("() ; " + TREFOIL, "() ; () ; " + FIVE_1, TORUS_2_6 + " ; ()", closed):
         _dense_agrees(from_text(text))
+
+
+def _relabelled(d, rng):
+    """``d`` with its crossings renumbered by a random injection into 1..3n."""
+    old = sorted(d.signs)
+    new = dict(zip(old, rng.sample(range(1, 3 * len(old) + 1), len(old))))
+    return Diagram([[Pass(new[c], role, sign) for c, role, sign in comp] for comp in d.components])
+
+
+def test_labels_do_not_matter():
+    # Fox columns are keyed by labels, and Hartley's sign reads the lowest.
+    rng = random.Random(13)
+    entries = catalog.all()
+    diagrams = [e.diagram for e in entries]
+    for seed in range(6):
+        start = entries[1 + seed % (len(entries) - 1)].diagram
+        diagrams.append(random_walk(start, WalkPlan(seed=seed, steps=40)))
+    assert sum(max(d.signs, default=0) > d.n_crossings for d in diagrams) >= 3
+    moved = 0
+    for d in diagrams:
+        want = (conway(d), count_colorings(d, 3), count_colorings(d, 5))
+        for _ in range(3):
+            e = _relabelled(d, rng)
+            assert (conway(e), count_colorings(e, 3), count_colorings(e, 5)) == want, (d, e)
+            if d.signs:
+                moved += e.locate[min(e.signs)] != d.locate[min(d.signs)]
+    assert moved >= 20, moved  # often another crossing is c1
 
 
 def test_dense_rank_oracle_on_polygon_projections():
@@ -210,13 +237,13 @@ def _sparse(matrix):
 
 def test_eliminate_on_empty_zero_and_duplicate_rows():
     for div, one in ((_int_div, 1), (_exact_div, ConwayPoly((1,)))):
-        assert eliminate([], div, one) == []
-        assert eliminate([{}, {}], div, one) == []
-    assert eliminate([{}, {0: 2, 1: 3}, {}], _int_div, 1) == [2]
-    assert len(eliminate([{0: 2, 1: 3}, {0: 2, 1: 3}, {0: 2, 1: 3}], _int_div, 1)) == 1
-    assert len(eliminate([{0: 4, 2: 1}, {0: 4, 2: 1}, {1: 5}], _mod(7), 1)) == 2
+        assert list(pivot_steps([], div, one)) == []
+        assert list(pivot_steps([{}, {}], div, one)) == []
+    assert list(pivot_steps([{}, {0: 2, 1: 3}, {}], _int_div, 1)) == [(1, 0, 2)]
+    assert len(list(pivot_steps([{0: 2, 1: 3}, {0: 2, 1: 3}, {0: 2, 1: 3}], _int_div, 1))) == 1
+    assert len(list(pivot_steps([{0: 4, 2: 1}, {0: 4, 2: 1}, {1: 5}], _mod(7), 1))) == 2
     poly, one = ConwayPoly((1, -1)), ConwayPoly((1,))
-    assert len(eliminate([{0: poly, 1: poly}, {0: poly, 1: poly}], _exact_div, one)) == 1
+    assert len(list(pivot_steps([{0: poly, 1: poly}, {0: poly, 1: poly}], _exact_div, one))) == 1
 
 
 @pytest.mark.parametrize("ring", ["Z", "Z[t]"])
@@ -235,7 +262,7 @@ def test_eliminate_last_pivot_is_the_determinant(ring):
             for _ in range(n)
         ]
         det = _leibniz(matrix, one)
-        pivots = eliminate(_sparse(matrix), div, one)
+        pivots = [pivot for _, _, pivot in pivot_steps(_sparse(matrix), div, one)]
         if det:
             assert len(pivots) == n and pivots[-1] in (det, one - one - det)
         else:
@@ -282,5 +309,5 @@ def test_eliminate_rank_mod_p_matches_the_dense_rank():
             ]
             if matrix and rng.random() < 0.3:
                 matrix.append(list(matrix[0]))
-            pivots = eliminate(_sparse(matrix), _mod(p), 1)
-            assert len(pivots) == rank_mod_p(matrix, cols, p)
+            steps = list(pivot_steps(_sparse(matrix), _mod(p), 1))
+            assert len(steps) == rank_mod_p(matrix, cols, p)

@@ -148,6 +148,9 @@ def test_symbol_refuses_before_enumerating(monkeypatch):
     for n in (-1, 7):
         with pytest.raises(DomainError, match="0 <= n <= 6"):
             symbol(casson, n)
+    for samples in (0, -3, True, 2.0, "5", None):
+        with pytest.raises(DomainError, match="samples must be an int of at least 1"):
+            symbol(casson, 2, samples=samples)
 
 
 def test_casson_extension_vanishes_on_three_double_points():
@@ -203,5 +206,7 @@ def test_4t_matches_the_permutation_oracle(n):
 
 def test_4t_size_limit():
     assert check_4t(lambda cd: 0, 5)
-    with pytest.raises(DomainError):
-        check_4t(lambda cd: 0, 7)
+    # The range that enumerate_chord_diagrams refuses, both ends.
+    for n in (-3, -1, 7):
+        with pytest.raises(DomainError, match="0 <= n <= 6"):
+            check_4t(lambda cd: 0, n)
