@@ -4,11 +4,11 @@ Diagrams are signed oriented Gauss codes; on top of them the package
 provides Reidemeister moves with randomized invariance fuzzing, linking
 numbers, Arf and Casson invariants via skew pairs, the Conway polynomial
 of knots and links (one Alexander-matrix minor, with a sign read off
-the diagram), Fox p-colorings (one sparse fraction-free elimination, on
-the shortest row first, reduces the Fox matrix for both), chord
-diagrams and finite-order invariant checks, and
-spatial geometry for linked triangles and the seven-point theorem, on
-float orientation predicates with a degeneracy tolerance.
+the diagram), Fox p-colorings (one sparse fraction-free elimination,
+shortest row first and its sparsest column, reduces the Fox matrix for
+both), chord diagrams and finite-order invariant checks, and spatial
+geometry for linked triangles and the seven-point theorem, on float
+orientation predicates with a degeneracy tolerance.
 """
 
 from .errors import (

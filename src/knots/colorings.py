@@ -15,14 +15,16 @@ presentation matrix (``fox_rows``) that the Conway polynomial uses, at
 t = -1.  The count of colorings is p to the dimension of the solution
 space, whose rank is the number of steps of ``pivot_steps``, the one
 sparse fraction-free kernel that also takes the Conway determinant,
-here over Z/p, each step on the shortest row left.  A coloring is
-proper when it uses at least two colors, and the p monochromatic
-assignments always work, so proper = total - p.
+here over Z/p: each step takes the shortest row left and pivots on its
+column held by the fewest other rows.  A coloring is proper when it
+uses at least two colors, and the p monochromatic assignments always
+work, so proper = total - p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .codes import UNDER, Diagram
 from .errors import DomainError
@@ -91,39 +93,62 @@ def pivot_steps(rows, div, one):
     """Fraction-free (Bareiss) elimination of sparse rows, step by step.
 
     A row maps columns to nonzero entries of an integral domain with unit
-    ``one`` and exact division ``div(a, b)``.  Each step pivots on the
-    lowest column of the shortest row left (the first on ties), the
-    sparsest-row rule of Markowitz, which also keeps fill-in low, and
-    yields ``(row, column, pivot)`` with ``row`` the index in ``rows``.
-    Every entry is then a minor of the input, so dividing by the previous
-    pivot is exact.  A row without an entry in the pivot column would only
-    be scaled by pivot / previous pivot; these factors telescope, so it
-    keeps the values of the step it last changed at (``level``) until it
-    is used.  Rows that vanish are dropped: there are rank-many steps.
-    The k-th pivot is the minor on the first k pivot rows and columns,
-    taken in pivot order, so the last one of a nonsingular square matrix
-    is its determinant times the sign of the permutation row -> column.
+    ``one`` and exact division ``div(a, b)``.  Each step takes the
+    shortest row left (the lowest index on ties), the sparsest-row rule
+    of Markowitz, and pivots on its column held by the fewest other live
+    rows (the lowest label on ties), which keeps fill-in low; it yields
+    ``(row, column, pivot)`` with ``row`` the index in ``rows``.  A heap of
+    (length, index) finds the row, with entries of rows that have since
+    changed length skipped, and a column -> live rows index gives the
+    rows to update, so no step scans every live row.  Every entry is then
+    a minor of the input, so dividing by the previous pivot is exact.  A
+    row without an entry in the pivot column would only be scaled by
+    pivot / previous pivot; these factors telescope, so it keeps the
+    values of the step it last changed at (``level``) until it is used.
+    Rows that vanish are dropped: there are rank-many steps.  The k-th
+    pivot is the minor on the first k pivot rows and columns, taken in
+    pivot order, so the last one of a nonsingular square matrix is its
+    determinant times the sign of the permutation row -> column.
     """
     live = {i: dict(row) for i, row in enumerate(rows) if row}
     level = dict.fromkeys(live, 0)
+    holders = {}
+    for i, row in live.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
     zero, scale = one - one, [one]
-    while live:
-        r = min(live, key=lambda i: len(live[i]))
+    while heap:
+        n, r = heappop(heap)
+        if len(live.get(r, ())) != n:
+            continue
         row, k = live.pop(r), len(scale) - 1
+        for j in row:
+            holders[j].discard(r)
         if level[r] != k:
             row = {j: div(scale[k] * v, scale[level[r]]) for j, v in row.items()}
-        col = min(row)
+        col = min(row, key=lambda j: (len(holders[j]), j))
         pivot = row.pop(col)
-        for i, other in list(live.items()):
-            f = other.pop(col, None)
-            if f is not None:
-                new = {j: pivot * v for j, v in other.items()}
-                for j, v in row.items():
-                    new[j] = new.get(j, zero) - f * v
-                live[i] = {j: q for j, v in new.items() if (q := div(v, scale[level[i]]))}
-                level[i] = k + 1
-                if not live[i]:
-                    del live[i]
+        for i in holders.pop(col):
+            other = live[i]
+            length, f = len(other), other.pop(col)
+            new = {j: pivot * v for j, v in other.items()}
+            for j, v in row.items():
+                new[j] = new.get(j, zero) - f * v
+            other = {j: q for j, v in new.items() if (q := div(v, scale[level[i]]))}
+            for j in row:
+                if j in other:
+                    holders[j].add(i)
+                else:
+                    holders[j].discard(i)
+            level[i] = k + 1
+            if other:
+                live[i] = other
+                if len(other) != length:
+                    heappush(heap, (len(other), i))
+            else:
+                del live[i]
         scale.append(pivot)
         yield r, col, pivot
 

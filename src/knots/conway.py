@@ -21,12 +21,12 @@ eps = sign(c1) * (-1)^(number of negative crossings),
 With t^k dropped, c_j is the coefficient of t^((K+j)/2) once the terms
 of higher j are taken off, for j = K, K-2, ...  ``colorings.pivot_steps``,
 the kernel that also ranks the coloring matrix, reduces D fraction-free
-(Bareiss) over Z[t], each step on the shortest row left; its last pivot
-times the sign of the pivots' row -> column permutation is D.  A
-singular minor means C = 0 for a link.  A knot has Delta(1) = +-1, so
-there a singular minor, or C(0) != 1 (a failed sign rule), raises
-``ArithmeticError``.  Codes that no plane diagram realizes raise
-``NonPlanarError``.
+(Bareiss) over Z[t], each step on the shortest row left and its column
+held by the fewest other rows; its last pivot times the sign of the
+pivots' row -> column permutation is D.  A singular minor means C = 0
+for a link.  A knot has Delta(1) = +-1, so there a singular minor, or
+C(0) != 1 (a failed sign rule), raises ``ArithmeticError``.  Codes that
+no plane diagram realizes raise ``NonPlanarError``.
 
 ``violations`` and ``is_descending`` describe the crossing changes that
 unknot a diagram or split a link.  They walk each component from its

@@ -108,8 +108,10 @@ CHORD_COUNTS = (1, 1, 2, 5, 18, 105, 902)
 
 
 def _chord_count(n: int) -> int:
-    if not 0 <= n < len(CHORD_COUNTS):
-        raise DomainError(f"chord enumeration supported for 0 <= n <= {len(CHORD_COUNTS) - 1}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n < len(CHORD_COUNTS):
+        raise DomainError(
+            f"chord enumeration supported for an int 0 <= n <= {len(CHORD_COUNTS) - 1}, got {n!r}"
+        )
     return CHORD_COUNTS[n]
 
 

@@ -20,10 +20,11 @@ from knots import (
     disjoint_union,
     from_text,
     is_colorable,
+    mirror,
     project,
     random_walk,
 )
-from knots.colorings import pivot_steps
+from knots.colorings import fox_rows, pivot_steps
 from knots.conway import _exact_div
 
 from coloring_oracle import (
@@ -32,6 +33,7 @@ from coloring_oracle import (
     count_colorings_by_enumeration,
     rank_mod_p,
 )
+from kernel_oracle import scanning_pivot_steps
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"
@@ -165,6 +167,26 @@ def test_dense_rank_oracle_on_seeded_walks_and_free_loops():
     closed = "O1+ O2+ ; O3+ O4+ ; U1+ U3+ U2+ U4+"
     for text in ("() ; " + TREFOIL, "() ; () ; " + FIVE_1, TORUS_2_6 + " ; ()", closed):
         _dense_agrees(from_text(text))
+
+
+def _torus(n):
+    """T(2, n), the closed 2-braid sigma_1^n: a knot for odd n."""
+    if n % 2:
+        return from_text(" ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n)))
+    comps = (" ".join(f"{'OU'[(i + s) % 2]}{i + 1}+" for i in range(n)) for s in (0, 1))
+    return from_text(" ; ".join(comps))
+
+
+TORI = (101, 102, 135, 168)
+
+
+@pytest.mark.parametrize("n", TORI)
+def test_dense_rank_oracle_on_torus_bands(n):
+    # Every Fox row of T(2, n) meets its neighbours in a cyclic band,
+    # where the choice of pivot column changes the fill-in most.
+    d = _torus(n)
+    _dense_agrees(d)
+    _dense_agrees(mirror(d))
 
 
 def _relabelled(d, rng):
@@ -311,3 +333,116 @@ def test_eliminate_rank_mod_p_matches_the_dense_rank():
                 matrix.append(list(matrix[0]))
             steps = list(pivot_steps(_sparse(matrix), _mod(p), 1))
             assert len(steps) == rank_mod_p(matrix, cols, p)
+
+
+def _signed_last_pivot(steps, cols, one):
+    """sign(row -> column) * last pivot, row i standing for ``cols[i]``."""
+    where = {c: k for k, c in enumerate(cols)}
+    perm = [where[c] for _, c, _ in sorted(steps, key=lambda step: step[0])]
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    last = steps[-1][2] if steps else one
+    return one - one - last if inversions % 2 else last
+
+
+def _kernels_agree(rows, cols, div, one, reduce=lambda x: x):
+    """The indexed and the scanning kernel give the same rank and, when
+    ``rows`` is square over ``cols`` and of full rank, the same signed last
+    pivot; returns whether it is."""
+    new = list(pivot_steps(rows, div, one))
+    old = list(scanning_pivot_steps(rows, div, one))
+    assert len(new) == len(old), (len(new), len(old))
+    if len(new) < len(rows) or len(rows) != len(cols):
+        return False
+    want = reduce(_signed_last_pivot(old, cols, one))
+    assert reduce(_signed_last_pivot(new, cols, one)) == want
+    return True
+
+
+def _random_rows(rng, n, ncols, entry, zero):
+    """``n`` sparse rows of nonzero entries over ``ncols`` columns, one
+    entry of each row on a shuffled diagonal; in half the cases one or two
+    rows are then emptied, copied from another row or set to the sum of
+    two others, which vanishes under elimination."""
+    diagonal = rng.sample(range(max(n, ncols)), n)
+    rows = [
+        {j: entry() for j in {d % ncols, *rng.sample(range(ncols), rng.randrange(0, 4))}}
+        for d in diagonal
+    ]
+    for _ in range(rng.randrange(0, 2) * rng.randrange(1, 3)):
+        kind, i, a, b = rng.randrange(3), *rng.sample(range(n), 3)
+        if kind == 0:
+            rows[i] = {}
+        elif kind == 1:
+            rows[i] = dict(rows[a])
+        else:
+            both = {j: rows[a].get(j, zero) + rows[b].get(j, zero) for j in {*rows[a], *rows[b]}}
+            rows[i] = {j: x for j, x in both.items() if x}
+    return rows
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/p", "Z[t]"])
+def test_indexed_kernel_matches_the_scanning_kernel_on_random_matrices(ring):
+    rng = random.Random(14)
+    p = 7
+    if ring == "Z":
+        one, div, reduce = 1, _int_div, lambda x: x
+        entry = lambda: rng.choice((1, -1, 2, -3))
+    elif ring == "Z/p":
+        one, div, reduce = 1, _mod(p), lambda x: x % p
+        entry = lambda: rng.randrange(1, p)
+    else:
+        one, div, reduce = ConwayPoly((1,)), _exact_div, lambda x: x
+        entry = lambda: ConwayPoly([rng.choice((0, 1, -1, 2)), rng.choice((1, -1, 2))])
+    full = singular = 0
+    for _ in range(40 if ring == "Z[t]" else 80):
+        n = rng.randrange(6, 41)
+        ncols = n if rng.random() < 0.8 else n + rng.randrange(-3, 4)
+        rows = _random_rows(rng, n, ncols, entry, one - one)
+        if ring == "Z/p":
+            rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+        if _kernels_agree(rows, range(ncols), div, one, reduce):
+            full += 1
+        else:
+            singular += 1
+    assert full >= 5 and singular >= 5, (full, singular)
+
+
+def _at_minus_one(rows, p):
+    return [{a: e for a, (x, y) in row.items() if (e := (x - y) % p)} for row in rows]
+
+
+def _fox_minor_kernels_agree(d):
+    """Both kernels on the Z[t] minor that ``conway`` reduces, on that
+    minor at t = -1 mod 3 and 5, and on the coloring matrix mod 3."""
+    rows, order = fox_rows(d), sorted(d.signs)
+    minor = [{a: v for a, v in rows[c].items() if a != order[0]} for c in order[1:]]
+    poly = [{a: q for a, v in row.items() if (q := ConwayPoly(v))} for row in minor]
+    assert _kernels_agree(poly, order[1:], _exact_div, ConwayPoly((1,))), d
+    for p in (3, 5):
+        _kernels_agree(_at_minus_one(minor, p), order[1:], _mod(p), 1, lambda x: x % p)
+    _kernels_agree(_at_minus_one(rows.values(), 3), (), _mod(3), 1)
+
+
+@pytest.mark.parametrize("n", TORI)
+def test_indexed_kernel_matches_the_scanning_kernel_on_torus_minors(n):
+    d = _torus(n)
+    _fox_minor_kernels_agree(d)
+    _fox_minor_kernels_agree(mirror(d))
+
+
+def test_indexed_kernel_matches_the_scanning_kernel_on_projection_minors():
+    rng = random.Random(1014)
+    sizes = []
+    for comps, m in ((1, 30), (2, 17), (3, 12)):
+        while True:
+            polygon = [
+                [(rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for _ in range(m)]
+                for c in range(comps)
+            ]
+            d = project(SpatialLink(polygon), seed=rng.randrange(2**31)).diagram
+            if d.n_crossings >= 100:
+                break
+        sizes.append(d.n_crossings)
+        _fox_minor_kernels_agree(d)
+    assert min(sizes) >= 100, sizes

@@ -153,6 +153,20 @@ def test_symbol_refuses_before_enumerating(monkeypatch):
             symbol(casson, 2, samples=samples)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symbol(casson, 2.0),
+        lambda: check_4t(lambda cd: 0, 2.5),
+        lambda: enumerate_chord_diagrams(True),
+    ],
+    ids=["symbol-float", "check_4t-float", "enumerate-bool"],
+)
+def test_chord_count_must_be_an_int(call):
+    with pytest.raises(DomainError, match="an int 0 <= n <= 6, got"):
+        call()
+
+
 def test_casson_extension_vanishes_on_three_double_points():
     for i, cd in enumerate(enumerate_chord_diagrams(3)):
         for seed in range(4):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the cost of one ``conway`` call, in milliseconds, as JSON.
+"""Print the cost of one ``conway`` and one ``count_colorings`` call, as JSON.
 
 Diagrams: T(2, n) torus knots (odd n) and 2-component torus links (even
 n), and seeded projections of 1-3 random polygons (the recipe of
@@ -7,8 +7,11 @@ n), and seeded projections of 1-3 random polygons (the recipe of
 100 and 150 crossings.  A projection is kept when its crossing count is
 within 10 % of the target; the polygon grows by a vertex per component
 while its projections fall short.  Each call runs on a fresh copy of the
-diagram (nothing cached), so the planarity trace is counted; the median
-of ``REPEATS`` calls is reported.  Run from anywhere:
+diagram (nothing cached), so the planarity trace of ``conway`` is
+counted.  Each row gives the median of ``REPEATS`` calls in
+milliseconds: ``ms`` for ``conway`` and ``colorings_ms`` for
+``count_colorings(d, 3)``, the same kernel at t = -1 over Z/3.  Run from
+anywhere:
 
     python3 tools/conway_cost.py
 """
@@ -24,7 +27,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 sys.path.insert(0, str(SRC))
-from knots import Diagram, SpatialLink, conway, from_text, project  # noqa: E402
+from knots import Diagram, SpatialLink, conway, count_colorings, from_text, project  # noqa: E402
 
 SIZES = (25, 50, 100, 150)
 REPEATS = 5
@@ -57,13 +60,13 @@ def projection(comps, target):
             m += 1
 
 
-def call_ms(d):
-    """Median milliseconds of ``conway`` on fresh copies of ``d``."""
+def call_ms(f, d):
+    """Median milliseconds of ``f`` on fresh copies of ``d``."""
     times = []
     for _ in range(REPEATS):
         fresh = Diagram(d.components)
         start = time.perf_counter()
-        conway(fresh)
+        f(fresh)
         times.append(time.perf_counter() - start)
     return round(1000 * statistics.median(times), 2)
 
@@ -73,7 +76,8 @@ def row(kind, d):
         "kind": kind,
         "components": d.n_components,
         "crossings": d.n_crossings,
-        "ms": call_ms(d),
+        "ms": call_ms(conway, d),
+        "colorings_ms": call_ms(lambda fresh: count_colorings(fresh, 3), d),
     }
 
 
