@@ -10,16 +10,12 @@ a regression corpus.
 ``trivial-n<k>`` names are parametric: the k-component unlink drawn
 with no crossings.  Its golden values follow closed formulas, so the
 entries are generated rather than stored.
-
-Set ``KNOTS_CATALOG_DIR`` to load codes and goldens from another
-directory (same layout) instead of the shipped data.
 """
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 
 from ..codes import Diagram, from_text
@@ -67,16 +63,10 @@ class CatalogEntry:
         return from_text(self.code)
 
 
-def _data_dir() -> str:
-    override = os.environ.get("KNOTS_CATALOG_DIR")
-    return override if override else str(Path(__file__).parent / "data")
-
-
-@lru_cache(maxsize=None)
-def _load(dirname: str):
-    root = Path(dirname)
-    golden_path = root / "golden.json"
-    golden_map = json.loads(golden_path.read_text()) if golden_path.exists() else {}
+@cache
+def _load():
+    root = Path(__file__).parent / "data"
+    golden_map = json.loads((root / "golden.json").read_text())
     codes = {p.stem: p.read_text().strip() for p in root.glob("*.txt")}
     # golden.json key order is the canonical listing order.
     names = [n for n in golden_map if n in codes]
@@ -119,7 +109,7 @@ def lookup(name: str) -> CatalogEntry:
     m = _TRIVIAL.match(key)
     if m:
         return _trivial_entry(int(m.group(1)))
-    entries = _load(_data_dir())
+    entries = _load()
     if key not in entries:
         raise UnknownNameError(f"no catalog entry named {name!r}")
     return entries[key]
@@ -127,7 +117,7 @@ def lookup(name: str) -> CatalogEntry:
 
 def all():
     """All entries: the stored codes plus trivial-n2 and trivial-n3."""
-    stored = list(_load(_data_dir()).values())
+    stored = list(_load().values())
     return stored + [_trivial_entry(2), _trivial_entry(3)]
 
 

@@ -28,8 +28,6 @@ from .linking import lk, lk2
 from .moves import WalkPlan, random_walk
 from .spatial import verify_seven_points, verify_six_points
 
-_INVARIANT_NAMES = ("conway", "casson", "arf", "lk2", "lk", "colorings")
-
 
 def _guarded(fn):
     """Map package errors to the documented exit codes."""
@@ -74,25 +72,34 @@ def _matrix(fn, d):
     return [[fn(d, i, j) if i != j else 0 for j in range(n)] for i in range(n)]
 
 
-def _compute_one(d, name):
-    if name == "conway":
-        p = conway(d)
-        return {"coeffs": list(p.coeffs), "text": poly_text(p)}
-    if name == "casson":
-        return casson(d)
-    if name == "arf":
-        return arf(d)
-    if name == "lk2":
-        return _matrix(lk2, d)
-    if name == "lk":
-        return _matrix(lk, d)
-    if name == "colorings":
-        out = {}
-        for p in (3, 5):
-            c = count_colorings(d, p)
-            out[str(p)] = [c.total, c.proper]
-        return out
-    raise DomainError(f"unknown invariant {name!r}")
+def _conway(d):
+    p = conway(d)
+    return {"coeffs": list(p.coeffs), "text": poly_text(p)}
+
+
+def _colorings(d):
+    return {str(c.p): [c.total, c.proper] for c in (count_colorings(d, p) for p in (3, 5))}
+
+
+# Every invariant the CLI computes, in the order that ``--inv`` lists them.
+_INVARIANTS = {
+    "conway": _conway,
+    "casson": casson,
+    "arf": arf,
+    "lk2": functools.partial(_matrix, lk2),
+    "lk": functools.partial(_matrix, lk),
+    "colorings": _colorings,
+}
+
+_inv_option = click.option(
+    "--inv",
+    "-i",
+    "invariants",
+    multiple=True,
+    type=click.Choice(tuple(_INVARIANTS) + ("c2",), case_sensitive=False),
+    help="Invariant to compute (repeatable; default: all applicable).",
+)
+_format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 
 
 def _suite(d, requested=()):
@@ -102,7 +109,7 @@ def _suite(d, requested=()):
         names = ["conway", "casson", "arf", "colorings"]
     else:
         names = ["conway", "lk2", "lk", "colorings"]
-    return {name: _compute_one(d, name) for name in names}
+    return {name: _INVARIANTS[name](d) for name in names}
 
 
 def _show_invariants(values, indent=""):
@@ -123,15 +130,8 @@ def main():
 
 @main.command()
 @click.argument("input")
-@click.option(
-    "--inv",
-    "-i",
-    "invariants",
-    multiple=True,
-    type=click.Choice(_INVARIANT_NAMES + ("c2",), case_sensitive=False),
-    help="Invariant to compute (repeatable; default: all applicable).",
-)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_inv_option
+@_format_option
 @_guarded
 def compute(input, invariants, fmt):
     """Compute invariants of a Gauss code or catalog name."""
@@ -151,15 +151,8 @@ def compute(input, invariants, fmt):
 @click.argument("input")
 @click.option("--steps", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--inv",
-    "-i",
-    "invariants",
-    multiple=True,
-    type=click.Choice(_INVARIANT_NAMES + ("c2",), case_sensitive=False),
-    help="Invariants to track (default: all applicable).",
-)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_inv_option
+@_format_option
 @_guarded
 def fuzz(input, steps, seed, invariants, fmt):
     """Random Reidemeister walk; fail if any invariant drifts."""
@@ -203,9 +196,16 @@ def _load_points(path):
     return pts
 
 
-def _random_points(seed, n):
-    rng = random.Random(seed)
-    return [tuple(rng.uniform(-1.0, 1.0) for _ in range(3)) for _ in range(n)]
+def _point_sets(points_file, seed, trials, n):
+    """(points, seed) per trial: the file's points once with ``seed``, or
+    ``trials`` sets of n random points, each with its own derived seed."""
+    if points_file:
+        return [(_load_points(points_file), seed)]
+    sets = []
+    for s in (seed * 100003 + t for t in range(trials)):
+        rng = random.Random(s)
+        sets.append(([tuple(rng.uniform(-1.0, 1.0) for _ in range(3)) for _ in range(n)], s))
+    return sets
 
 
 @main.group()
@@ -217,16 +217,12 @@ def geom():
 @click.option("--points", "points_file", type=click.Path(exists=True), default=None)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=10, show_default=True, type=click.IntRange(min=1))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option
 @_guarded
 def linked_triangles(points_file, seed, trials, fmt):
     """Find a pair of linked triangles among six points."""
     results = []
-    if points_file:
-        sets = [_load_points(points_file)]
-    else:
-        sets = [_random_points(seed * 100003 + t, 6) for t in range(trials)]
-    for t, pts in enumerate(sets):
+    for t, (pts, _seed) in enumerate(_point_sets(points_file, seed, trials, 6)):
         witness = verify_six_points(pts)
         results.append({"trial": t, "witness": [list(half) for half in witness]})
     if fmt == "json":
@@ -241,19 +237,12 @@ def linked_triangles(points_file, seed, trials, fmt):
 @click.option("--points", "points_file", type=click.Path(exists=True), default=None)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option
 @_guarded
 def k7(points_file, seed, trials, fmt):
     """Seven-point check: a cycle with Arf 1 exists; report the parity."""
     results = []
-    if points_file:
-        sets = [(_load_points(points_file), seed)]
-    else:
-        sets = [
-            (_random_points(seed * 100003 + t, 7), seed * 100003 + t)
-            for t in range(trials)
-        ]
-    for t, (pts, s) in enumerate(sets):
+    for t, (pts, s) in enumerate(_point_sets(points_file, seed, trials, 7)):
         witness, parity = verify_seven_points(pts, seed=s)
         results.append(
             {
@@ -271,7 +260,7 @@ def k7(points_file, seed, trials, fmt):
 
 @main.command("catalog")
 @click.argument("name", required=False)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
+@_format_option
 @_guarded
 def catalog_cmd(name, fmt):
     """List catalog entries, or show one entry with its golden values."""

@@ -397,11 +397,13 @@ def triangles_linked(t1, t2) -> int:
     spanned by t1.  Raises DegeneracyError when any four of the six
     vertices are coplanar within tolerance.
     """
-    t1, t2 = _require_triangle(t1, "t1"), _require_triangle(t2, "t2")
-    pts = t1 + t2
-    for quad in itertools.combinations(range(6), 4):
-        _orient3d_checked(*(pts[i] for i in quad))
-    a, b, c = t1
+    return _linked(_check_points(_require_triangle(t1, "t1") + _require_triangle(t2, "t2"), 6))
+
+
+def _linked(pts):
+    """``triangles_linked(pts[:3], pts[3:])`` for six checked points:
+    no four of them coplanar within tolerance."""
+    a, b, c, *t2 = pts
     hits = 0
     for k in range(3):
         p, q = t2[k - 1], t2[k]
@@ -419,8 +421,8 @@ def _check_points(points, n):
     pts = tuple(_finite(p, f"point {k}") for k, p in enumerate(_sequence(points, "points")))
     if len(pts) != n:
         raise DomainError(f"need exactly {n} points")
-    for quad in itertools.combinations(range(n), 4):
-        _orient3d_checked(*(pts[i] for i in quad))
+    for quad in itertools.combinations(pts, 4):
+        _orient3d_checked(*quad)
     return pts
 
 
@@ -432,11 +434,10 @@ def verify_six_points(points):
     a bug, reported as AssertionError rather than silently ignored.
     """
     pts = _check_points(points, 6)
-    rest = [i for i in range(1, 6)]
-    for pair in itertools.combinations(rest, 2):
+    for pair in itertools.combinations(range(1, 6), 2):
         first = (0,) + pair
         second = tuple(i for i in range(6) if i not in first)
-        if triangles_linked([pts[i] for i in first], [pts[i] for i in second]):
+        if _linked([pts[i] for i in first + second]):
             return first, second
     raise AssertionError("no linked triangle pair on generic six points")
 

@@ -222,13 +222,6 @@ def _realize_once(word, letter_id, rng):
     # Polygon segments: even index = through segment of visit k,
     # odd index = connector from visit k to visit k+1.
     segs = [(v, verts[(k + 1) % len(verts)]) for k, v in enumerate(verts)]
-    # No marked point may sit on a foreign segment.
-    for ch, q in spot.items():
-        for si, (p1, p2) in enumerate(segs):
-            if si % 2 == 0 and word[si // 2] == ch:
-                continue
-            if _point_segment_distance(q, p1, p2) < 0.02:
-                raise DegeneracyError("marked point near a foreign segment")
     found = crossings(segs, lambda i, j: j - i in (1, len(segs) - 1))
     # Marked double points: the two through segments of a letter must
     # cross (at the marked point, necessarily).
@@ -254,15 +247,6 @@ def _realize_once(word, letter_id, rng):
     if sigma(s) != ChordDiagram(word):
         raise AssertionError("realized chord word drifted")
     return s
-
-
-def _point_segment_distance(q, p1, p2):
-    d = (p2[0] - p1[0], p2[1] - p1[1])
-    dd = d[0] * d[0] + d[1] * d[1]
-    if dd <= 1e-300:
-        return math.dist(q, p1)
-    t = max(0.0, min(1.0, ((q[0] - p1[0]) * d[0] + (q[1] - p1[1]) * d[1]) / dd))
-    return math.dist(q, (p1[0] + t * d[0], p1[1] + t * d[1]))
 
 
 # ----------------------------------------------------------------------

@@ -111,14 +111,3 @@ def test_trivial_links_golden_values_recompute():
 def test_unknown_name_raises():
     with pytest.raises(UnknownNameError):
         catalog.lookup("granny")
-
-
-def test_catalog_dir_override(tmp_path, monkeypatch):
-    (tmp_path / "twist.txt").write_text("O1+ U1+\n")
-    monkeypatch.setenv("KNOTS_CATALOG_DIR", str(tmp_path))
-    assert [e.name for e in catalog.all()] == ["twist", "trivial-n2", "trivial-n3"]
-    assert catalog.lookup("twist").diagram.n_crossings == 1
-    with pytest.raises(UnknownNameError):
-        catalog.lookup("trefoil-r")
-    monkeypatch.delenv("KNOTS_CATALOG_DIR")
-    assert catalog.lookup("trefoil-r").name == "trefoil-r"

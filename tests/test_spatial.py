@@ -14,6 +14,7 @@ import knots
 from knots import (
     DegeneracyError,
     DomainError,
+    GenericityFailure,
     SpatialLink,
     arf,
     genus,
@@ -26,10 +27,12 @@ from knots import (
     verify_six_points,
 )
 from knots.spatial import (
+    MAX_RETRIES,
     _check_points,
     _cycle_skews,
     crossings,
     orient3d,
+    retry,
     segment_crossing_2d,
 )
 
@@ -72,8 +75,28 @@ def test_segment_crossing_2d():
     t, u = got
     assert abs(t - 0.5) < 1e-12 and abs(u - 0.5) < 1e-12
     assert segment_crossing_2d((0, 0), (1, 0), (0, 1), (1, 1)) is None
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError, match="crossing at a segment endpoint"):
         segment_crossing_2d((0, 0), (1, 0), (0.5, 0), (0.5, 1))
+    # The same, with the end of the first segment on the second.
+    with pytest.raises(DegeneracyError, match="crossing at a segment endpoint"):
+        segment_crossing_2d((0, 0), (0.5, 0), (0.5, -1), (0.5, 1))
+    # Collinear: overlapping segments are degenerate, disjoint ones miss.
+    with pytest.raises(DegeneracyError, match="collinear overlapping segments"):
+        segment_crossing_2d((0, 0), (1, 0), (0.5, 0), (2, 0))
+    assert segment_crossing_2d((0, 0), (1, 0), (2, 0), (3, 0)) is None
+
+
+def test_retry_gives_up_after_max_retries_naming_the_last_cause():
+    tries = []
+
+    def attempt(rng):
+        tries.append(rng.random())
+        raise DegeneracyError(f"attempt {len(tries)} degenerate")
+
+    with pytest.raises(GenericityFailure) as info:
+        retry(attempt, random.Random(0))
+    assert len(tries) == MAX_RETRIES == 64
+    assert str(info.value) == "no generic position after 64 tries: attempt 64 degenerate"
 
 
 def test_spatial_link_validation():
@@ -165,6 +188,33 @@ def test_verify_six_points_random_samples():
         pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(6)]
         witness = verify_six_points(pts)
         assert witness is not None
+
+
+def verify_six_points_by_pairs(points):
+    """The first split, from point 0, that the public ``triangles_linked``
+    calls linked (oracle)."""
+    pts = _check_points(points, 6)
+    for pair in itertools.combinations(range(1, 6), 2):
+        first = (0,) + pair
+        second = tuple(i for i in range(6) if i not in first)
+        if triangles_linked([pts[i] for i in first], [pts[i] for i in second]):
+            return first, second
+    raise AssertionError("no linked triangle pair on generic six points")
+
+
+def test_verify_six_points_matches_the_pairwise_oracle():
+    rng = random.Random(606)
+    raised = 0
+    for _ in range(1200):
+        pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(6)]
+        got = verify_six_points(pts)
+        assert got == verify_six_points_by_pairs(pts)
+        # Shrunk by 1e-3, the absolute part of the tolerance rejects them.
+        small = [tuple(1e-3 * x for x in p) for p in pts]
+        want = _outcome(verify_six_points_by_pairs, small)
+        assert _outcome(verify_six_points, small) == want
+        raised += want == "DegeneracyError"
+    assert raised > 0
 
 
 def test_verify_six_points_wants_exactly_six():

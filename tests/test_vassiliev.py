@@ -104,10 +104,12 @@ def test_resolutions_are_capped_at_twelve_double_points():
 
 
 def test_realize_round_trips_the_chord_word():
-    for word in ("11", "1122", "1212", "112233", "123123", "12132434"):
-        for seed in range(5):
+    # Every chord diagram of one to four chords, and plain words.
+    words = [cd for n in range(1, 5) for cd in enumerate_chord_diagrams(n)]
+    for word in words + ["11", "1122", "1212", "112233", "123123", "12132434"]:
+        for seed in range(20):
             s = realize(word, seed=seed)
-            assert sigma(s) == ChordDiagram(word)
+            assert sigma(s) == ChordDiagram(str(word))
             assert genus(s.base) == (0,)
             assert all(s.base.signs[c] == 1 for c in s.doubles)
 
@@ -122,6 +124,14 @@ def test_symbol_of_casson_is_the_order_two_weight_system():
     values, consistent = symbol(casson, 2, samples=20)
     assert consistent
     assert values[ChordDiagram("1212")] == 1
+    assert values[ChordDiagram("1122")] == 0
+
+
+def test_symbol_of_a_non_invariant_is_inconsistent():
+    # The crossing count differs between realizations of one chord
+    # diagram, so this function of diagrams takes several values on 1212.
+    values, consistent = symbol(lambda d: casson(d) * d.n_crossings, 2, samples=5)
+    assert not consistent
     assert values[ChordDiagram("1122")] == 0
 
 
@@ -188,6 +198,16 @@ def test_4t_rejects_generic_tables_at_order_three():
 def test_4t_accepts_zero_at_order_three():
     assert check_4t(lambda cd: 0, 3)
     assert check_1t(lambda cd: 0, 3)
+
+
+def test_4t_holds_for_any_table_below_two_chords():
+    # With fewer than two chords there is no chord B for A to slide
+    # over, so no relation reads the table.
+    def table(cd):
+        raise AssertionError(f"4T read {cd}")
+
+    for n in (0, 1):
+        assert check_4t(table, n)
 
 
 def check_4t_by_permutations(f, n):

@@ -19,9 +19,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-sys.path.insert(0, str(SRC))
-import knots  # noqa: E402  (from this checkout's src/, not an installed copy)
-
 
 def code_lines(text):
     """Lines of ``text`` that hold code, docstrings and comments aside."""
@@ -42,18 +39,22 @@ def code_lines(text):
     )
 
 
-texts = {
-    p.relative_to(SRC / "knots").as_posix(): p.read_text()
-    for p in sorted((SRC / "knots").rglob("*.py"))
-}
-modules = {name: code_lines(t) for name, t in texts.items()}
-print(
-    json.dumps(
-        {
-            "src_lines": sum(len(t.splitlines()) for t in texts.values()),
-            "code_lines": sum(modules.values()),
-            "all_names": len(knots.__all__),
-            "modules": modules,
-        }
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
+    import knots  # from this checkout's src/, not an installed copy
+
+    texts = {
+        p.relative_to(SRC / "knots").as_posix(): p.read_text()
+        for p in sorted((SRC / "knots").rglob("*.py"))
+    }
+    modules = {name: code_lines(t) for name, t in texts.items()}
+    print(
+        json.dumps(
+            {
+                "src_lines": sum(len(t.splitlines()) for t in texts.values()),
+                "code_lines": sum(modules.values()),
+                "all_names": len(knots.__all__),
+                "modules": modules,
+            }
+        )
     )
-)
