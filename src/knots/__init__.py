@@ -28,7 +28,6 @@ from .codes import (
     OVER,
     UNDER,
     Diagram,
-    Edge,
     Pass,
     canonical_key,
     crossing_change,
@@ -96,7 +95,6 @@ __all__ = [
     "DegeneracyError",
     "Diagram",
     "DomainError",
-    "Edge",
     "GenericityFailure",
     "InvalidSiteError",
     "KnotsError",

@@ -42,7 +42,6 @@ each connected piece has genus (2 - V + E - F) / 2.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,18 +57,6 @@ class Pass(NamedTuple):
     crossing: int
     role: str  # OVER or UNDER
     sign: int  # +1 or -1, duplicated on both passes of the crossing
-
-
-class Edge(NamedTuple):
-    """The diagram arc arriving at pass ``position`` of ``component``.
-
-    It leaves the previous pass (position - 1, cyclically) of the same
-    component.  A component with m passes contributes edges (c, 0) to
-    (c, m - 1); free loops contribute none.
-    """
-
-    component: int
-    position: int
 
 
 _TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])\Z")
@@ -192,14 +179,6 @@ class Diagram:
         """Indices of components with no passes."""
         return tuple(i for i, c in enumerate(self.components) if not c)
 
-    @cached_property
-    def edges(self):
-        """All diagram arcs, component by component."""
-        out = []
-        for ci, comp in enumerate(self.components):
-            out.extend(Edge(ci, k) for k in range(len(comp)))
-        return tuple(out)
-
     # ------------------------------------------------------------------
     # Surface map: integer darts, rotation, edge involution, faces, genus.
 
@@ -208,36 +187,19 @@ class Diagram:
         """Component -> index of its first arc, then the number of arcs.
 
         Component c owns the integer arcs ``base[c]`` to ``base[c+1] - 1``,
-        ``max(len, 1)`` of them: arc ``base[c] + k`` is Edge (c, k), and a
-        free loop owns one arc without darts.  So integer order is Edge
-        order.
+        ``max(len, 1)`` of them: arc ``base[c] + k`` arrives at pass k,
+        and a free loop owns one arc without darts.
         """
         base = [0]
         for comp in self.components:
             base.append(base[-1] + max(len(comp), 1))
         return tuple(base)
 
-    def _edge(self, arc: int) -> Edge:
-        """The Edge of an integer arc."""
-        base = self._arc_base
-        c = bisect_right(base, arc) - 1
-        return Edge(c, arc - base[c])
-
-    def _arc(self, edge):
-        """The integer arc of ``edge``, or None if it names no arc here."""
-        if not (isinstance(edge, tuple) and len(edge) == 2):
-            return None
-        c, k = edge
-        base = self._arc_base
-        if not (isinstance(c, int) and isinstance(k, int) and 0 <= c < len(base) - 1):
-            return None
-        return base[c] + k if 0 <= k < base[c + 1] - base[c] else None
-
     @cached_property
     def _darts(self):
         """(dart -> arc, alpha: dart -> other end of its arc, arc -> in-dart).
 
-        Arc (c, k) runs from pass k-1 to pass k, so it holds the
+        The arc arriving at pass k runs from pass k-1, so it holds the
         out-dart of pass k-1 and the in-dart of pass k.  A free loop's
         arc has no in-dart (None).
         """
@@ -281,11 +243,6 @@ class Diagram:
         appears in exactly one face.  Free loops contribute no darts.
         """
         return self._faces[0]
-
-    def face_edges(self, face) -> tuple:
-        """The arcs along a face, one per dart in face order."""
-        arc = self._darts[0]
-        return tuple(self._edge(arc[d]) for d in face)
 
     @cached_property
     def _pieces(self):

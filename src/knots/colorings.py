@@ -171,7 +171,10 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
         {col: e for col, (a, b) in fox.items() if (e := (a - b) % p)}
         for fox in fox_rows(d).values()
     ]
-    rank = sum(1 for _ in pivot_steps(rows, lambda a, b: a * pow(b, -1, p) % p, 1))
+    # One modular inverse per pivot, not per updated entry (an inverse is never 0).
+    inverse = {}
+    div = lambda a, b: a * (inverse.get(b) or inverse.setdefault(b, pow(b, -1, p))) % p
+    rank = sum(1 for _ in pivot_steps(rows, div, 1))
     total = p ** (d.n_crossings + closed_arcs(d) - rank)
     return ColoringCount(p, total, total - p)
 

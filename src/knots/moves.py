@@ -25,9 +25,10 @@ side arcs; the three crossings keep their signs.
 
 ``enumerate_sites``, ``random_walk`` and ``apply`` all read one site
 table: the anchors of each move kind and the variants at an anchor.
-Insertion anchors are kept as integers (an arc, or ``a*n + b`` for a
-pair of the n arcs) and decoded to ``Edge`` tuples only where a caller
-sees them; ``apply`` checks an insertion site on its own arcs and faces.
+An insertion anchor is made of integer arcs (see ``codes``): the table
+keys an R1+ site by its arc and an R2+ site by ``a*n + b`` for arcs
+a < b of the n, and ``apply`` checks an insertion site on its own arcs
+and faces.
 All operations return new diagrams; inputs are never modified.
 """
 
@@ -56,9 +57,12 @@ class MoveSite:
     """A place where one Reidemeister move applies.
 
     kind: 'R1+', 'R1-', 'R2+', 'R2-' or 'R3'.
-    anchor: crossing ids for removals, arcs for insertions, the face's
-        tuple of integer darts (``4*crossing + slot``, see ``codes``)
-        for R3.
+    anchor: crossing ids for removals; for R3 the face's tuple of
+        integer darts (``4*crossing + slot``, see ``codes``); for
+        insertions integer arcs, ``(a,)`` for R1+ and ``(a, b)`` with
+        a < b for R2+.  Arcs are numbered component by component: a
+        component with m passes owns m consecutive numbers, the k-th for
+        the arc arriving at its pass k, and a free loop owns one.
     variant: strand/chirality choice for insertions, '' otherwise.
     """
 
@@ -69,13 +73,18 @@ class MoveSite:
 
 @dataclass(frozen=True)
 class WalkPlan:
-    """Deterministic recipe for a random move walk."""
+    """Deterministic recipe for a random move walk; ``seed`` and
+    ``steps`` must be ints (not bools), else DomainError."""
 
     seed: int
     steps: int
     weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self):
+        for name in ("seed", "steps"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is no count, None no fixed seed
+                raise DomainError(f"walk {name} must be an int, got {value!r}")
         if self.steps < 0:
             raise DomainError(f"negative step count {self.steps}")
         self.effective_weights()
@@ -169,14 +178,21 @@ def _r1_arcs(d: Diagram):
     ]
 
 
+def _place(d: Diagram, arc: int):
+    """(component, position) of integer arc ``arc``: it arrives at that pass."""
+    base = d._arc_base
+    c = bisect_right(base, arc) - 1
+    return c, arc - base[c]
+
+
 def _arc_piece(d: Diagram, a: int):
     """The index of the piece holding integer arc ``a``."""
-    return d._pieces[1][bisect_right(d._arc_base, a) - 1]
+    return d._pieces[1][_place(d, a)[0]]
 
 
 def _r2_keys(d: Diagram):
     """Sorted keys ``a*n + b`` (arcs a < b of n) of the arc pairs
-    eligible for an R2 poke; in key order the pairs are in Edge order.
+    eligible for an R2 poke; in key order the pairs are sorted.
 
     Distinct arcs bounding a common face (the poke happens inside that
     face), plus every pair of arcs from different connected pieces (a
@@ -247,9 +263,9 @@ def _keys(d: Diagram, kind: str):
 def _decode(d: Diagram, kind: str, key):
     """The ``MoveSite`` anchor of a ``_keys`` entry."""
     if kind == "R1+":
-        return (d._edge(key),)
+        return (key,)
     if kind == "R2+":
-        return tuple(map(d._edge, divmod(key, d._arc_base[-1])))
+        return divmod(key, d._arc_base[-1])
     return key
 
 
@@ -258,14 +274,15 @@ def _encode(d: Diagram, kind: str, anchor):
     ``kind`` site there; only removals and R3 scan the table."""
     if kind not in ("R1+", "R2+"):
         return anchor if anchor in _keys(d, kind) else None
-    arcs = [d._arc(edge) for edge in anchor] if isinstance(anchor, tuple) else [None]
-    if None in arcs or len(arcs) != int(kind[1]):  # R1+ takes one arc, R2+ two
+    n = d._arc_base[-1]
+    shaped = isinstance(anchor, tuple) and len(anchor) == int(kind[1])  # R1+ one arc, R2+ two
+    if not shaped or not all(type(a) is int and 0 <= a < n for a in anchor):  # bool is no arc
         return None
     if kind == "R1+":
-        return arcs[0]
-    a, b = arcs
+        return anchor[0]
+    a, b = anchor
     # A pair is a candidate exactly when it admits some variant.
-    return a * d._arc_base[-1] + b if a < b and _r2_variants(d, a, b) else None
+    return a * n + b if a < b and _r2_variants(d, a, b) else None
 
 
 def _variants(d: Diagram, kind: str, key):
@@ -327,15 +344,16 @@ def _remove(d: Diagram, site: MoveSite) -> Diagram:
 
 
 def _apply_r3(d: Diagram, site: MoveSite) -> Diagram:
+    arc = d._darts[0]
     comps = [list(c) for c in d.components]
-    for ci, k in set(d.face_edges(site.anchor)):
+    for ci, k in {_place(d, arc[dart]) for dart in site.anchor}:
         comp = comps[ci]
         comp[k - 1], comp[k] = comp[k], comp[k - 1]
     return Diagram(comps)
 
 
 def _apply_r1_plus(d: Diagram, site: MoveSite) -> Diagram:
-    ((ci, pos),) = site.anchor
+    ci, pos = _place(d, site.anchor[0])
     (label,) = fresh_label(d)
     roles = (OVER, UNDER) if site.variant[:2] == "OU" else (UNDER, OVER)
     sign = 1 if site.variant[2] == "+" else -1
@@ -352,8 +370,9 @@ def _apply_r2_plus(d: Diagram, site: MoveSite) -> Diagram:
     a_passes = [Pass(c, role_a, sg) for c, sg in signed]
     b_passes = [Pass(c, role_b, sg) for c, sg in signed[:: 1 if rel == "par" else -1]]
     comps = [list(c) for c in d.components]
-    # Insert at the later slot first so the earlier index stays valid.
-    for (ci, pos), passes in sorted(zip(site.anchor, (a_passes, b_passes)), reverse=True):
+    # Insert at the later arc first so the earlier index stays valid.
+    for arc, passes in sorted(zip(site.anchor, (a_passes, b_passes)), reverse=True):
+        ci, pos = _place(d, arc)
         comps[ci][pos:pos] = passes
     return Diagram(comps)
 
@@ -371,7 +390,9 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
     """Apply one move at ``site`` of the planar diagram ``d``.
 
     Raises:
-        InvalidSiteError: if ``site`` is not among ``enumerate_sites(d)``.
+        InvalidSiteError: if ``site`` is not among ``enumerate_sites(d)``,
+            or names an insertion arc by anything but an ``int`` (a
+            ``bool`` or ``float`` arc may compare equal to a listed one).
     """
     key = _encode(d, site.kind, site.anchor)
     _require(key is not None, f"no {site.kind} site at {site.anchor!r}")

@@ -61,10 +61,18 @@ def _validate_word(word: str):
     return word
 
 
+# Chord names, one character each in increasing ASCII order, so that
+# comparing words compares the chord sequences.
+_CHORD_NAMES = "123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def canonical_word(word) -> str:
-    """Least rotation after renaming letters by first occurrence."""
+    """Least rotation after renaming letters by first occurrence, as
+    ``1``-``9`` and then ``a``-``z``; more chords raise DomainError."""
     seq = [str(ch) for ch in word]
     _validate_word(seq)
+    if len(seq) > 2 * len(_CHORD_NAMES):
+        raise DomainError(f"{len(seq) // 2} chords; chord words name at most {len(_CHORD_NAMES)}")
     if not seq:
         return ""
     best = None
@@ -74,7 +82,7 @@ def canonical_word(word) -> str:
         out = []
         for ch in rot:
             if ch not in names:
-                names[ch] = str(len(names) + 1)
+                names[ch] = _CHORD_NAMES[len(names)]
             out.append(names[ch])
         cand = "".join(out)
         if best is None or cand < best:

@@ -1,16 +1,27 @@
 """The insertion-site table the slow way, for tests only: arcs as ``Edge``
 tuples and pieces from a union-find over passes.
 
-``knots.moves`` keys an R2+ anchor by the integer ``a*n + b`` of its two
-arcs, reads an arc's faces off its two darts, and finds pieces by a
-union-find over components.  This builds and sorts the ``(Edge, Edge)``
-pairs themselves, maps every arc to its faces by scanning all faces, and
-joins crossings along every pass of every component.
+``knots.moves`` numbers arcs by integers, keys an R2+ anchor by the
+integer ``a*n + b`` of its two arcs, reads an arc's faces off its two
+darts, and finds pieces by a union-find over components.  This builds
+and sorts ``(Edge, Edge)`` pairs of (component, position) tuples, maps
+every arc to its faces by scanning all faces, and joins crossings along
+every pass of every component; ``SiteTable.number`` gives an Edge's
+integer arc.
 """
 
 import itertools
+from typing import NamedTuple
 
-from knots import UNDER, Edge
+from knots import UNDER
+
+
+class Edge(NamedTuple):
+    """The arc arriving at pass ``position`` of ``component``; a free loop
+    has the one arc (c, 0)."""
+
+    component: int
+    position: int
 
 R2_VARIANTS = tuple(
     f"{rel}:{over}:{s}" for rel in ("par", "anti") for over in ("A", "B") for s in "+-"
@@ -70,6 +81,12 @@ class SiteTable:
         for i, face in enumerate(d.faces):
             for dart in face:
                 self.faces_of.setdefault(self.edge_of[dart], []).append((i, bool(dart & 1)))
+
+    def number(self, edge):
+        """The integer arc of ``edge``: the arcs of earlier components
+        (one for a free loop) come first."""
+        earlier = self.d.components[: edge.component]
+        return sum(max(len(comp), 1) for comp in earlier) + edge.position
 
     def r1_anchors(self):
         """Real arcs, component by component, then the free-loop pseudo-arcs."""

@@ -1,5 +1,8 @@
 """Catalog integrity: every golden value recomputes from its code."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from knots import (
@@ -111,3 +114,16 @@ def test_trivial_links_golden_values_recompute():
 def test_unknown_name_raises():
     with pytest.raises(UnknownNameError):
         catalog.lookup("granny")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_freeze_golden_reproduces_the_committed_file():
+    spec = importlib.util.spec_from_file_location(
+        "freeze_golden", ROOT / "tools" / "freeze_golden.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    committed = ROOT / "src" / "knots" / "catalog" / "data" / "golden.json"
+    assert tool.golden_json().encode() == committed.read_bytes()

@@ -8,7 +8,6 @@ from knots import moves
 from knots import (
     ConsistencyError,
     Diagram,
-    Edge,
     ParseError,
     Pass,
     SpatialLink,
@@ -184,7 +183,6 @@ def test_canonical_key_ignores_labels_but_not_structure():
 
 def test_edges_and_locate():
     d = from_text(HOPF)
-    assert Edge(0, 0) in d.edges and Edge(1, 1) in d.edges
     c, r = d.locate[1]["O"]
     assert d.components[c][r].crossing == 1
 

@@ -3,13 +3,13 @@
 import functools
 import hashlib
 import re
+from typing import NamedTuple
 
 import pytest
 
 from knots import (
     DEFAULT_WEIGHTS,
     DomainError,
-    Edge,
     InvalidSiteError,
     MoveSite,
     NonPlanarError,
@@ -32,6 +32,7 @@ from knots import (
     smooth,
     to_text,
 )
+from knots.moves import _place
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 KINK = "O1+ U1+"
@@ -95,7 +96,7 @@ def test_r2_plus_reaches_across_pieces():
     cross = [
         s
         for s in enumerate_sites(d, kinds=("R2+",))
-        if s.anchor[0].component != s.anchor[1].component
+        if _place(d, s.anchor[0])[0] != _place(d, s.anchor[1])[0]
     ]
     assert cross
     joined = apply_move(d, cross[0])
@@ -188,13 +189,28 @@ def test_seeded_walks_match_recorded_endpoints(name, weights, seed, steps, size,
     assert (end.n_crossings, _digest(canonical_key(end))) == (size, digest)
 
 
+class Edge(NamedTuple):
+    """The arc arriving at pass ``position`` of ``component``: the form
+    insertion anchors took when the digests below were recorded."""
+
+    component: int
+    position: int
+
+
+def _as_edges(d, site):
+    """``site`` with its integer arcs written as Edges."""
+    if site.kind not in ("R1+", "R2+"):
+        return site
+    return MoveSite(site.kind, tuple(Edge(*_place(d, a)) for a in site.anchor), site.variant)
+
+
 def test_enumerate_sites_matches_recorded_tables():
     fig8, borromean, trefoil, hopf = (
         catalog.lookup(name).diagram for name in ("fig8", "borromean", "trefoil-r", "hopf+")
     )
     got = []
     for d in (fig8, borromean, disjoint_union(trefoil, hopf)):
-        sites = enumerate_sites(d)
+        sites = [_as_edges(d, s) for s in enumerate_sites(d)]
         got.append((len(sites), _digest("\n".join(map(repr, sites)))))
     assert got == [
         (60, "822fd228d02e8ffd"),
@@ -225,11 +241,11 @@ def _non_triangle_r3_site():
     [
         _nonplanar_r2_site,
         _non_triangle_r3_site,
-        lambda: (from_text(KINK), MoveSite("R1+", (Edge(0, 2),), "OU+")),
-        lambda: (from_text(TREFOIL), MoveSite("R2+", (Edge(0, 1), Edge(0, 9)), "par:A:+")),
+        lambda: (from_text(KINK), MoveSite("R1+", (2,), "OU+")),
+        lambda: (from_text(TREFOIL), MoveSite("R2+", (1, 9), "par:A:+")),
         lambda: (from_text(KINK), MoveSite("R1-", (7,))),
         lambda: (from_text(R2_PAIR), MoveSite("R2-", (1, 7))),
-        lambda: (from_text(KINK), MoveSite("R1+", (Edge(0, 0),), "XY+")),
+        lambda: (from_text(KINK), MoveSite("R1+", (0,), "XY+")),
         lambda: (from_text(KINK), MoveSite("R4", (1,))),
     ],
     ids=[
@@ -251,6 +267,43 @@ def test_apply_rejects_invalid_sites(make):
     assert issubclass(InvalidSiteError, DomainError)
 
 
+@pytest.mark.parametrize(
+    "kind,anchor,variant",
+    [
+        ("R1+", (True,), "OU+"),
+        ("R1+", (-1,), "OU+"),
+        ("R1+", (6,), "OU+"),
+        ("R1+", (0.0,), "OU+"),
+        ("R1+", (2.0,), "OU+"),
+        ("R2+", (3, 0), "par:A:+"),
+        ("R2+", (0,), "par:A:+"),
+        ("R2+", (0, 3, 4), "par:A:+"),
+        ("R1+", (0, 1), "OU+"),
+        ("R1+", 0, "OU+"),
+    ],
+    ids=[
+        "bool-arc",
+        "negative-arc",
+        "arc-equal-to-n",
+        "float-arc",
+        "float-arc-in-range",
+        "unsorted-r2-pair",
+        "r2-one-arc",
+        "r2-three-arcs",
+        "r1-two-arcs",
+        "bare-int-anchor",
+    ],
+)
+def test_apply_rejects_malformed_insertion_anchors(kind, anchor, variant):
+    # A bool or float arc compares equal to an int one, so such a site can
+    # equal a listed one; apply_move still takes integer arcs only.
+    d = from_text(TREFOIL)
+    assert d._arc_base[-1] == 6
+    assert MoveSite("R2+", (0, 3), "par:A:+") in enumerate_sites(d, kinds=("R2+",))
+    with pytest.raises(InvalidSiteError):
+        apply_move(d, MoveSite(kind, anchor, variant))
+
+
 R1_VARIANTS = ("OU+", "OU-", "UO+", "UO-", "XY+")
 R2_VARIANTS = tuple(
     f"{rel}:{over}:{s}" for rel in ("par", "anti", "bad") for over in "AB" for s in "+-"
@@ -261,8 +314,7 @@ def _insertion_trials(d):
     """Every arc with every R1+ variant, and every ordered arc pair with
     every R2+ variant, a malformed variant and an arc past the end
     included."""
-    arcs = list(d.edges) + [Edge(ci, 0) for ci in d.free_loops]
-    arcs.append(Edge(0, max(len(d.components[0]), 1)))
+    arcs = range(d._arc_base[-1] + 1)
     for a in arcs:
         yield from (MoveSite("R1+", (a,), v) for v in R1_VARIANTS)
         for b in arcs:
@@ -374,6 +426,24 @@ def test_walk_plan_validation():
         WalkPlan(seed=0, steps=1, weights={"R9": 1.0})
 
 
+@pytest.mark.parametrize(
+    "seed,steps,named",
+    [
+        (0, 2.5, "steps"),
+        (0, "3", "steps"),
+        (0, True, "steps"),
+        (0, None, "steps"),
+        (None, 5, "seed"),
+        (1.0, 5, "seed"),
+        ("7", 5, "seed"),
+        (False, 5, "seed"),
+    ],
+)
+def test_walk_plan_refuses_non_integer_seed_and_steps(seed, steps, named):
+    with pytest.raises(DomainError, match=f"walk {named} must be an int"):
+        WalkPlan(seed, steps)
+
+
 def test_move_site_is_hashable():
     d = from_text(KINK)
     s = _sites(d, "R1-")[0]
@@ -384,6 +454,6 @@ def test_move_site_is_hashable():
 def test_insertion_sites_cover_free_loops():
     d = from_text("()")
     sites = enumerate_sites(d, kinds=("R1+",))
-    assert {s.anchor for s in sites} == {(Edge(0, 0),)}
+    assert {s.anchor for s in sites} == {(0,)}
     kinked = apply_move(d, sites[0])
     assert kinked.n_crossings == 1 and genus(kinked) == (0,)

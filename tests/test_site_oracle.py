@@ -1,11 +1,10 @@
 """The integer insertion-site table against the Edge-tuple oracle.
 
-``moves`` keys R1+ anchors by integer arc and R2+ anchors by ``a*n + b``,
-decoding only the anchors a caller needs; decoded, they must be the
-oracle's ``Edge`` anchors in the same order (so seeded walks draw the
-same sites), with the same R2+ variants.  ``Diagram.pieces`` and
-``genus`` come from a union-find over components and must match the
-oracle's union-find over passes.  Inputs: default and growth walks up
+``moves`` keys R1+ anchors by integer arc and R2+ anchors by ``a*n + b``;
+they must be the oracle's ``Edge`` anchors, numbered as integer arcs, in
+the same order (so seeded walks draw the same sites), with the same R2+
+variants.  ``Diagram.pieces`` and ``genus`` come from a union-find over
+components and must match the oracle's union-find over passes.  Inputs: default and growth walks up
 to about 110 crossings, split starts with free loops, 2-3-component
 polygon projections, and random (mostly non-planar) codes for the
 pieces.
@@ -28,7 +27,7 @@ from knots import (
     project,
     random_walk,
 )
-from knots.moves import _decode, _keys, _variants
+from knots.moves import _keys, _variants
 
 import site_oracle
 
@@ -43,11 +42,11 @@ def _check_pieces(d):
 def _check(d):
     _check_pieces(d)
     table = site_oracle.SiteTable(d)
-    r1 = [_decode(d, "R1+", key) for key in _keys(d, "R1+")]
-    assert r1 == table.r1_anchors(), d
+    n = sum(max(len(comp), 1) for comp in d.components)
+    assert _keys(d, "R1+") == [table.number(e) for (e,) in table.r1_anchors()], d
     keys = _keys(d, "R2+")
-    pairs = [_decode(d, "R2+", key) for key in keys]
-    assert pairs == table.r2_pairs(), d
+    pairs = table.r2_pairs()
+    assert keys == [table.number(a) * n + table.number(b) for a, b in pairs], d
     for key, pair in zip(keys, pairs):
         assert _variants(d, "R2+", key) == table.r2_variants(*pair), (d, pair)
     return d.n_crossings

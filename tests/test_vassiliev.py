@@ -40,6 +40,46 @@ def test_canonical_word_rejects_odd_multiplicity():
         canonical_word("112")
 
 
+def _least_numbered_rotation(word):
+    """The least rotation as a list of chord numbers 0, 1, ... by first
+    occurrence, compared as numbers rather than as text."""
+    best = None
+    for r in range(len(word)):
+        names = {}
+        seq = [names.setdefault(ch, len(names)) for ch in word[r:] + word[:r]]
+        best = seq if best is None else min(best, seq)
+    return best or []
+
+
+def test_chord_words_past_nine_chords_name_each_chord_by_one_character():
+    cd = ChordDiagram("abcdefghij" * 2)
+    assert cd.word == "123456789a" * 2
+    assert len(cd) == 10 and ChordDiagram(cd.word) == cd
+    assert canonical_word("abcdefghi" * 2) == "123456789" * 2
+    names = "123456789abcdefghijklmnopqrstuvwxyz"
+    rng = random.Random(16)
+    for n in (1, 2, 9, 10, 11, 12, 20, 35):
+        word = [k for k in range(n) for _ in "ab"]
+        rng.shuffle(word)
+        got = canonical_word(word)
+        assert len(got) == 2 * n and ChordDiagram(got).word == got
+        assert [names.index(ch) for ch in got] == _least_numbered_rotation(word)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_sigma_reads_ten_to_twelve_double_points(n):
+    word = [k for k in range(n, 0, -1) for _ in "ab"]
+    random.Random(n).shuffle(word)
+    cd = ChordDiagram(word)
+    assert len(cd) == n
+    assert sigma(realize(cd, seed=n)) == cd
+
+
+def test_canonical_word_refuses_more_chords_than_names():
+    with pytest.raises(DomainError, match="36 chords"):
+        canonical_word(list(range(36)) * 2)
+
+
 def test_chord_diagram_equality_is_cyclic():
     assert ChordDiagram("2112") == ChordDiagram("1221")
     assert ChordDiagram("1212") != ChordDiagram("1122")

@@ -4,7 +4,9 @@
 Reads every src/knots/catalog/data/*.txt, computes the invariant suite
 appropriate to its component count, and rewrites data/golden.json in
 the canonical listing order.  Run after editing a catalog code; commit
-the regenerated sidecar together with the code change.
+the regenerated sidecar together with the code change.  ``golden_json``
+returns the text without writing it; ``tests/test_catalog.py`` checks
+that it equals the committed file byte for byte.
 """
 
 import json
@@ -36,18 +38,25 @@ def golden_for(d):
     return out
 
 
-def main():
+def golden_json():
+    """The text of data/golden.json, recomputed from the catalog codes."""
     stems = {p.stem for p in DATA.glob("*.txt")}
     missing = [n for n in ORDER if n not in stems]
     extra = sorted(stems - set(ORDER))
     if missing:
         raise SystemExit(f"data files missing for: {missing}")
-    table = {}
-    for name in ORDER + extra:
-        d = from_text((DATA / f"{name}.txt").read_text())
-        table[name] = golden_for(d)
-        print(f"{name:12s} {table[name]}")
-    (DATA / "golden.json").write_text(json.dumps(table, indent=2) + "\n")
+    table = {
+        name: golden_for(from_text((DATA / f"{name}.txt").read_text()))
+        for name in ORDER + extra
+    }
+    return json.dumps(table, indent=2) + "\n"
+
+
+def main():
+    text = golden_json()
+    for name, values in json.loads(text).items():
+        print(f"{name:12s} {values}")
+    (DATA / "golden.json").write_text(text)
     print(f"\nwrote {DATA / 'golden.json'}")
 
 
