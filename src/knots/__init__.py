@@ -7,8 +7,8 @@ of knots and links (one Alexander-matrix minor, with a sign read off
 the diagram), Fox p-colorings (one sparse fraction-free elimination,
 shortest row first and its sparsest column, reduces the Fox matrix for
 both), chord diagrams and finite-order invariant checks, and spatial
-geometry for linked triangles and the seven-point theorem, on float
-orientation predicates with a degeneracy tolerance.
+geometry for linked triangles and the seven-point theorem, on exact
+orientation predicates (a float filter with a rational fallback).
 """
 
 from .errors import (

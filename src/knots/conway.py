@@ -195,7 +195,8 @@ def conway(d: Diagram) -> ConwayPoly:
 
 
 def coefficient(d: Diagram, n: int) -> int:
-    """c_n of the Conway polynomial; c_{-1} is 0 by convention."""
-    if n < -1:
+    """c_n of the Conway polynomial, for an int n >= -1 (not a bool);
+    c_{-1} is 0 by convention."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < -1:
         raise DomainError(f"no coefficient c_{n}")
     return conway(d)[n] if n >= 0 else 0

@@ -35,6 +35,7 @@ All operations return new diagrams; inputs are never modified.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -74,7 +75,8 @@ class MoveSite:
 @dataclass(frozen=True)
 class WalkPlan:
     """Deterministic recipe for a random move walk; ``seed`` and
-    ``steps`` must be ints (not bools), else DomainError."""
+    ``steps`` must be ints (not bools), and ``weights`` finite ints or
+    floats >= 0 (not bools), one of them positive, else DomainError."""
 
     seed: int
     steps: int
@@ -93,7 +95,11 @@ class WalkPlan:
         w = dict(DEFAULT_WEIGHTS if self.weights is None else self.weights)
         if not set(w) <= set(DEFAULT_WEIGHTS):
             raise DomainError(f"unknown move kinds in weights {w!r}")
-        if any(v < 0 for v in w.values()) or not any(v > 0 for v in w.values()):
+        finite = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < math.inf
+            for v in w.values()
+        )
+        if not finite or not any(v > 0 for v in w.values()):
             raise DomainError(f"bad walk weights {w!r}")
         return {k: v for k, v in w.items() if v > 0}
 
@@ -454,6 +460,9 @@ def connected_sum(
     Arc k of a component is the arc arriving at its pass k.  A free-loop
     component has the single virtual arc 0 and acts as an identity.
     """
+    for name, k in (("comp_a", comp_a), ("comp_b", comp_b), ("edge_a", edge_a), ("edge_b", edge_b)):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise DomainError(f"{name} must be an int, got {k!r}")
     if not 0 <= comp_a < a.n_components:
         raise DomainError(f"no component {comp_a} in first diagram")
     if not 0 <= comp_b < b.n_components:

@@ -3,17 +3,20 @@ theorems: six points in general position span a pair of linked
 triangles, and the complete graph on seven points contains a knotted
 Hamiltonian cycle (detected through the Arf invariant).
 
-All geometry is done with orientation predicates (2x2 and 3x3 signed
-determinants) in floating point; configurations too close to degenerate
-raise DegeneracyError instead of guessing.  The 3x3 guard compares the
-determinant with EPSILON * max(scale, 1), scale the product of the
-three edge lengths: relative above unit scale but absolute below it,
-so a generic point set shrunk by 1e-3 is rejected as degenerate.  A
-NaN or infinite coordinate passes no tolerance test, so every input
+All geometry rests on two exact sign predicates, ``orient3d`` and
+``_orient2d``.  Each takes its determinant in floats and keeps the sign
+when the value clears Shewchuk's static error bound times its
+permanent ("Adaptive precision floating-point arithmetic and fast
+robust geometric predicates", 1997), plus a term for products that
+underflow; otherwise (NaN or infinity included) it recomputes with
+``fractions.Fraction``, which is exact because every float is a dyadic
+rational.  No answer depends on units, and DegeneracyError means an
+exact zero or an exact equality: four coplanar points, collinear
+overlapping segments, a crossing at a segment endpoint, two crossings
+at one point.  A NaN or infinite coordinate has no sign, so every input
 point is checked first and raises DomainError naming it.  Projections
 choose a seeded random viewing direction and retry until the shadow is
-generic: no collapsed segments, no vertex on a foreign segment, all
-crossings transversal and simple.
+generic.
 """
 
 from __future__ import annotations
@@ -28,16 +31,19 @@ from dataclasses import dataclass
 from .codes import OVER, UNDER, Diagram, Pass, genus, is_realizable
 from .errors import DegeneracyError, DomainError, GenericityFailure
 
-EPSILON = 1e-9
 MAX_RETRIES = 64
+# Shewchuk's static bounds (ccwerrboundA, o3derrboundA): the float
+# determinant is within bound * float permanent of the exact one when
+# no product underflows.
+_ORIENT2D_BOUND = (3 + 16 * 2.0**-53) * 2.0**-53
+_ORIENT3D_BOUND = (7 + 56 * 2.0**-53) * 2.0**-53
+# An underflowed product is off by up to half the smallest subnormal
+# more; in orient3d the first products are then scaled by |b - a|.
+_UNDERFLOW = 4 * math.ulp(0.0)
 
 
 # ----------------------------------------------------------------------
 # Vector helpers (plain tuples; the scale is a handful of points)
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _dot(a, b):
@@ -59,7 +65,7 @@ def _sequence(xs, where):
 def _finite(p, where):
     """``p`` as a tuple of three floats; DomainError naming ``where`` when
     it has not exactly three int or float coordinates, or when one is NaN or
-    infinite, which no tolerance test would catch."""
+    infinite, which has no sign."""
     coords = tuple(p) if isinstance(p, Iterable) and not isinstance(p, (bytes, Mapping)) else ()
     if len(coords) != 3 or not all(isinstance(x, (int, float)) for x in coords):
         raise DomainError(f"{where} needs three numeric coordinates: {p!r}")
@@ -70,83 +76,132 @@ def _finite(p, where):
 
 
 def orient3d(a, b, c, d):
-    """Six times the signed volume of tetrahedron abcd."""
-    return _volume(a, b, c, d)[0]
-
-
-def _volume(a, b, c, d):
-    """orient3d(a, b, c, d) and the product of the lengths of b - a,
-    c - a and d - a, in fixed 3D arithmetic."""
-    ax, ay, az = a[0], a[1], a[2]
-    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
-    vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
-    wx, wy, wz = d[0] - ax, d[1] - ay, d[2] - az
-    val = ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx) + uz * (vx * wy - vy * wx)
-    scale = (
-        math.sqrt(ux * ux + uy * uy + uz * uz)
-        * math.sqrt(vx * vx + vy * vy + vz * vz)
-        * math.sqrt(wx * wx + wy * wy + wz * wz)
-    )
-    return val, scale
+    """Exact sign of det[b - a, c - a, d - a]: 1, -1, or 0 exactly when
+    the four points are coplanar."""
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
+    m1, m2, m3, m4, m5, m6 = vy * wz, vz * wy, vz * wx, vx * wz, vx * wy, vy * wx
+    det = ux * (m1 - m2) + uy * (m3 - m4) + uz * (m5 - m6)
+    permanent = abs(ux) * (abs(m1) + abs(m2)) + abs(uy) * (abs(m3) + abs(m4))
+    permanent += abs(uz) * (abs(m5) + abs(m6))
+    bound = _ORIENT3D_BOUND * permanent + _UNDERFLOW * (abs(ux) + abs(uy) + abs(uz) + 1)
+    if not abs(det) > bound:  # NaN or inf from overflow goes exact too
+        a, *rest = _rationals(a, b, c, d)
+        (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([x - y for x, y in zip(p, a)] for p in rest)
+        det = ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
+    return (det > 0) - (det < 0)
 
 
 def _orient3d_checked(a, b, c, d):
-    """Sign of orient3d, raising when |orient3d| <= EPSILON * max(scale,
-    1), scale the product of the three edge lengths from a: relative
-    above unit scale, absolute below it."""
-    val, scale = _volume(a, b, c, d)
-    if abs(val) <= EPSILON * max(scale, 1.0):
-        raise DegeneracyError("four points are coplanar within tolerance")
-    return 1 if val > 0 else -1
+    """``orient3d``, raising DegeneracyError when it is 0."""
+    sign = orient3d(a, b, c, d)
+    if not sign:
+        raise DegeneracyError("four points are coplanar")
+    return sign
 
 
-def segment_crossing_2d(p1, p2, q1, q2):
-    """Transversal interior intersection of two 2D segments.
+def _orient2d(a, b, c):
+    """det[b - a, c - a] of plane points and a bound on its error: the
+    float and its bound when that fixes the sign, else the exact Fraction
+    and 0."""
+    left = (b[0] - a[0]) * (c[1] - a[1])
+    right = (b[1] - a[1]) * (c[0] - a[0])
+    det = left - right
+    bound = _ORIENT2D_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if not abs(det) > bound:
+        return _exact2d(a, b, c), 0
+    return det, bound
 
-    Returns (t, u) parameters along p and q, or None when the segments
-    do not cross.  Raises DegeneracyError for near-parallel overlap or
-    crossings too close to an endpoint, so callers can re-jitter.
+
+def _rationals(*points):
+    """The points with their coordinates as exact Fractions."""
+    from fractions import Fraction  # imported on the rare exact path only
+
+    return [[Fraction(x) for x in p] for p in points]
+
+
+def _exact2d(a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = _rationals(a, b, c)
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _exact_params(p1, p2, q1, q2):
+    """The exact parameters (t, u) of the crossing of two plane segments
+    along p1 -> p2 and q1 -> q2."""
+    c, d = _exact2d(q1, q2, p1), _exact2d(q1, q2, p2)
+    a, b = _exact2d(p1, p2, q1), _exact2d(p1, p2, q2)
+    return c / (c - d), a / (a - b)
+
+
+def _overlap(p1, p2, q1, q2):
+    """Whether the bounding boxes of segments p1p2 and q1q2 meet; for
+    collinear segments, whether the segments do."""
+    boxes = zip(map(min, p1, p2), map(max, p1, p2), map(min, q1, q2), map(max, q1, q2))
+    return all(lo <= hi2 and lo2 <= hi for lo, hi, lo2, hi2 in boxes)
+
+
+def _crossing(p1, p2, q1, q2):
+    """Proper crossing of plane segments p1p2 and q1q2, read off the four
+    exact signs of each segment's ends against the other's line.
+
+    Returns None when the segments miss, else ((t, et), (u, eu), turn):
+    floats within et and eu of the exact parameters along p and q, and
+    the sign of det(p2 - p1, q2 - q1).  Raises DegeneracyError for
+    collinear overlapping segments and for a touch at an endpoint, so
+    callers can re-jitter.
     """
-    hit = _crossing(_segment(p1, p2), _segment(q1, q2))
-    return None if hit is None else hit[:2]
-
-
-def _segment(p1, p2):
-    """(x1, y1, x2, y2, dx, dy, length) of the plane segment p1 -> p2."""
-    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-    return p1[0], p1[1], p2[0], p2[1], dx, dy, math.sqrt(dx * dx + dy * dy)
-
-
-def _crossing(p, q):
-    """``segment_crossing_2d`` on two ``_segment``s, returning (t, u,
-    det(direction p, direction q)) for a crossing."""
-    px, py, _, _, d1x, d1y, n1 = p
-    qx, qy, qx2, qy2, d2x, d2y, n2 = q
-    denom = d1x * d2y - d1y * d2x
-    scale = max(n1 * n2, 1e-300)
-    rx, ry = qx - px, qy - py
-    if abs(denom) <= EPSILON * scale:
-        # Parallel: degenerate only if the supporting lines overlap
-        # near the segments.
-        gap = d1x * ry - d1y * rx
-        if abs(gap) <= EPSILON * max(n1 * math.sqrt(rx * rx + ry * ry), scale):
-            s1 = rx * d1x + ry * d1y
-            s2 = (qx2 - px) * d1x + (qy2 - py) * d1y
-            if max(min(s1, s2), 0.0) <= min(max(s1, s2), d1x * d1x + d1y * d1y):
-                raise DegeneracyError("collinear overlapping segments")
+    (a, ea), (b, eb) = _orient2d(p1, p2, q1), _orient2d(p1, p2, q2)
+    if a and b and (a > 0) == (b > 0):
         return None
-    t = (rx * d2y - ry * d2x) / denom
-    u = (rx * d1y - ry * d1x) / denom
-    margin = 1e-7
-    if -margin < t < margin or 1 - margin < t < 1 + margin:
-        if -2 * margin < u < 1 + 2 * margin:
-            raise DegeneracyError("crossing at a segment endpoint")
-    if -margin < u < margin or 1 - margin < u < 1 + margin:
-        if -2 * margin < t < 1 + 2 * margin:
-            raise DegeneracyError("crossing at a segment endpoint")
-    if margin < t < 1 - margin and margin < u < 1 - margin:
-        return t, u, denom
-    return None
+    (c, ec), (d, ed) = _orient2d(q1, q2, p1), _orient2d(q1, q2, p2)
+    if c and d and (c > 0) == (d > 0):
+        return None
+    if not (a or b):
+        if _overlap(p1, p2, q1, q2):
+            raise DegeneracyError("collinear overlapping segments")
+        return None
+    if not (a and b and c and d):
+        raise DegeneracyError("crossing at a segment endpoint")
+    turn = 1 if b > 0 else -1  # det(p2 - p1, q2 - q1) = b - a, a and b apart
+    if ea and eb and ec and ed:
+        # t = c / (c - d) is within (ec + ed) / (s - ec - ed), s = |c - d|,
+        # of its exact value, plus two roundings, and t +- et two more.
+        s, r, et, eu = abs(c - d), abs(a - b), ec + ed, ea + eb
+        if 4 * et <= s and 4 * eu <= r:
+            et, eu = 2 * (et / s + _ORIENT2D_BOUND), 2 * (eu / r + _ORIENT2D_BOUND)
+            return (c / (c - d), et), (a / (a - b), eu), turn
+    t, u = _exact_params(p1, p2, q1, q2)
+    return (float(t), _ORIENT2D_BOUND), (float(u), _ORIENT2D_BOUND), turn
+
+
+def _meet(p1, p2, q1, q2):
+    """Whether the 3D segments p1p2 and q1q2 share a point, exactly."""
+    if orient3d(p1, p2, q1, q2):
+        return False
+    # Coplanar: they meet iff their shadows meet in all three coordinate
+    # planes, as one of those maps their plane or line one to one.
+    for k in range(3):
+        try:
+            if _crossing(*[(p[k - 2], p[k - 1]) for p in (p1, p2, q1, q2)]) is None:
+                return False
+        except DegeneracyError:
+            pass  # they touch or overlap in this plane
+    return True
+
+
+def _near_pairs(segs):
+    """The pairs (i, j), i < j, of segments whose bounding boxes meet in x
+    and y, in the order of a sweep in x."""
+    boxes = sorted(
+        (*sorted((p[0], q[0])), *sorted((p[1], q[1])), k) for k, (p, q) in enumerate(segs)
+    )
+    for n, (_, x1, y0, y1, i) in enumerate(boxes):
+        for x0, _, y2, y3, j in itertools.islice(boxes, n + 1, None):
+            if x0 > x1:
+                break
+            if y2 <= y1 and y0 <= y3:
+                yield (i, j) if i < j else (j, i)
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +210,12 @@ def _crossing(p, q):
 
 @dataclass(frozen=True)
 class SpatialLink:
-    """Closed 3D polygonal components (tuples of float triples)."""
+    """Closed 3D polygonal components (tuples of float triples).
+
+    DomainError unless every component has three vertices or more, no
+    two consecutive ones equal, and no two of all the segments that are
+    not consecutive on one component share a point.
+    """
 
     components: tuple
 
@@ -167,46 +227,22 @@ class SpatialLink:
             )
             for c, comp in enumerate(_sequence(components, "components"))
         )
-        for comp in comps:
+        segs, where = [], []
+        for c, comp in enumerate(comps):
             if len(comp) < 3:
                 raise DomainError("a closed polygonal component needs >= 3 vertices")
-            for k, v in enumerate(comp):
-                if _norm(_sub(v, comp[k - 1])) <= EPSILON:
-                    raise DomainError("consecutive vertices coincide")
-        _check_disjoint(comps)
+            if any(v == comp[k - 1] for k, v in enumerate(comp)):
+                raise DomainError("consecutive vertices coincide")
+            segs += zip(comp[-1:] + comp[:-1], comp)
+            where += [(c, k, len(comp)) for k in range(len(comp))]
+        for i, j in _near_pairs(segs):
+            (c, k, m), (c2, k2, m2) = where[i], where[j]
+            if (c != c2 or (k2 - k) % m not in (1, m - 1)) and _meet(*segs[i], *segs[j]):
+                raise DomainError(
+                    f"component {c} edge {(k - 1) % m}-{k}"
+                    f" meets component {c2} edge {(k2 - 1) % m2}-{k2}"
+                )
         object.__setattr__(self, "components", comps)
-
-
-def _seg_distance_3d(p1, p2, q1, q2):
-    """Distance between two 3D segments (standard closest-point clamp)."""
-    d1, d2, r = _sub(p2, p1), _sub(q2, q1), _sub(p1, q1)
-    a, e, f = _dot(d1, d1), _dot(d2, d2), _dot(d2, r)
-    b, c = _dot(d1, d2), _dot(d1, r)
-    denom = a * e - b * b
-    s = max(0.0, min(1.0, (b * f - c * e) / denom)) if denom > 1e-300 else 0.0
-    t = (b * s + f) / e if e > 1e-300 else 0.0
-    t = max(0.0, min(1.0, t))
-    s = max(0.0, min(1.0, (b * t - c) / a)) if a > 1e-300 else 0.0
-    diff = _sub(
-        tuple(p + s * d for p, d in zip(p1, d1)),
-        tuple(q + t * d for q, d in zip(q1, d2)),
-    )
-    return _norm(diff)
-
-
-def _check_disjoint(comps):
-    scale = 1.0
-    for comp in comps:
-        for v in comp:
-            scale = max(scale, max(abs(x) for x in v))
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            for a in range(len(comps[i])):
-                for b in range(len(comps[j])):
-                    p1, p2 = comps[i][a - 1], comps[i][a]
-                    q1, q2 = comps[j][b - 1], comps[j][b]
-                    if _seg_distance_3d(p1, p2, q1, q2) <= EPSILON * scale:
-                        raise DomainError("components touch within tolerance")
 
 
 @dataclass(frozen=True)
@@ -224,26 +260,21 @@ def _random_direction(rng):
             return tuple(x / n for x in v)
 
 
+def _cross(a, b):
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
 def _frame(w):
     """Right-handed orthonormal (u, v, w)."""
-    pick = (1.0, 0.0, 0.0) if abs(w[0]) < 0.9 else (0.0, 1.0, 0.0)
-    u = (
-        w[1] * pick[2] - w[2] * pick[1],
-        w[2] * pick[0] - w[0] * pick[2],
-        w[0] * pick[1] - w[1] * pick[0],
-    )
+    u = _cross(w, (1.0, 0.0, 0.0) if abs(w[0]) < 0.9 else (0.0, 1.0, 0.0))
     nu = _norm(u)
     u = tuple(x / nu for x in u)
-    v = (
-        w[1] * u[2] - w[2] * u[1],
-        w[2] * u[0] - w[0] * u[2],
-        w[0] * u[1] - w[1] * u[0],
-    )
-    return u, v, w
+    return u, _cross(w, u), w
 
 
 def crossings(segs, adjacent):
-    """Transversal crossings among plane segments, each pair tested once.
+    """Proper crossings among plane segments, each pair whose bounding
+    boxes meet tested once.
 
     Args:
         segs: (start, end) point pairs in the plane.
@@ -251,38 +282,41 @@ def crossings(segs, adjacent):
             and j share an endpoint; such pairs are not tested.
 
     Returns:
-        (i, j, t, u, turn) for each crossing, i < j in pair order: it
-        lies at parameter t along segment i and u along segment j, and
-        turn is the sign of det(direction i, direction j), never 0
-        because ``segment_crossing_2d`` rejects near-parallel pairs.
+        (i, j, t, u, turn) for each crossing, i < j in pair order: t and
+        u, in (0, 1), rank it among the crossings on segments i and j in
+        the exact order along each, and turn is the sign of
+        det(direction i, direction j), never 0.
 
     Raises:
-        DegeneracyError: for overlaps, crossings at an endpoint, and two
-            crossings at one point (a triple point collapses there).
+        DegeneracyError: for collinear overlaps, crossings at an
+            endpoint, and two crossings at one point (a triple point
+            collapses there).
     """
-    found, points = [], []
-    table = [_segment(p, q) for p, q in segs]
-    for i, j in itertools.combinations(range(len(segs)), 2):
-        if adjacent(i, j):
-            continue
-        hit = _crossing(table[i], table[j])
-        if hit is not None:
-            t, u, denom = hit
-            found.append((i, j, t, u, 1 if denom > 0 else -1))
-            x, y, _, _, dx, dy, _ = table[i]
-            points.append((x + t * dx, y + t * dy))
-    # Crossings within 1e-7 of each other are within 1e-7 in x, so in x
-    # order only those in a window after each (twice as wide, to leave
-    # room for rounding) need the distance test.
-    points.sort()
-    for k, (x, y) in enumerate(points):
-        for m in range(k + 1, len(points)):
-            x2, y2 = points[m]
-            if x2 - x > 2e-7:
-                break
-            if math.sqrt((x - x2) * (x - x2) + (y - y2) * (y - y2)) <= 1e-7:
+    found = sorted(
+        [i, j, *hit]
+        for i, j in _near_pairs(segs)
+        if not adjacent(i, j) and (hit := _crossing(*segs[i], *segs[j]))
+    )
+    along = [[] for _ in segs]
+    for x, (i, j, (t, et), (u, eu), _) in enumerate(found):
+        along[i].append((t, et, x, 2))
+        along[j].append((u, eu, x, 3))
+
+    def exact(hit):
+        i, j = found[hit[2]][:2]
+        return _exact_params(*segs[i], *segs[j])[hit[3] - 2], hit
+
+    for hits in along:
+        hits.sort()
+        # In float order, disjoint error intervals of neighbours fix the order.
+        if len(hits) > 1 and any(t - e <= s + f for (s, f, *_), (t, e, *_) in zip(hits, hits[1:])):
+            keyed = sorted(map(exact, hits))
+            if any(x[0] == y[0] for x, y in zip(keyed, keyed[1:])):
                 raise DegeneracyError("two crossings coincide")
-    return found
+            hits = [hit for _, hit in keyed]
+        for rank, (_, _, x, slot) in enumerate(hits, 1):
+            found[x][slot] = rank / (len(hits) + 1)
+    return [tuple(f) for f in found]
 
 
 def gauss_code(found, over, walks, labels=None):
@@ -337,17 +371,15 @@ def retry(attempt, rng):
 
 def _shadow(segs, adjacent, rng):
     """3D segments seen along a random direction: (direction, crossings,
-    over), with the strand nearer the viewer on top."""
+    over), with the strand nearer the viewer on top.
+
+    Segment i is on top of j exactly when orient3d of their ends has the
+    sign of the crossing's turn; coplanar ends raise DegeneracyError.
+    """
     direction = _random_direction(rng)
-    u, v, w = _frame(direction)
+    u, v, _w = _frame(direction)
     found = crossings([[(_dot(p, u), _dot(p, v)) for p in seg] for seg in segs], adjacent)
-    over = []
-    for i, j, t, s, _turn in found:
-        (a, b), (c, d) = ([_dot(p, w) for p in segs[k]] for k in (i, j))
-        depth_i, depth_j = a + t * (b - a), c + s * (d - c)
-        if abs(depth_i - depth_j) <= 1e-9:
-            raise DegeneracyError("strands touch in space at a crossing")
-        over.append(i if depth_i > depth_j else j)
+    over = [i if _orient3d_checked(*segs[i], *segs[j]) == turn else j for i, j, _, _, turn in found]
     return direction, found, over
 
 
@@ -371,9 +403,8 @@ def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
         direction, found, over = _shadow(segs, adjacent, rng)
         diagram = gauss_code(found, over, walks)
         if not is_realizable(diagram):
-            # A correct generic shadow is always planar; treat as a
-            # tolerance artifact and try another direction.
-            raise DegeneracyError(f"non-planar shadow {genus(diagram)}")
+            # Exact predicates trace a plane curve, so this is a bug.
+            raise AssertionError(f"non-planar shadow {genus(diagram)}")
         return ProjectionResult(diagram, direction, seed)
 
     return retry(attempt, random.Random(seed))
@@ -395,25 +426,20 @@ def triangles_linked(t1, t2) -> int:
 
     Counts, mod 2, the crossings of t2's boundary through the open disk
     spanned by t1.  Raises DegeneracyError when any four of the six
-    vertices are coplanar within tolerance.
+    vertices are coplanar.
     """
     return _linked(_check_points(_require_triangle(t1, "t1") + _require_triangle(t2, "t2"), 6))
 
 
 def _linked(pts):
     """``triangles_linked(pts[:3], pts[3:])`` for six checked points:
-    no four of them coplanar within tolerance."""
+    no four of them coplanar."""
     a, b, c, *t2 = pts
     hits = 0
     for k in range(3):
         p, q = t2[k - 1], t2[k]
-        if _orient3d_checked(a, b, c, p) == _orient3d_checked(a, b, c, q):
-            continue
-        s1 = _orient3d_checked(p, q, a, b)
-        s2 = _orient3d_checked(p, q, b, c)
-        s3 = _orient3d_checked(p, q, c, a)
-        if s1 == s2 == s3:
-            hits += 1
+        if orient3d(a, b, c, p) != orient3d(a, b, c, q):
+            hits += orient3d(p, q, a, b) == orient3d(p, q, b, c) == orient3d(p, q, c, a)
     return hits % 2
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 from click.testing import CliRunner
 
@@ -117,6 +118,22 @@ def test_geom_k7_coplanar_file_degeneracy(tmp_path):
     f.write_text(json.dumps(pts))
     res = _run("geom", "k7", "--points", str(f))
     assert res.exit_code == 4
+
+
+def test_geom_shrunk_points_give_the_unshrunk_witness(tmp_path):
+    # Exact signs: a point file scaled by 1e-3 exits 0 with the same
+    # witness as the unscaled file.
+    rng = random.Random(7500)
+    pts = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(7)]
+    for command, n in (("linked-triangles", 6), ("k7", 7)):
+        outs = []
+        for scale in (1.0, 1e-3):
+            f = tmp_path / f"{command}-{scale}.json"
+            f.write_text(json.dumps([[scale * x for x in p] for p in pts[:n]]))
+            res = _run("geom", command, "--points", str(f), "--format", "json")
+            assert res.exit_code == 0, res.output
+            outs.append(json.loads(res.output))
+        assert outs[0] == outs[1]
 
 
 def test_geom_k7_non_finite_file_is_a_domain_error(tmp_path):

@@ -14,9 +14,11 @@ from knots import (
     Pass,
     UnknownCrossingError,
     WalkPlan,
+    coefficient,
     connected_sum,
     crossing_change,
     from_text,
+    permute_components,
     random_walk,
     reverse_component,
     smooth,
@@ -88,6 +90,56 @@ def test_random_walk_needs_a_planar_start():
 def test_walk_plan_rejects_all_zero_weights():
     with pytest.raises(DomainError, match="bad walk weights"):
         WalkPlan(seed=0, steps=1, weights={"R1+": 0.0, "R3": 0})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"R1+": "1"},
+        {"R1+": float("inf")},
+        {"R1+": float("nan"), "R2+": 1.0},
+        {"R1+": True},
+        {"R1+": -1},
+    ],
+    ids=["text", "inf", "nan", "bool", "negative"],
+)
+def test_walk_plan_refuses_weights_that_are_not_finite_non_negative_reals(weights):
+    with pytest.raises(DomainError, match="bad walk weights"):
+        WalkPlan(seed=0, steps=20, weights=weights)
+
+
+def test_walk_plan_takes_int_and_float_weights():
+    plan = WalkPlan(seed=0, steps=20, weights={"R1+": 1, "R2+": 0.5, "R3": 0})
+    assert plan.effective_weights() == {"R1+": 1, "R2+": 0.5}
+    assert random_walk(from_text(TREFOIL), plan).n_crossings >= 3
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda d: coefficient(d, 2.5), "no coefficient c_2.5"),
+        (lambda d: coefficient(d, True), "no coefficient c_True"),
+        (lambda d: permute_components(d, [0.0]), r"bad permutation \[0.0\]"),
+        (lambda d: permute_components(d, [False]), r"bad permutation \[False\]"),
+        (lambda d: connected_sum(d, 0.0, d, 0), "comp_a must be an int, got 0.0"),
+        (lambda d: connected_sum(d, 0, d, True), "comp_b must be an int, got True"),
+        (lambda d: connected_sum(d, 0, d, 0, 1.5), "edge_a must be an int, got 1.5"),
+        (lambda d: connected_sum(d, 0, d, 0, 0, False), "edge_b must be an int, got False"),
+    ],
+    ids=[
+        "coefficient-float",
+        "coefficient-bool",
+        "permute-float",
+        "permute-bool",
+        "sum-comp-float",
+        "sum-comp-bool",
+        "sum-edge-float",
+        "sum-edge-bool",
+    ],
+)
+def test_integer_arguments_refuse_floats_and_bools(call, message):
+    with pytest.raises(DomainError, match=message):
+        call(from_text(TREFOIL))
 
 
 def test_triangles_linked_needs_three_points_each():

@@ -1,11 +1,13 @@
 """Spatial polygons: projection, linked triangles, six and seven points."""
 
+import ast
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,11 +31,12 @@ from knots import (
 from knots.spatial import (
     MAX_RETRIES,
     _check_points,
+    _crossing,
     _cycle_skews,
+    _meet,
     crossings,
     orient3d,
     retry,
-    segment_crossing_2d,
 )
 
 from cycle_oracle import cycle_diagrams, verify_seven_points_by_diagrams
@@ -70,20 +73,23 @@ def test_orientation_predicates():
 
 
 def test_segment_crossing_2d():
-    got = segment_crossing_2d((0, 0), (1, 1), (0, 1), (1, 0))
+    got = _crossing((0, 0), (1, 1), (0, 1), (1, 0))
     assert got is not None
-    t, u = got
-    assert abs(t - 0.5) < 1e-12 and abs(u - 0.5) < 1e-12
-    assert segment_crossing_2d((0, 0), (1, 0), (0, 1), (1, 1)) is None
+    (t, et), (u, eu), turn = got
+    assert abs(t - 0.5) <= et < 1e-12 and abs(u - 0.5) <= eu < 1e-12 and turn == -1
+    assert _crossing((0, 0), (1, 0), (0, 1), (1, 1)) is None
     with pytest.raises(DegeneracyError, match="crossing at a segment endpoint"):
-        segment_crossing_2d((0, 0), (1, 0), (0.5, 0), (0.5, 1))
+        _crossing((0, 0), (1, 0), (0.5, 0), (0.5, 1))
     # The same, with the end of the first segment on the second.
     with pytest.raises(DegeneracyError, match="crossing at a segment endpoint"):
-        segment_crossing_2d((0, 0), (0.5, 0), (0.5, -1), (0.5, 1))
+        _crossing((0, 0), (0.5, 0), (0.5, -1), (0.5, 1))
     # Collinear: overlapping segments are degenerate, disjoint ones miss.
     with pytest.raises(DegeneracyError, match="collinear overlapping segments"):
-        segment_crossing_2d((0, 0), (1, 0), (0.5, 0), (2, 0))
-    assert segment_crossing_2d((0, 0), (1, 0), (2, 0), (3, 0)) is None
+        _crossing((0, 0), (1, 0), (0.5, 0), (2, 0))
+    assert _crossing((0, 0), (1, 0), (2, 0), (3, 0)) is None
+    # Touching ends of collinear segments count as an overlap.
+    with pytest.raises(DegeneracyError, match="collinear overlapping segments"):
+        _crossing((0, 0), (1, 0), (1, 0), (3, 0))
 
 
 def test_retry_gives_up_after_max_retries_naming_the_last_cause():
@@ -209,12 +215,12 @@ def test_verify_six_points_matches_the_pairwise_oracle():
         pts = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(6)]
         got = verify_six_points(pts)
         assert got == verify_six_points_by_pairs(pts)
-        # Shrunk by 1e-3, the absolute part of the tolerance rejects them.
+        # Shrunk by 1e-3, exact signs give the unshrunk answer.
         small = [tuple(1e-3 * x for x in p) for p in pts]
         want = _outcome(verify_six_points_by_pairs, small)
-        assert _outcome(verify_six_points, small) == want
+        assert _outcome(verify_six_points, small) == want == got
         raised += want == "DegeneracyError"
-    assert raised > 0
+    assert raised == 0
 
 
 def test_verify_six_points_wants_exactly_six():
@@ -308,53 +314,75 @@ def test_cycle_skews_match_the_oracle_diagrams():
 
 def test_verify_seven_points_matches_the_oracle():
     # (witness, parity) or the exception, on generic sets and on sets
-    # shrunk by 1e-3, which the absolute part of the tolerance rejects.
+    # shrunk by 1e-3 and moved, which give the unshrunk answer.
     rng = random.Random(7100)
     raised = 0
     for k in range(24):
-        pts = _seven(rng)
+        pts = unshrunk = _seven(rng)
         if k % 4 == 3:
             pts = [tuple(1e-3 * x + 0.3 for x in p) for p in pts]
         seed = rng.randrange(2**31)
         want = _outcome(verify_seven_points_by_diagrams, pts, seed)
         assert _outcome(verify_seven_points, pts, seed) == want
+        assert want == _outcome(verify_seven_points, unshrunk, seed)
         raised += want == "DegeneracyError"
-    assert 0 < raised < 24
+    assert raised == 0
+
+
+def _exact_crossings(segs):
+    """All proper crossings of plane segments in exact arithmetic, as
+    (i, j, t, u) Fractions, and whether two of them share a point."""
+    found, points = [], []
+    for i, j in itertools.combinations(range(len(segs)), 2):
+        (p1, p2), (q1, q2) = ([tuple(map(Fraction, p)) for p in seg] for seg in (segs[i], segs[j]))
+        d1, d2, r = ([b - a for a, b in zip(x, y)] for x, y in ((p1, p2), (q1, q2), (p1, q1)))
+        denom = d1[0] * d2[1] - d1[1] * d2[0]
+        if denom:
+            t = (r[0] * d2[1] - r[1] * d2[0]) / denom
+            u = (r[0] * d1[1] - r[1] * d1[0]) / denom
+            if 0 < t < 1 and 0 < u < 1:
+                found.append((i, j, t, u))
+                points.append((p1[0] + t * d1[0], p1[1] + t * d1[1]))
+    return found, len(set(points)) < len(points)
 
 
 def test_crossings_coincidence_window_matches_all_pairs():
-    # Segment soups, some with three segments through one point or two
-    # crossings near one point (one of three lines shifted by 5e-8 or
-    # 2e-7): crossings raises "two crossings coincide" exactly when some
-    # pair of crossings lies within 1e-7.
+    # Segment soups, some with three segments through one dyadic point or
+    # with one of the three shifted by 5e-8 or 2e-7 so that two crossings
+    # lie close together: crossings raises "two crossings coincide"
+    # exactly when two crossings are at one point in exact arithmetic,
+    # and otherwise ranks the crossings on each segment in exact order.
     rng = random.Random(7200)
-    outcomes = set()
+    outcomes = {}
     for k in range(120):
         ends = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(24)]
         segs = list(zip(ends[::2], ends[1::2]))
-        c = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        # 40-bit dyadic centres and half-lengths: the ends are exact, but
+        # the float crossing parameters are rounded.
+        c = (rng.randrange(-(2**39), 2**39) / 2**40, rng.randrange(-(2**39), 2**39) / 2**40)
         for shift in ((0.0, 0.0, 0.0), (0.0, 5e-8, 0.0), (0.0, 2e-7, 0.0), ())[k % 4]:
-            a = rng.uniform(0, math.pi)
-            d = (0.5 * math.cos(a), 0.5 * math.sin(a))
+            d = (rng.randrange(1, 2**39) / 2**40, rng.randrange(-(2**39), 2**39) / 2**40)
             segs.append(((c[0] + shift - d[0], c[1] - d[1]), (c[0] + shift + d[0], c[1] + d[1])))
-        loose, points = [], []
-        for i, j in itertools.combinations(range(len(segs)), 2):
-            hit = segment_crossing_2d(*segs[i], *segs[j])
-            if hit is not None:
-                (x1, y1), (x2, y2) = segs[i]
-                loose.append((i, j, *hit))
-                points.append((x1 + hit[0] * (x2 - x1), y1 + hit[0] * (y2 - y1)))
-        want = any(math.dist(a, b) <= 1e-7 for a, b in itertools.combinations(points, 2))
+        exact, want = _exact_crossings(segs)
         try:
             got = crossings(segs, lambda i, j: False)
         except DegeneracyError as exc:
             assert str(exc) == "two crossings coincide"
             assert want
-            outcomes.add(True)
+            outcomes[k % 4] = True
         else:
-            assert not want and [f[:4] for f in got] == loose
-            outcomes.add(False)
-    assert outcomes == {True, False}
+            assert not want and [f[:2] for f in got] == [f[:2] for f in exact]
+            for seg in range(len(segs)):
+                # (crossing, rank) on this segment against exact order.
+                ranks = [
+                    (g[2], e[2]) if g[0] == seg else (g[3], e[3])
+                    for g, e in zip(got, exact)
+                    if seg in g[:2]
+                ]
+                assert sorted(ranks) == sorted(ranks, key=lambda r: r[1])
+                assert all(0 < r < 1 for r, _ in ranks)
+            outcomes[k % 4] = False
+    assert outcomes == {0: True, 1: False, 2: False, 3: False}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -426,3 +454,192 @@ def test_containers_that_are_not_sequences_are_domain_errors():
     for call, message in calls:
         with pytest.raises(DomainError, match=message):
             call()
+
+
+def test_orient3d_is_exact_where_products_underflow_or_overflow():
+    # b's x is 2^1000 and the products of c's and d's small coordinates
+    # underflow to 0, so the float determinant is about -5.3e-24 with a
+    # permanent of the same size, far above any underflow: Shewchuk's
+    # bound alone would keep the wrong sign.  The exact sign is +1.
+    a, c = (0.0, 0.0, 0.0), (0.0, 2.0**-540, 2.0**-540)
+    b, d = (2.0**1000, 0.0, 0.1 * 2.0**466), (1.0, 0.2 * 2.0**-534, 0.4 * 2.0**-534)
+    assert orient3d(a, b, c, d) == 1 and orient3d(a, c, b, d) == -1
+    # Differences and products that overflow to inf or NaN go exact too.
+    for k in (1e150, 1e300, 2.0**1000):
+        corner = [(0.0, 0.0, 0.0), (k, 0.0, 0.0), (0.0, k, 0.0), (0.0, 0.0, k)]
+        assert orient3d(*corner) == 1
+        assert orient3d((-k, 0.0, 0.0), (k, 0.0, 0.0), (0.0, k, 0.0), (0.0, 0.0, k)) == 1
+        assert orient3d((-k, 0.0, 0.0), (k, 0.0, 0.0), (0.0, k, 0.0), (k, -k, 0.0)) == 0
+
+
+def _rotation(rng):
+    """The rotation of a random unit quaternion."""
+    q = [rng.gauss(0, 1) for _ in range(4)]
+    w, x, y, z = (v / math.dist((0, 0, 0, 0), q) for v in q)
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]
+
+
+def _moves(rng):
+    """Maps of point lists: six scalings, a translation and a rotation."""
+    shift, turn = [rng.uniform(-5, 5) for _ in range(3)], _rotation(rng)
+    moves = [
+        lambda pts, k=k: [tuple(k * x for x in p) for p in pts]
+        for k in (2.0**-40, 2.0**17, 1e-3, 1e3, 1e-150, 1e150)
+    ]
+    moves.append(lambda pts: [tuple(x + s for x, s in zip(p, shift)) for p in pts])
+    moves.append(lambda pts: [tuple(sum(r * x for r, x in zip(row, p)) for row in turn) for p in pts])
+    return moves
+
+
+def test_theorems_do_not_change_under_scaling_translation_and_rotation():
+    # Exact signs make the answers independent of units and position.
+    # The seven-point witness is the first cycle with Arf one, a knot
+    # invariant, so it does not depend on the projection's seed either.
+    rng = random.Random(7400)
+    for _ in range(4):
+        pts = _seven(rng)
+        t1, t2, six = pts[:3], pts[3:6], pts[:6]
+        linked, pair = triangles_linked(t1, t2), verify_six_points(six)
+        halves = [[six[i] for i in half] for half in pair]
+        witness, parity = verify_seven_points(pts)
+        assert witness is not None and parity == 1
+        for move in _moves(rng):
+            assert triangles_linked(move(t1), move(t2)) == linked
+            assert triangles_linked(*map(move, halves)) == 1
+            assert verify_six_points(move(six)) == pair
+            seed = rng.randrange(2**31)
+            assert verify_seven_points(move(pts), seed) == (witness, 1)
+
+
+def test_a_self_touching_component_is_a_domain_error():
+    # Through the origin twice: edges 2-3 and 3-4 meet edges 5-0 and 0-1.
+    twice = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0), (-1, 0, 1), (-1, -1, 1)]
+    with pytest.raises(DomainError, match="component 0 edge 5-0 meets component 0 edge 3-4"):
+        SpatialLink((twice,))
+    # Edge 0-1 crosses edge 2-3 at (1, 1, 0).
+    eight = [(0, 0, 0), (2, 2, 0), (2, 0, 0), (0, 2, 0), (-1, 1, 1), (-1, 0, 1)]
+    with pytest.raises(DomainError, match="component 0 edge 0-1 meets component 0 edge 2-3"):
+        SpatialLink((eight,))
+    # A vertex of the second component inside an edge of the first.
+    square = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
+    with pytest.raises(DomainError, match="component 0 edge 0-1 meets component 1 edge 1-2"):
+        SpatialLink((square, [(1, 0, 1), (1, -1, 1), (1, 0, 0)]))
+    with pytest.raises(DomainError, match="consecutive vertices coincide"):
+        SpatialLink(([(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)],))
+
+
+def test_components_1e_12_apart_are_accepted_and_projected():
+    # The second triangle passes 1e-12 above the square's edge at (1, 0, 0)
+    # and pierces the square once: a Hopf link, whatever the direction.
+    square = [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (0.0, 2.0, 0.0)]
+    near = [(1.0, -1.0, 1e-12), (1.0, 1.0, 1e-12), (1.0, 0.0, -1.0)]
+    link = SpatialLink((square, near))
+    for seed in range(10):
+        d = project(link, seed=seed).diagram
+        assert lk2(d, 0, 1) == 1 and abs(lk(d, 0, 1)) == 1
+    apart = SpatialLink((square, [(x, y, z + 1e-12) for x, y, z in square]))
+    assert lk2(project(apart, seed=3).diagram, 0, 1) == 0
+
+
+def _squared_gap(p1, p2, q1, q2):
+    """The least squared distance between two closed 3D segments, exactly:
+    the minimum of a convex quadratic over the unit square, on its four
+    sides or at its stationary point."""
+    p1, p2, q1, q2 = ([Fraction(x) for x in p] for p in (p1, p2, q1, q2))
+    d1, d2, r = ([b - a for a, b in zip(x, y)] for x, y in ((p1, p2), (q1, q2), (q1, p1)))
+    a, b, e = (sum(x * y for x, y in zip(u, v)) for u, v in ((d1, d1), (d1, d2), (d2, d2)))
+    c, f = (sum(x * y for x, y in zip(u, r)) for u in (d1, d2))
+
+    def clamp(v):
+        return min(max(v, Fraction(0)), Fraction(1))
+
+    tries = [(s, clamp((b * s + f) / e)) for s in (0, 1)]
+    tries += [(clamp((b * t - c) / a), t) for t in (0, 1)]
+    if a * e != b * b:
+        s, t = (b * f - c * e) / (a * e - b * b), (a * f - b * c) / (a * e - b * b)
+        tries += [(s, t)] if 0 <= s <= 1 and 0 <= t <= 1 else []
+    return min(
+        sum((x + s * u - y - t * v) ** 2 for x, u, y, v in zip(p1, d1, q1, d2)) for s, t in tries
+    )
+
+
+def test_meet_and_crossing_match_an_exact_distance_oracle():
+    # Segments with ends on a 3 x 3 x 3 grid meet, touch and overlap in
+    # every degenerate way; _meet must say whether they share a point,
+    # and in the plane _crossing must name how.
+    rng = random.Random(7500)
+    seen = set()
+    for _ in range(3000):
+        p1, p2, q1, q2 = pts = [tuple(float(rng.randrange(3)) for _ in range(3)) for _ in range(4)]
+        if p1 == p2 or q1 == q2:
+            continue
+        meets = _squared_gap(*pts) == 0
+        assert _meet(*pts) == meets, pts
+        flat = [p[:2] for p in pts]
+        if flat[0] == flat[1] or flat[2] == flat[3]:
+            continue
+        gap = _squared_gap(*[p[:2] + (0.0,) for p in pts])
+        kind = "miss" if gap else "proper"
+        if not gap:
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = ([Fraction(x) for x in p] for p in flat)
+            det = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+            t = ((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx)) / det if det else None
+            u = ((cx - ax) * (by - ay) - (cy - ay) * (bx - ax)) / det if det else None
+            if not det:
+                kind = "collinear overlapping segments"
+            elif not (0 < t < 1 and 0 < u < 1):
+                kind = "crossing at a segment endpoint"
+        try:
+            hit = _crossing(*flat)
+        except DegeneracyError as exc:
+            assert str(exc) == kind, (flat, kind)
+        else:
+            assert (hit is not None) == (kind == "proper"), (flat, kind)
+            if hit is not None:
+                (t2, et), (u2, eu), turn = hit
+                assert abs(t2 - t) <= et and abs(u2 - u) <= eu and turn == (1 if det > 0 else -1)
+        seen.add((meets, kind))
+    assert len(seen) >= 5
+    # On random float ends, the parameters are rounded but within their
+    # stated bounds of the exact ones.
+    for _ in range(2000):
+        segs = [[(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)] for _ in range(2)]
+        hit = _crossing(*segs[0], *segs[1])
+        if hit is not None:
+            (t, et), (u, eu), _turn = hit
+            (want_t, want_u), = [f[2:] for f in _exact_crossings(segs)[0]]
+            assert abs(t - want_t) <= et and abs(u - want_u) <= eu
+
+
+def _small_float_literals(text):
+    """Line numbers of float literals in (0, 1e-3) in ``text``, outside the
+    Shewchuk bounds and ``_random_direction``."""
+    tree = ast.parse(text)
+    allowed = set()
+    for node in tree.body:
+        names = {t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
+        bound = names & {"_ORIENT2D_BOUND", "_ORIENT3D_BOUND"}
+        if bound or getattr(node, "name", "") == "_random_direction":
+            allowed.update(map(id, ast.walk(node)))
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant)
+        and type(n.value) is float
+        and 0 < n.value < 1e-3
+        and id(n) not in allowed
+    ]
+
+
+def test_spatial_has_no_tolerance_literal():
+    # Every decision is an exact sign, so a small float literal in
+    # spatial.py could only be a tolerance creeping back in.
+    text = (Path(knots.__file__).parent / "spatial.py").read_text()
+    assert _small_float_literals(text) == []
+    planted = text.replace("MAX_RETRIES = 64\n", "MAX_RETRIES = 64\nEPSILON = 1e-9\n")
+    assert len(_small_float_literals(planted)) == 1
+    assert _small_float_literals("_ORIENT2D_BOUND = 3e-16\nx = 1e-7\n") == [2]

@@ -284,3 +284,13 @@ def test_4t_size_limit():
     for n in (-3, -1, 7):
         with pytest.raises(DomainError, match="0 <= n <= 6"):
             check_4t(lambda cd: 0, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 9001])
+def test_casson_symbols_do_not_depend_on_the_seed(seed):
+    # Casson has order two: its order-two symbol is 1 on the crossed
+    # chord pair and its order-three symbol vanishes, in every sample.
+    three = ("112233", "112323", "112332", "121323", "123123")
+    for order, want in ((2, {"1122": 0, "1212": 1}), (3, dict.fromkeys(three, 0))):
+        values, consistent = symbol(casson, order, samples=20, seed=seed)
+        assert consistent and {cd.word: v for cd, v in values.items()} == want
