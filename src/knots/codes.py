@@ -37,12 +37,20 @@ one arc without darts), so arc order is (component, position) order.
 Faces are the orbits of dart -> sigma(alpha(dart)), the usual
 permutation model; with V crossings, E = 2V edge arcs and F faces,
 each connected piece has genus (2 - V + E - F) / 2.
+
+A Reidemeister move's result is not checked and traced from scratch:
+``Diagram._child`` copies the parent's maps and patches them where the
+move acts, since a move keeps a valid code valid.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import deque
 from functools import cached_property
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, DomainError, ParseError, UnknownCrossingError
@@ -63,6 +71,34 @@ _TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])\Z")
 
 # sign -> slot -> the next slot counterclockwise (see the module docstring).
 _TURN = {1: (2, 3, 1, 0), -1: (3, 2, 0, 1)}
+
+
+def _least_first(face):
+    """``face`` rotated to start at its smallest dart."""
+    i = face.index(min(face))
+    return face[i:] + face[:i]
+
+
+def _trace(alpha, signs, darts, by_key, face_of):
+    """Trace the face through each of ``darts`` that ``face_of`` lacks.
+
+    Each orbit of dart -> sigma(alpha(dart)) goes into ``by_key`` under
+    the dart it was traced from, and each of its darts into ``face_of``.
+    Returns the new keys.
+    """
+    keys, turn = [], _TURN
+    for start in darts:
+        if start in face_of:
+            continue
+        orbit, d = [], start
+        while d not in face_of:
+            face_of[d] = start
+            orbit.append(d)
+            e = alpha[d]
+            d = e - (e & 3) + turn[signs[e >> 2]][e & 3]
+        by_key[start] = tuple(orbit)
+        keys.append(start)
+    return keys
 
 
 def from_text(text: str) -> Diagram:
@@ -119,7 +155,8 @@ class Diagram:
             traversal order (cyclic; the starting pass is where walks
             begin, and rotating it gives the same link).
         signs: crossing label -> +1/-1.
-        locate: crossing label -> {role: (component, position)}.
+        locate: crossing label -> {role: (component, position)}; a
+            move's result finds it when first read.
 
     Raises:
         ConsistencyError: unless every crossing has a positive integer
@@ -175,6 +212,17 @@ class Diagram:
         return len(self.components)
 
     @cached_property
+    def locate(self):
+        # ``__init__`` sets it while checking.  A move's result finds it
+        # here when first read: a walk never reads it, and patching it
+        # would move every later pass of the component.
+        locate = {}
+        for ci, comp in enumerate(self.components):
+            for k, (c, role, _) in enumerate(comp):
+                locate.setdefault(c, {})[role] = (ci, k)
+        return locate
+
+    @cached_property
     def free_loops(self):
         """Indices of components with no passes."""
         return tuple(i for i, c in enumerate(self.components) if not c)
@@ -217,24 +265,17 @@ class Diagram:
 
     @cached_property
     def _faces(self):
-        """(faces, dart -> index of its face); see ``faces``."""
-        alpha, signs = self._darts[1], self.signs
-        face_of = {}
-        out = []
-        for start in sorted(alpha):
-            if start in face_of:
-                continue
-            orbit = []
-            d = start
-            while d not in face_of:
-                face_of[d] = len(out)
-                orbit.append(d)
-                e = alpha[d]
-                d = e - (e & 3) + _TURN[signs[e >> 2]][e & 3]
-            out.append(tuple(orbit))
-        return tuple(out), face_of
+        """(face key -> face, dart -> key of its face).  A face is keyed by
+        one of its darts, where its orbit starts: the smallest when traced
+        here, the first changed one when a move traced it again; a move's
+        result keeps the keys of the faces the move leaves alone (see
+        ``_child``)."""
+        by_key, face_of = {}, {}
+        alpha = self._darts[1]
+        _trace(alpha, self.signs, sorted(alpha), by_key, face_of)
+        return by_key, face_of
 
-    @property
+    @cached_property
     def faces(self):
         """Faces of the surface map as tuples of integer darts.
 
@@ -242,7 +283,49 @@ class Diagram:
         its smallest dart; faces come in order of that dart, and a dart
         appears in exactly one face.  Free loops contribute no darts.
         """
-        return self._faces[0]
+        return tuple(sorted(map(_least_first, self._faces[0].values())))
+
+    @cached_property
+    def _partner_counts(self):
+        """Arc -> how many arcs b > a share a face with it (0 for a free
+        loop's arc): the row lengths of the R2+ table within a piece (see
+        ``moves``).
+
+        A move's result may carry ``_stale_counts``: the counts of an
+        earlier diagram of the walk, renumbered, and the darts of every
+        face traced since, so whole faces; only their arcs are counted
+        here.  Arc a on faces f and g has the arcs b > a of f and those of
+        g, less those on both, which lie on the counted faces too.
+        """
+        arc, alpha, head = self._darts
+        by_key, face_of = self._faces
+        counts, darts = self.__dict__.pop("_stale_counts", None) or ([0] * len(head), alpha)
+        sides, shared, arcs = [], {}, {}
+        for a in sorted({arc[x] for x in darts if x in arc}):
+            f, g = face_of[head[a]], face_of[alpha[head[a]]]
+            if f > g:
+                f, g = g, f
+            sides.append((a, f, g))
+            if f != g:
+                shared.setdefault((f, g), []).append(a)  # in order of a
+        for key in {key for _, f, g in sides for key in (f, g)}:
+            arcs[key] = sorted({arc[x] for x in by_key[key]})
+        for a, f, g in sides:
+            n = len(arcs[f]) - bisect_right(arcs[f], a)
+            if f != g:
+                both = shared[f, g]
+                n += len(arcs[g]) - bisect_right(arcs[g], a) - len(both) + bisect_right(both, a)
+            counts[a] = n
+        return counts
+
+    def _partners(self, a):
+        """The set of arcs b > a sharing a face with arc ``a``."""
+        arc, alpha, head = self._darts
+        by_key, face_of = self._faces
+        if head[a] is None:
+            return set()
+        darts = by_key[face_of[head[a]]] + by_key[face_of[alpha[head[a]]]]
+        return {b for b in map(arc.__getitem__, darts) if b > a}
 
     @cached_property
     def _pieces(self):
@@ -260,21 +343,25 @@ class Diagram:
                 x = parent[x]
             return x
 
-        for where in self.locate.values():
-            (a, _), (b, _) = where.values()
-            a, b = find(a), find(b)
-            if a != b:
-                parent[a] = b
+        home = {}  # crossing -> the first component through it
+        for ci, comp in enumerate(self.components):
+            for c, _, _ in comp:
+                cj = home.setdefault(c, ci)
+                if cj != ci:
+                    a, b = find(ci), find(cj)
+                    if a != b:
+                        parent[a] = b
+        root = [find(ci) for ci in range(self.n_components)]
         groups = {}
-        for c, where in self.locate.items():
-            groups.setdefault(find(where[OVER][0]), set()).add(c)
+        for c, ci in home.items():
+            groups.setdefault(root[ci], set()).add(c)
         roots = sorted(groups, key=lambda r: min(groups[r]))
         index = {r: i for i, r in enumerate(roots)}
         for ci in self.free_loops:
             index[ci] = len(index)
         return (
             tuple(frozenset(groups[r]) for r in roots),
-            tuple(index[find(ci)] for ci in range(self.n_components)),
+            tuple(index[r] for r in root),
         )
 
     @property
@@ -285,6 +372,133 @@ class Diagram:
         pieces but, carrying no crossings, are not listed here.
         """
         return self._pieces[0]
+
+    def _child(self, edits):
+        """The diagram with ``component[start:stop]`` replaced by
+        ``passes`` for each ``(component, start, stop, passes)`` of
+        ``edits``: disjoint ranges at positions of this diagram, and
+        tuples of passes.  The edits insert the passes of new crossings,
+        remove both passes of some crossings, or swap passes.
+
+        Reidemeister moves build their results here.  A move keeps a valid
+        code valid, so nothing is checked; the child copies this diagram's
+        maps and patches them where the move acts.  The arcs arriving at a
+        changed position get their new ends, later arcs are renumbered,
+        and only the faces through a dart whose alpha changed are traced
+        again; the other faces keep their darts and keys.  Partner counts
+        are carried stale, with the darts of the new faces to count again
+        (see ``_partner_counts``): insertions and removals renumber arcs
+        in order, so every other count stays right.  Pieces are copied,
+        with the move's crossings added or removed, unless the move may
+        join, split or reorder them; then they are found again when asked
+        for, as ``locate`` always is.  The child holds no reference to
+        this diagram.
+        """
+        comps, base = list(self.components), self._arc_base
+        arc, alpha, head = self._darts
+        arc, alpha, head = arc.copy(), alpha.copy(), head.copy()
+        # Counts go on stale, with the darts to count again, if this
+        # diagram has them at all.
+        counts, pending = self.__dict__.get("_stale_counts", (None, ()))
+        if "_partner_counts" in self.__dict__:
+            counts, pending = self._partner_counts, ()
+        if counts is not None:
+            counts, pending = counts.copy(), set(pending)
+
+        # Splice the passes, their in-darts and zero counts into place,
+        # component by component and in order, and join the two ends of
+        # each arc arriving at a changed position.
+        old, new, dirty = [], [], []
+        first, shift, resized = len(head), 0, False  # shift: arcs gained before
+        for ci, group in groupby(sorted(edits), itemgetter(0)):
+            comp, b = comps[ci], base[ci] + shift
+            now, joints = list(comp), []
+            for _, start, stop, passes in group:
+                q = start + len(now) - len(comp)
+                now[q : q + stop - start] = passes
+                head[b + q : b + q + stop - start] = [
+                    4 * c + (2 if role == UNDER else 0) for c, role, _ in passes
+                ]
+                if counts is not None:
+                    counts[b + q : b + q + stop - start] = [0] * len(passes)
+                old += comp[start:stop]
+                new += passes
+                joints += range(q, q + len(passes) + 1)
+            comps[ci] = now = tuple(now)
+            m = len(now)
+            if not comp:  # a free loop's one arc gives way to the new ones
+                del head[b + m]
+                if counts is not None:
+                    del counts[b + m]
+            elif not m:  # a component losing all passes keeps one arc
+                head.insert(b, None)
+                if counts is not None:
+                    counts.insert(b, 0)
+            for j in joints if m else ():
+                a = b + j % m
+                i, o = head[a], head[b + (j - 1) % m] + 1
+                alpha[i], alpha[o] = o, i
+                arc[i] = arc[o] = a
+                dirty += (i, o)
+            first = min(first, b + joints[0] if m and joints[-1] < m else b)
+            gain = (m or 1) - (len(comp) or 1)
+            shift, resized = shift + gain, resized or gain != 0
+        gone = {p.crossing for p in old} if not new else set()
+        born = {p.crossing: p.sign for p in new} if not old else {}
+
+        child = Diagram.__new__(Diagram)
+        child.components = comps = tuple(comps)
+        child._arc_base = base
+        if resized:
+            child._arc_base = tuple(accumulate((len(c) or 1 for c in comps), initial=0))
+        child.signs = signs = self.signs
+        if gone or born:
+            child.signs = signs = signs.copy()
+            for c in gone:
+                del signs[c]
+            signs.update(born)
+
+        # Drop the darts of removed crossings and, when arcs came or went,
+        # renumber every arc from the first changed one.
+        by_key, face_of = self._faces
+        removed = [x for c in gone for x in range(4 * c, 4 * c + 4)]
+        dead = set(map(face_of.__getitem__, removed))
+        deque(map(arc.pop, removed), 0)
+        deque(map(alpha.pop, removed), 0)
+        if resized:
+            tail, numbers = head[first:], range(first, len(head))
+            arc.update(zip(tail, numbers))
+            arc.update(zip(map(alpha.get, tail), numbers))
+            arc.pop(None, None)  # free loops: no darts
+        child._darts = arc, alpha, head
+
+        dirty = set(dirty)
+        dead.update(map(face_of.get, dirty))
+        dead.discard(None)
+        by_key, face_of = by_key.copy(), face_of.copy()
+        for key in dead:
+            deque(map(face_of.pop, by_key.pop(key)), 0)
+        keys = _trace(alpha, signs, sorted(dirty), by_key, face_of)
+        child._faces = by_key, face_of
+        if counts is not None:
+            for key in keys:
+                pending.update(by_key[key])
+            child._stale_counts = counts, pending
+
+        if "_pieces" in self.__dict__ and not (gone or born):
+            child._pieces = self._pieces
+        elif "_pieces" in self.__dict__:
+            pieces, piece_of = self._pieces
+            cis = {e[0] for e in edits}
+            touched = {piece_of[ci] for ci in cis}
+            kept = all(comps[ci] and self.components[ci] for ci in cis)  # no free loop in or out
+            if len(touched) == 1 and kept and (born or len(cis) == len(pieces) == 1):
+                # An insertion within one piece, or a removal on one
+                # component of the only piece: nothing joins or splits.
+                (p,) = touched
+                piece = (pieces[p] - gone).union(born)
+                child._pieces = pieces[:p] + (piece,) + pieces[p + 1 :], piece_of
+        return child
 
 
 def genus(diagram: Diagram) -> tuple:
@@ -297,8 +511,8 @@ def genus(diagram: Diagram) -> tuple:
     pieces, piece_of = diagram._pieces
     locate = diagram.locate
     face_count = [0] * len(pieces)
-    for face in diagram.faces:
-        face_count[piece_of[locate[face[0] >> 2][OVER][0]]] += 1
+    for key in diagram._faces[0]:
+        face_count[piece_of[locate[key >> 2][OVER][0]]] += 1
     out = []
     for piece, f in zip(pieces, face_count):
         # Euler: V - E + F = 2 - 2g with E = 2V.

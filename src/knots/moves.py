@@ -28,17 +28,26 @@ table: the anchors of each move kind and the variants at an anchor.
 An insertion anchor is made of integer arcs (see ``codes``): the table
 keys an R1+ site by its arc and an R2+ site by ``a*n + b`` for arcs
 a < b of the n, and ``apply`` checks an insertion site on its own arcs
-and faces.
+and faces.  The R2+ keys are never listed: row a of the table holds
+the arcs b > a eligible with a, its length is a per-arc count the
+diagram carries from move to move (``Diagram._partner_counts``, taken
+again only for the arcs of faces a move changed), and the k-th key is
+found by a bisection over the running total of the row lengths, which
+sorts one row.
+A move builds its result with ``Diagram._child``, which copies the
+parent's maps and patches them where the move acts: only the faces
+through the changed darts are traced again.
 All operations return new diagrams; inputs are never modified.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .codes import (
@@ -136,7 +145,7 @@ def _bigon_pairs(d: Diagram):
     """
     alpha = d._darts[1]
     pairs = set()
-    for face in d.faces:
+    for face in d._faces[0].values():
         if len(face) != 2 or face[0] >> 2 == face[1] >> 2:
             continue
         # An R2 bigon has one side over at both ends, the other under at
@@ -151,12 +160,12 @@ def _bigon_pairs(d: Diagram):
 def _triangles(d: Diagram):
     """R3 triangles, as faces: three strands totally ordered.
 
-    Faces start at their smallest dart, in order of it, so the list is
-    canonical and sorted.  Three crossings give three distinct sides.
+    Each starts at its smallest dart, and they come in order of it.
+    Three crossings give three distinct sides.
     """
     out = []
     alpha = d._darts[1]
-    for face in d.faces:
+    for face in d._faces[0].values():
         if len(face) != 3 or len({dart >> 2 for dart in face}) != 3:
             continue
         # Walking the boundary, side i runs from the corner of face[i]
@@ -172,8 +181,9 @@ def _triangles(d: Diagram):
         # cyclic one scores {1, 1, 1} and admits no R3 (the trefoil's
         # two triangles are the standard example).
         if sorted(wins) == [0, 1, 2]:
-            out.append(face)
-    return out
+            i = face.index(min(face))
+            out.append(face[i:] + face[:i])
+    return sorted(out)
 
 
 def _r1_arcs(d: Diagram):
@@ -196,28 +206,54 @@ def _arc_piece(d: Diagram, a: int):
     return d._pieces[1][_place(d, a)[0]]
 
 
-def _r2_keys(d: Diagram):
-    """Sorted keys ``a*n + b`` (arcs a < b of n) of the arc pairs
-    eligible for an R2 poke; in key order the pairs are sorted.
+def _r2_row(d: Diagram, a: int):
+    """Row ``a`` of the R2+ table: the sorted arcs b > a eligible with a.
 
     Distinct arcs bounding a common face (the poke happens inside that
-    face), plus every pair of arcs from different connected pieces (a
-    split piece can always be slid next to another).
+    face), plus every arc of another connected piece (a split piece can
+    always be slid next to another).
     """
-    arc, base = d._darts[0], d._arc_base
-    n = base[-1]
-    keys = set()
-    for face in d.faces:
-        arcs = sorted({arc[dart] for dart in face})
-        keys.update(a * n + b for a, b in itertools.combinations(arcs, 2))
-    by_piece = {}
-    for ci, piece in enumerate(d._pieces[1]):
-        by_piece.setdefault(piece, []).extend(range(base[ci], base[ci + 1]))
-    groups = list(by_piece.values())
-    for i, group in enumerate(groups):
-        for other in groups[i + 1 :]:
-            keys.update(min(a, b) * n + max(a, b) for a in group for b in other)
-    return sorted(keys)
+    row = d._partners(a)
+    piece_of, base = d._pieces[1], d._arc_base
+    ca = _place(d, a)[0]
+    for j in range(ca + 1, len(piece_of)):
+        if piece_of[j] != piece_of[ca]:
+            row.update(range(base[j], base[j + 1]))
+    return sorted(row)
+
+
+class _PairKeys:
+    """The R2+ table: the keys ``a*n + b`` (arcs a < b of n) of the arc
+    pairs eligible for an R2 poke, in sorted order, found row by row.
+
+    Row a's length is ``Diagram._partner_counts[a]``, carried from move
+    to move, plus the arcs after a in other pieces.  ``len`` and indexing
+    are all ``random.choice`` asks for: it draws the same key as from the
+    sorted list, while only the drawn row is listed and sorted.
+    """
+
+    def __init__(self, d: Diagram):
+        piece_of, base = d._pieces[1], d._arc_base
+        self.d, self.n, self.rows = d, base[-1], d._partner_counts
+        if len(set(piece_of)) > 1:  # each arc also pairs with later arcs of other pieces
+            extra = []
+            for ci, p in enumerate(piece_of):
+                later = (base[j + 1] - base[j] for j in range(ci + 1, len(piece_of)) if piece_of[j] != p)
+                extra += [sum(later)] * (base[ci + 1] - base[ci])
+            self.rows = list(map(add, self.rows, extra))
+        self.ends = list(accumulate(self.rows))
+
+    def __len__(self):
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, i):
+        a = bisect_right(self.ends, i)
+        return a * self.n + _r2_row(self.d, a)[i - (self.ends[a - 1] if a else 0)]
+
+    def __iter__(self):
+        for a, k in enumerate(self.rows):
+            if k:
+                yield from (a * self.n + b for b in _r2_row(self.d, a))
 
 
 def _r2_variants(d: Diagram, a: int, b: int):
@@ -254,7 +290,7 @@ def _keys(d: Diagram, kind: str):
     by their anchors.
     """
     if kind == "R1-":
-        return sorted({(face[0] >> 2,) for face in d.faces if len(face) == 1})
+        return sorted({(face[0] >> 2,) for face in d._faces[0].values() if len(face) == 1})
     if kind == "R2-":
         return _bigon_pairs(d)
     if kind == "R3":
@@ -262,7 +298,7 @@ def _keys(d: Diagram, kind: str):
     if kind == "R1+":
         return _r1_arcs(d)
     if kind == "R2+":
-        return _r2_keys(d)
+        return _PairKeys(d)
     raise InvalidSiteError(f"unknown move kind {kind!r}")
 
 
@@ -343,44 +379,49 @@ def _require(cond, msg):
         raise InvalidSiteError(msg)
 
 
-def _remove(d: Diagram, site: MoveSite) -> Diagram:
-    """R1- and R2-: drop the anchor's crossings."""
-    gone = set(site.anchor)
-    return Diagram([p for p in comp if p.crossing not in gone] for comp in d.components)
+def _remove(d: Diagram, anchor, variant) -> Diagram:
+    """R1- and R2-: drop the anchor's crossings, found by their in-darts;
+    passes next to each other go in one edit."""
+    arc, edits = d._darts[0], []
+    for ci, k in sorted(_place(d, arc[4 * c + slot]) for c in anchor for slot in (0, 2)):
+        if edits and edits[-1][0] == ci and edits[-1][2] == k:
+            edits[-1] = (ci, edits[-1][1], k + 1, ())
+        else:
+            edits.append((ci, k, k + 1, ()))
+    return d._child(edits)
 
 
-def _apply_r3(d: Diagram, site: MoveSite) -> Diagram:
-    arc = d._darts[0]
-    comps = [list(c) for c in d.components]
-    for ci, k in {_place(d, arc[dart]) for dart in site.anchor}:
-        comp = comps[ci]
-        comp[k - 1], comp[k] = comp[k], comp[k - 1]
-    return Diagram(comps)
+def _apply_r3(d: Diagram, anchor, variant) -> Diagram:
+    arc, edits = d._darts[0], []
+    for ci, k in {_place(d, arc[dart]) for dart in anchor}:
+        comp = d.components[ci]
+        if k:
+            edits.append((ci, k - 1, k + 1, (comp[k], comp[k - 1])))
+        else:  # the first and the last pass
+            edits += [(ci, len(comp) - 1, len(comp), comp[:1]), (ci, 0, 1, comp[-1:])]
+    return d._child(edits)
 
 
-def _apply_r1_plus(d: Diagram, site: MoveSite) -> Diagram:
-    ci, pos = _place(d, site.anchor[0])
+def _apply_r1_plus(d: Diagram, anchor, variant) -> Diagram:
+    ci, pos = _place(d, anchor[0])
     (label,) = fresh_label(d)
-    roles = (OVER, UNDER) if site.variant[:2] == "OU" else (UNDER, OVER)
-    sign = 1 if site.variant[2] == "+" else -1
-    comps = [list(c) for c in d.components]
-    comps[ci][pos:pos] = [Pass(label, roles[0], sign), Pass(label, roles[1], sign)]
-    return Diagram(comps)
+    roles = (OVER, UNDER) if variant[:2] == "OU" else (UNDER, OVER)
+    sign = 1 if variant[2] == "+" else -1
+    return d._child([(ci, pos, pos, (Pass(label, roles[0], sign), Pass(label, roles[1], sign)))])
 
 
-def _apply_r2_plus(d: Diagram, site: MoveSite) -> Diagram:
-    rel, over, s = site.variant.split(":")
+def _apply_r2_plus(d: Diagram, anchor, variant) -> Diagram:
+    rel, over, s = variant.split(":")
     n1, n2 = fresh_label(d, 2)
     signed = [(n1, 1 if s == "+" else -1), (n2, -1 if s == "+" else 1)]
     role_a, role_b = (OVER, UNDER) if over == "A" else (UNDER, OVER)
-    a_passes = [Pass(c, role_a, sg) for c, sg in signed]
-    b_passes = [Pass(c, role_b, sg) for c, sg in signed[:: 1 if rel == "par" else -1]]
-    comps = [list(c) for c in d.components]
-    # Insert at the later arc first so the earlier index stays valid.
-    for arc, passes in sorted(zip(site.anchor, (a_passes, b_passes)), reverse=True):
+    a_passes = tuple(Pass(c, role_a, sg) for c, sg in signed)
+    b_passes = tuple(Pass(c, role_b, sg) for c, sg in signed[:: 1 if rel == "par" else -1])
+    edits = []
+    for arc, passes in zip(anchor, (a_passes, b_passes)):
         ci, pos = _place(d, arc)
-        comps[ci][pos:pos] = passes
-    return Diagram(comps)
+        edits.append((ci, pos, pos, passes))
+    return d._child(edits)
 
 
 _BUILD = {
@@ -406,7 +447,7 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
         site.variant in _variants(d, site.kind, key),
         f"no {site.kind} variant {site.variant!r} at {site.anchor!r}",
     )
-    return _BUILD[site.kind](d, site)
+    return _BUILD[site.kind](d, site.anchor, site.variant)
 
 
 # ----------------------------------------------------------------------
@@ -499,15 +540,16 @@ def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
         raise NonPlanarError("random walks need a genus-0 start")
     weights = plan.effective_weights()
     kinds = sorted(weights)
+    cum = list(accumulate(weights[k] for k in kinds))  # what choices() sums each time
     rng = random.Random(plan.seed)
     cur = d
     for _ in range(plan.steps):
-        kind = rng.choices(kinds, [weights[k] for k in kinds])[0]
+        kind = rng.choices(kinds, cum_weights=cum)[0]
         keys = _keys(cur, kind)
         if not keys:
             continue
         key = rng.choice(keys)
         variants = _variants(cur, kind, key)
         variant = rng.choice(variants) if len(variants) > 1 else variants[0]
-        cur = _BUILD[kind](cur, MoveSite(kind, _decode(cur, kind, key), variant))
+        cur = _BUILD[kind](cur, _decode(cur, kind, key), variant)
     return cur

@@ -14,9 +14,9 @@ rational.  No answer depends on units, and DegeneracyError means an
 exact zero or an exact equality: four coplanar points, collinear
 overlapping segments, a crossing at a segment endpoint, two crossings
 at one point.  A NaN or infinite coordinate has no sign, so every input
-point is checked first and raises DomainError naming it.  Projections
-choose a seeded random viewing direction and retry until the shadow is
-generic.
+point is checked first and raises DomainError naming it, as does an
+int too large for a float.  Projections choose a seeded random viewing
+direction and retry until the shadow is generic.
 """
 
 from __future__ import annotations
@@ -64,12 +64,15 @@ def _sequence(xs, where):
 
 def _finite(p, where):
     """``p`` as a tuple of three floats; DomainError naming ``where`` when
-    it has not exactly three int or float coordinates, or when one is NaN or
-    infinite, which has no sign."""
+    it has not exactly three int or float coordinates, when an int is too
+    large for a float, or when one is NaN or infinite, which has no sign."""
     coords = tuple(p) if isinstance(p, Iterable) and not isinstance(p, (bytes, Mapping)) else ()
     if len(coords) != 3 or not all(isinstance(x, (int, float)) for x in coords):
         raise DomainError(f"{where} needs three numeric coordinates: {p!r}")
-    v = tuple(map(float, coords))
+    try:
+        v = tuple(map(float, coords))
+    except OverflowError:
+        raise DomainError(f"{where} has a coordinate too large for a float") from None
     if not all(map(math.isfinite, v)):
         raise DomainError(f"{where} is not finite: {v}")
     return v
@@ -190,6 +193,17 @@ def _meet(p1, p2, q1, q2):
     return True
 
 
+def _folds_back(a, v, b):
+    """Whether the segments av and vb share more than v, exactly: a, v
+    and b lie on one line (the cross product, whose coordinates are the
+    three coordinate-plane determinants, is zero) with a and b on the
+    same side of v."""
+    if any(_orient2d(*[(p[k - 2], p[k - 1]) for p in (a, v, b)])[0] for k in range(3)):
+        return False
+    a, v, b = _rationals(a, v, b)
+    return sum((x - y) * (z - y) for x, y, z in zip(a, v, b)) > 0
+
+
 def _near_pairs(segs):
     """The pairs (i, j), i < j, of segments whose bounding boxes meet in x
     and y, in the order of a sweep in x."""
@@ -213,8 +227,10 @@ class SpatialLink:
     """Closed 3D polygonal components (tuples of float triples).
 
     DomainError unless every component has three vertices or more, no
-    two consecutive ones equal, and no two of all the segments that are
-    not consecutive on one component share a point.
+    two consecutive ones equal, no two consecutive segments share more
+    than their common vertex (a fold back along one line), and no two of
+    all the segments that are not consecutive on one component share a
+    point.
     """
 
     components: tuple
@@ -233,6 +249,9 @@ class SpatialLink:
                 raise DomainError("a closed polygonal component needs >= 3 vertices")
             if any(v == comp[k - 1] for k, v in enumerate(comp)):
                 raise DomainError("consecutive vertices coincide")
+            for k, v in enumerate(comp):
+                if _folds_back(comp[k - 1], v, comp[(k + 1) % len(comp)]):
+                    raise DomainError(f"component {c} folds back at vertex {k}")
             segs += zip(comp[-1:] + comp[:-1], comp)
             where += [(c, k, len(comp)) for k in range(len(comp))]
         for i, j in _near_pairs(segs):

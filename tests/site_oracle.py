@@ -7,7 +7,8 @@ darts, and finds pieces by a union-find over components.  This builds
 and sorts ``(Edge, Edge)`` pairs of (component, position) tuples, maps
 every arc to its faces by scanning all faces, and joins crossings along
 every pass of every component; ``SiteTable.number`` gives an Edge's
-integer arc.
+integer arc.  ``r2_keys`` is the integer R2+ table as one sorted list,
+the way ``knots.moves`` built it before it carried per-arc counts.
 """
 
 import itertools
@@ -121,3 +122,24 @@ class SiteTable:
                     ok.add(f"{rel}:A:{'+-'[fwd_b]}")
                     ok.add(f"{rel}:B:{'-+'[fwd_b]}")
         return tuple(v for v in R2_VARIANTS if v in ok)
+
+
+def r2_keys(d):
+    """Sorted keys ``a*n + b`` (arcs a < b of n) of the arc pairs eligible
+    for an R2 poke, as one list: every pair of distinct arcs on each face,
+    and every pair of arcs from different pieces.  ``knots.moves`` finds
+    the same keys row by row from carried per-arc counts."""
+    arc, base = d._darts[0], d._arc_base
+    n = base[-1]
+    keys = set()
+    for face in d.faces:
+        arcs = sorted({arc[dart] for dart in face})
+        keys.update(a * n + b for a, b in itertools.combinations(arcs, 2))
+    by_piece = {}
+    for ci, piece in enumerate(d._pieces[1]):
+        by_piece.setdefault(piece, []).extend(range(base[ci], base[ci + 1]))
+    groups = list(by_piece.values())
+    for i, group in enumerate(groups):
+        for other in groups[i + 1 :]:
+            keys.update(min(a, b) * n + max(a, b) for a in group for b in other)
+    return sorted(keys)

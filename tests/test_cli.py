@@ -191,6 +191,14 @@ def _generic_points(n):
     return [[0.1 * k, 0.2 * k * k, 0.05 * k**3] for k in range(n)]
 
 
+def test_geom_linked_triangles_huge_coordinate_is_a_domain_error(tmp_path):
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps([[10**400, 0, 0]] + _generic_points(6)[1:]))
+    res = _run("geom", "linked-triangles", "--points", str(f))
+    assert res.exit_code == 3, res.output
+    assert "point 0 has a coordinate too large for a float" in res.output
+
+
 def test_geom_k7_nine_point_file_is_a_domain_error(tmp_path):
     res = _k7_file(tmp_path, _generic_points(9))
     assert res.exit_code == 3, res.output

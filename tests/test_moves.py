@@ -178,14 +178,32 @@ WALKS = (
     ("trefoil-r|hopf+", GROW, 14, 100, 96, "45672a795f154528"),
     ("fig8|unknot", GROW, 13, 100, 111, "e8375d944a576311"),
     ("fig8|unknot", GROW, 14, 100, 93, "d4d610e20357f5b7"),
+    # Long walks, recorded from the move code that rebuilt the whole
+    # diagram and its site table on every step: to about 300 crossings,
+    # then back down from that endpoint ("start>seed" starts at the end
+    # of the row with that start and seed).
+    ("trefoil-r", GROW, 16, 300, 308, "a69cd5e2cd337698"),
+    ("trefoil-r>16", None, 116, 400, 163, "c08102971b49b1c9"),
+    ("trefoil-r|hopf+", GROW, 18, 200, 202, "17f481cd54190930"),
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_end(name, seed):
+    """The endpoint of the WALKS row with start ``name`` and ``seed``."""
+    if ">" in name:
+        row, row_seed = name.split(">")
+        d = _walk_end(row, int(row_seed))
+    else:
+        first, *rest = (catalog.lookup(part).diagram for part in name.split("|"))
+        d = functools.reduce(disjoint_union, rest, first)
+    weights, steps = next((w, n) for s, w, sd, n, _, _ in WALKS if (s, sd) == (name, seed))
+    return random_walk(d, WalkPlan(seed=seed, steps=steps, weights=weights))
 
 
 @pytest.mark.parametrize("name,weights,seed,steps,size,digest", WALKS)
 def test_seeded_walks_match_recorded_endpoints(name, weights, seed, steps, size, digest):
-    first, *rest = (catalog.lookup(part).diagram for part in name.split("|"))
-    d = functools.reduce(disjoint_union, rest, first)
-    end = random_walk(d, WalkPlan(seed=seed, steps=steps, weights=weights))
+    end = _walk_end(name, seed)
     assert (end.n_crossings, _digest(canonical_key(end))) == (size, digest)
 
 

@@ -21,7 +21,7 @@ from knots import (
     is_realizable,
     random_walk,
 )
-from knots.moves import _R2_VARIANTS, MoveSite, _apply_r2_plus, _decode, _keys, _variants
+from knots.moves import _R2_VARIANTS, _apply_r2_plus, _decode, _keys, _variants
 
 GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
 
@@ -44,7 +44,7 @@ def trial_r2_variants(d, pair):
     return tuple(
         v
         for v in _R2_VARIANTS
-        if is_realizable(_apply_r2_plus(d, MoveSite("R2+", pair, v)))
+        if is_realizable(_apply_r2_plus(d, pair, v))
     )
 
 

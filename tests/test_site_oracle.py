@@ -44,7 +44,7 @@ def _check(d):
     table = site_oracle.SiteTable(d)
     n = sum(max(len(comp), 1) for comp in d.components)
     assert _keys(d, "R1+") == [table.number(e) for (e,) in table.r1_anchors()], d
-    keys = _keys(d, "R2+")
+    keys = list(_keys(d, "R2+"))
     pairs = table.r2_pairs()
     assert keys == [table.number(a) * n + table.number(b) for a, b in pairs], d
     for key, pair in zip(keys, pairs):

@@ -385,6 +385,58 @@ def test_crossings_coincidence_window_matches_all_pairs():
     assert outcomes == {0: True, 1: False, 2: False, 3: False}
 
 
+def test_coordinates_too_large_for_a_float_are_domain_errors():
+    # float(10**400) raises OverflowError; the point is named instead.
+    huge = 10**400
+    seven = _seven(random.Random(7301))
+    seven[2] = (huge, 0, 0)
+    with pytest.raises(DomainError, match="point 2 has a coordinate too large for a float"):
+        verify_seven_points(seven)
+    with pytest.raises(DomainError, match="point 2 has a coordinate too large for a float"):
+        verify_six_points(seven[:6])
+    t1 = ((0.0, 0.0, 0.0), (2.0, 0.0, 0.1), (0.0, 2.0, -huge))
+    t2 = ((0.5, 0.5, -1.0), (0.6, 0.55, 1.3), (2.5, 2.6, 0.2))
+    with pytest.raises(DomainError, match="triangle point 2 has a coordinate too large"):
+        triangles_linked(t1, t2)
+    ring = _circle(6)
+    ring[3] = (0.0, huge, 0.0)
+    with pytest.raises(DomainError, match="component 1 vertex 3 has a coordinate too large"):
+        SpatialLink((_circle(5, z=3.0), ring))
+
+
+TINY = 2.0**-600
+
+
+@pytest.mark.parametrize(
+    "polygon,vertex",
+    [
+        ([(0, 0, 0), (1, 0, 0), (2, 0, 0)], 0),
+        ([(0, 0, 0), (2, 0, 0), (1, 0, 0)], 0),
+        ([(0, 0, 0), (2, 0, 0), (1, 0, 0), (1, 1, 0)], 1),
+        ([(5, 5, 5), (1, 1, 1), (3, 3, 3), (0, 4, 1)], 1),
+        ([(0, 0, 0), (4 * TINY, 2 * TINY, 0), (2 * TINY, TINY, 0), (0, 3 * TINY, TINY)], 1),
+        ([(0, 0, 0), (4e150, 2e150, 6e150), (2e150, 1e150, 3e150), (0, 3e150, 1e150)], 1),
+    ],
+    ids=["three-on-a-line", "three-folded", "fold", "fold-in-space", "fold-tiny", "fold-huge"],
+)
+def test_consecutive_segments_folding_back_are_refused(polygon, vertex):
+    with pytest.raises(DomainError, match=f"component 1 folds back at vertex {vertex}$"):
+        SpatialLink((_circle(5, z=30.0), polygon))
+
+
+@pytest.mark.parametrize(
+    "polygon",
+    [
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0)],
+        [(0, 0, 0), (1, 0, 0), (0.5, 2.0**-1000, 0)],
+        [(0, 0, 0), (4 * TINY, 2 * TINY, 0), (2 * TINY, TINY + TINY * 2.0**-52, 0), (0, 3 * TINY, TINY)],
+    ],
+    ids=["straight-through", "thin-triangle", "tiny-near-fold"],
+)
+def test_consecutive_segments_off_a_line_or_straight_through_are_kept(polygon):
+    assert SpatialLink([polygon]).components[0] == tuple(tuple(map(float, v)) for v in polygon)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coordinates_are_domain_errors(bad):
     rng = random.Random(7300)
