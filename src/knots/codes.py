@@ -291,11 +291,11 @@ class Diagram:
         loop's arc): the row lengths of the R2+ table within a piece (see
         ``moves``).
 
-        A move's result may carry ``_stale_counts``: the counts of an
-        earlier diagram of the walk, renumbered, and the darts of every
-        face traced since, so whole faces; only their arcs are counted
-        here.  Arc a on faces f and g has the arcs b > a of f and those of
-        g, less those on both, which lie on the counted faces too.
+        A move's result carries ``_stale_counts`` (see ``_child``): the
+        counts of an earlier diagram of the walk, renumbered, and the darts
+        of every face traced since, so whole faces; only their arcs are
+        counted here.  Arc a on faces f and g has the arcs b > a of f and
+        those of g, less those on both, which lie on the counted faces too.
         """
         arc, alpha, head = self._darts
         by_key, face_of = self._faces
@@ -331,37 +331,25 @@ class Diagram:
     def _pieces(self):
         """(pieces, component -> index of its piece).
 
-        A component's crossings all lie in one piece, so a union-find
-        over components, joined at each crossing, finds the pieces.  Free
-        loops are numbered after the pieces with crossings.
+        A component's crossings all lie in one piece, so each component's
+        crossing set is merged with every group found so far that it
+        meets; the groups, ordered by smallest label, are the pieces.
+        Free loops are numbered after them, in component order.
         """
-        parent = list(range(self.n_components))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        home = {}  # crossing -> the first component through it
-        for ci, comp in enumerate(self.components):
-            for c, _, _ in comp:
-                cj = home.setdefault(c, ci)
-                if cj != ci:
-                    a, b = find(ci), find(cj)
-                    if a != b:
-                        parent[a] = b
-        root = [find(ci) for ci in range(self.n_components)]
-        groups = {}
-        for c, ci in home.items():
-            groups.setdefault(root[ci], set()).add(c)
-        roots = sorted(groups, key=lambda r: min(groups[r]))
-        index = {r: i for i, r in enumerate(roots)}
-        for ci in self.free_loops:
-            index[ci] = len(index)
-        return (
-            tuple(frozenset(groups[r]) for r in roots),
-            tuple(index[r] for r in root),
+        groups = []  # disjoint crossing sets
+        for comp in filter(None, self.components):
+            merged, apart = {c for c, _, _ in comp}, []
+            for group in groups:
+                if merged.isdisjoint(group):
+                    apart.append(group)
+                else:
+                    merged |= group
+            groups = apart + [merged]
+        pieces = tuple(map(frozenset, sorted(groups, key=min)))
+        loops = iter(range(len(pieces), self.n_components))
+        return pieces, tuple(
+            next(i for i, p in enumerate(pieces) if comp[0].crossing in p) if comp else next(loops)
+            for comp in self.components
         )
 
     @property
@@ -385,9 +373,11 @@ class Diagram:
         maps and patches them where the move acts.  The arcs arriving at a
         changed position get their new ends, later arcs are renumbered,
         and only the faces through a dart whose alpha changed are traced
-        again; the other faces keep their darts and keys.  Partner counts
-        are carried stale, with the darts of the new faces to count again
-        (see ``_partner_counts``): insertions and removals renumber arcs
+        again; the other faces keep their darts and keys.  The child always
+        carries stale partner counts, with the darts of the new faces to
+        count again (see ``_partner_counts``): this diagram's counts, fresh
+        or stale with their own pending darts, or zeros with every dart
+        pending when it has none.  Insertions and removals renumber arcs
         in order, so every other count stays right.  Pieces are copied,
         with the move's crossings added or removed, unless the move may
         join, split or reorder them; then they are found again when asked
@@ -397,13 +387,12 @@ class Diagram:
         comps, base = list(self.components), self._arc_base
         arc, alpha, head = self._darts
         arc, alpha, head = arc.copy(), alpha.copy(), head.copy()
-        # Counts go on stale, with the darts to count again, if this
-        # diagram has them at all.
-        counts, pending = self.__dict__.get("_stale_counts", (None, ()))
+        # Counts go on stale, with the darts to count again.
         if "_partner_counts" in self.__dict__:
             counts, pending = self._partner_counts, ()
-        if counts is not None:
-            counts, pending = counts.copy(), set(pending)
+        else:
+            counts, pending = self.__dict__.get("_stale_counts") or ([0] * len(head), alpha)
+        counts, pending = counts.copy(), set(pending)
 
         # Splice the passes, their in-darts and zero counts into place,
         # component by component and in order, and join the two ends of
@@ -419,8 +408,7 @@ class Diagram:
                 head[b + q : b + q + stop - start] = [
                     4 * c + (2 if role == UNDER else 0) for c, role, _ in passes
                 ]
-                if counts is not None:
-                    counts[b + q : b + q + stop - start] = [0] * len(passes)
+                counts[b + q : b + q + stop - start] = [0] * len(passes)
                 old += comp[start:stop]
                 new += passes
                 joints += range(q, q + len(passes) + 1)
@@ -428,12 +416,10 @@ class Diagram:
             m = len(now)
             if not comp:  # a free loop's one arc gives way to the new ones
                 del head[b + m]
-                if counts is not None:
-                    del counts[b + m]
+                del counts[b + m]
             elif not m:  # a component losing all passes keeps one arc
                 head.insert(b, None)
-                if counts is not None:
-                    counts.insert(b, 0)
+                counts.insert(b, 0)
             for j in joints if m else ():
                 a = b + j % m
                 i, o = head[a], head[b + (j - 1) % m] + 1
@@ -480,10 +466,9 @@ class Diagram:
             deque(map(face_of.pop, by_key.pop(key)), 0)
         keys = _trace(alpha, signs, sorted(dirty), by_key, face_of)
         child._faces = by_key, face_of
-        if counts is not None:
-            for key in keys:
-                pending.update(by_key[key])
-            child._stale_counts = counts, pending
+        for key in keys:
+            pending.update(by_key[key])
+        child._stale_counts = counts, pending
 
         if "_pieces" in self.__dict__ and not (gone or born):
             child._pieces = self._pieces
@@ -531,9 +516,10 @@ def is_realizable(diagram: Diagram) -> bool:
 
 def crossing_change(diagram: Diagram, *crossings) -> Diagram:
     """Exchange over and under at each of ``crossings`` (and so flip
-    their signs), rebuilding the diagram once."""
+    their signs), rebuilding the diagram once.  A label that is not an
+    ``int`` names no crossing, though ``True`` or ``1.0`` equals 1."""
     for c in crossings:
-        if c not in diagram.signs:
+        if isinstance(c, bool) or not isinstance(c, int) or c not in diagram.signs:
             raise UnknownCrossingError(f"no crossing {c!r}")
     swap, changed = {OVER: UNDER, UNDER: OVER}, set(crossings)
     return Diagram(
@@ -564,8 +550,8 @@ def reverse_component(diagram: Diagram, index: int) -> Diagram:
     self-crossings of the reversed component and crossings not involving
     it keep theirs.
     """
-    if not 0 <= index < diagram.n_components:
-        raise DomainError(f"no component {index}")
+    if type(index) is not int or not 0 <= index < diagram.n_components:  # True would read as 1
+        raise DomainError(f"no component {index!r}")
     flips = {
         c
         for c, where in diagram.locate.items()

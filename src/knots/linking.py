@@ -32,8 +32,9 @@ class LinkingReport:
 
 def _check_pair(d: Diagram, i: int, j: int):
     n = d.n_components
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"component pair ({i}, {j}) out of range")
+    ints = all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j))  # True reads as 1
+    if not ints or not (0 <= i < n and 0 <= j < n):
+        raise DomainError(f"component pair ({i!r}, {j!r}) out of range")
     if i == j:
         raise DomainError("linking needs two distinct components")
 

@@ -25,13 +25,13 @@ side arcs; the three crossings keep their signs.
 
 ``enumerate_sites``, ``random_walk`` and ``apply`` all read one site
 table: the anchors of each move kind and the variants at an anchor.
-An insertion anchor is made of integer arcs (see ``codes``): the table
-keys an R1+ site by its arc and an R2+ site by ``a*n + b`` for arcs
-a < b of the n, and ``apply`` checks an insertion site on its own arcs
-and faces.  The R2+ keys are never listed: row a of the table holds
+Every table entry is a ``MoveSite`` anchor; an insertion anchor is made
+of integer arcs (see ``codes``), ``(a,)`` for R1+ and ``(a, b)`` with
+a < b for R2+, and ``apply`` checks an insertion site on its own arcs
+and faces.  The R2+ pairs are never listed: row a of the table holds
 the arcs b > a eligible with a, its length is a per-arc count the
 diagram carries from move to move (``Diagram._partner_counts``, taken
-again only for the arcs of faces a move changed), and the k-th key is
+again only for the arcs of faces a move changed), and the k-th pair is
 found by a bisection over the running total of the row lengths, which
 sorts one row.
 A move builds its result with ``Diagram._child``, which copies the
@@ -46,7 +46,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add
 from typing import Mapping, Optional, Sequence
 
@@ -186,11 +186,12 @@ def _triangles(d: Diagram):
     return sorted(out)
 
 
-def _r1_arcs(d: Diagram):
-    """Integer arcs taking an R1 curl: the real arcs, then the free loops."""
+def _r1_anchors(d: Diagram):
+    """R1+ anchors ``(a,)``: the real arcs, then the free loops.  A real
+    arc's in-dart is never 0, a free loop's is None."""
     head = d._darts[2]
-    return [a for a, dart in enumerate(head) if dart is not None] + [
-        d._arc_base[ci] for ci in d.free_loops
+    return list(zip(compress(range(len(head)), head))) + [
+        (d._arc_base[ci],) for ci in d.free_loops
     ]
 
 
@@ -223,18 +224,18 @@ def _r2_row(d: Diagram, a: int):
 
 
 class _PairKeys:
-    """The R2+ table: the keys ``a*n + b`` (arcs a < b of n) of the arc
-    pairs eligible for an R2 poke, in sorted order, found row by row.
+    """The R2+ table: the anchor pairs ``(a, b)`` of arcs a < b eligible
+    for an R2 poke, in sorted order, found row by row.
 
     Row a's length is ``Diagram._partner_counts[a]``, carried from move
     to move, plus the arcs after a in other pieces.  ``len`` and indexing
-    are all ``random.choice`` asks for: it draws the same key as from the
+    are all ``random.choice`` asks for: it draws the same pair as from the
     sorted list, while only the drawn row is listed and sorted.
     """
 
     def __init__(self, d: Diagram):
         piece_of, base = d._pieces[1], d._arc_base
-        self.d, self.n, self.rows = d, base[-1], d._partner_counts
+        self.d, self.rows = d, d._partner_counts
         if len(set(piece_of)) > 1:  # each arc also pairs with later arcs of other pieces
             extra = []
             for ci, p in enumerate(piece_of):
@@ -248,12 +249,12 @@ class _PairKeys:
 
     def __getitem__(self, i):
         a = bisect_right(self.ends, i)
-        return a * self.n + _r2_row(self.d, a)[i - (self.ends[a - 1] if a else 0)]
+        return a, _r2_row(self.d, a)[i - (self.ends[a - 1] if a else 0)]
 
     def __iter__(self):
         for a, k in enumerate(self.rows):
             if k:
-                yield from (a * self.n + b for b in _r2_row(self.d, a))
+                yield from ((a, b) for b in _r2_row(self.d, a))
 
 
 def _r2_variants(d: Diagram, a: int, b: int):
@@ -284,11 +285,7 @@ def _r2_variants(d: Diagram, a: int, b: int):
 
 
 def _keys(d: Diagram, kind: str):
-    """The anchors of every ``kind`` site on ``d``, in a fixed order.
-
-    Insertions are keyed by integers (see ``_decode``); the other kinds
-    by their anchors.
-    """
+    """The anchors of every ``kind`` site on ``d``, in a fixed order."""
     if kind == "R1-":
         return sorted({(face[0] >> 2,) for face in d._faces[0].values() if len(face) == 1})
     if kind == "R2-":
@@ -296,43 +293,30 @@ def _keys(d: Diagram, kind: str):
     if kind == "R3":
         return _triangles(d)
     if kind == "R1+":
-        return _r1_arcs(d)
+        return _r1_anchors(d)
     if kind == "R2+":
         return _PairKeys(d)
     raise InvalidSiteError(f"unknown move kind {kind!r}")
 
 
-def _decode(d: Diagram, kind: str, key):
-    """The ``MoveSite`` anchor of a ``_keys`` entry."""
-    if kind == "R1+":
-        return (key,)
-    if kind == "R2+":
-        return divmod(key, d._arc_base[-1])
-    return key
-
-
-def _encode(d: Diagram, kind: str, anchor):
-    """The ``_keys`` entry of a site's anchor, or None if ``d`` has no
-    ``kind`` site there; only removals and R3 scan the table."""
+def _is_site(d: Diagram, kind: str, anchor) -> bool:
+    """Whether ``d`` has a ``kind`` site at ``anchor``; only removals and
+    R3 scan the table."""
     if kind not in ("R1+", "R2+"):
-        return anchor if anchor in _keys(d, kind) else None
+        return anchor in _keys(d, kind)
     n = d._arc_base[-1]
     shaped = isinstance(anchor, tuple) and len(anchor) == int(kind[1])  # R1+ one arc, R2+ two
-    if not shaped or not all(type(a) is int and 0 <= a < n for a in anchor):  # bool is no arc
-        return None
-    if kind == "R1+":
-        return anchor[0]
-    a, b = anchor
+    arcs = shaped and all(type(a) is int and 0 <= a < n for a in anchor)  # bool is no arc
     # A pair is a candidate exactly when it admits some variant.
-    return a * n + b if a < b and _r2_variants(d, a, b) else None
+    return arcs and (kind == "R1+" or anchor[0] < anchor[1] and bool(_r2_variants(d, *anchor)))
 
 
-def _variants(d: Diagram, kind: str, key):
-    """The variants of the ``kind`` site at the ``_keys`` entry ``key``."""
+def _variants(d: Diagram, kind: str, anchor):
+    """The variants of the ``kind`` site at ``anchor``."""
     if kind == "R1+":
         return _R1_VARIANTS
     if kind == "R2+":
-        return _r2_variants(d, *divmod(key, d._arc_base[-1]))
+        return _r2_variants(d, *anchor)
     return ("",)
 
 
@@ -364,9 +348,8 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
     out = []
     for kind in _KINDS:
         if kind in wanted:
-            for key in _keys(d, kind):
-                anchor = _decode(d, kind, key)
-                out.extend(MoveSite(kind, anchor, v) for v in _variants(d, kind, key))
+            for anchor in _keys(d, kind):
+                out.extend(MoveSite(kind, anchor, v) for v in _variants(d, kind, anchor))
     return tuple(out)
 
 
@@ -441,10 +424,9 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
             or names an insertion arc by anything but an ``int`` (a
             ``bool`` or ``float`` arc may compare equal to a listed one).
     """
-    key = _encode(d, site.kind, site.anchor)
-    _require(key is not None, f"no {site.kind} site at {site.anchor!r}")
+    _require(_is_site(d, site.kind, site.anchor), f"no {site.kind} site at {site.anchor!r}")
     _require(
-        site.variant in _variants(d, site.kind, key),
+        site.variant in _variants(d, site.kind, site.anchor),
         f"no {site.kind} variant {site.variant!r} at {site.anchor!r}",
     )
     return _BUILD[site.kind](d, site.anchor, site.variant)
@@ -458,9 +440,10 @@ def smooth(d: Diagram, c) -> Diagram:
     """Oriented smoothing at ``c``: over-in joins under-out and vice versa.
 
     Splits the component when both passes of ``c`` lie on one component,
-    merges the two components otherwise.
+    merges the two components otherwise.  A label that is not an ``int``
+    names no crossing.
     """
-    if c not in d.signs:
+    if isinstance(c, bool) or not isinstance(c, int) or c not in d.signs:
         raise UnknownCrossingError(f"no crossing {c!r}")
     (ci, ki), (cj, kj) = d.locate[c][OVER], d.locate[c][UNDER]
     comps = list(d.components)
@@ -545,11 +528,11 @@ def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
     cur = d
     for _ in range(plan.steps):
         kind = rng.choices(kinds, cum_weights=cum)[0]
-        keys = _keys(cur, kind)
-        if not keys:
+        anchors = _keys(cur, kind)
+        if not anchors:
             continue
-        key = rng.choice(keys)
-        variants = _variants(cur, kind, key)
+        anchor = rng.choice(anchors)
+        variants = _variants(cur, kind, anchor)
         variant = rng.choice(variants) if len(variants) > 1 else variants[0]
-        cur = _BUILD[kind](cur, _decode(cur, kind, key), variant)
+        cur = _BUILD[kind](cur, anchor, variant)
     return cur

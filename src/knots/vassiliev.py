@@ -141,8 +141,9 @@ class SingularDiagram:
         if base.n_components != 1:
             raise DomainError("singular diagrams are built on knot diagrams")
         doubles = frozenset(doubles)
-        if not doubles <= set(base.signs):
-            raise DomainError("marked double points must be crossings of the base")
+        for c in doubles:  # True or 1.0 would equal crossing 1
+            if isinstance(c, bool) or not isinstance(c, int) or c not in base.signs:
+                raise DomainError(f"marked double point {c!r} is not a crossing of the base")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "doubles", doubles)
 

@@ -1,14 +1,15 @@
 """The insertion-site table the slow way, for tests only: arcs as ``Edge``
 tuples and pieces from a union-find over passes.
 
-``knots.moves`` numbers arcs by integers, keys an R2+ anchor by the
-integer ``a*n + b`` of its two arcs, reads an arc's faces off its two
-darts, and finds pieces by a union-find over components.  This builds
-and sorts ``(Edge, Edge)`` pairs of (component, position) tuples, maps
-every arc to its faces by scanning all faces, and joins crossings along
-every pass of every component; ``SiteTable.number`` gives an Edge's
-integer arc.  ``r2_keys`` is the integer R2+ table as one sorted list,
-the way ``knots.moves`` built it before it carried per-arc counts.
+``knots.moves`` numbers arcs by integers, keeps each R2+ anchor as its
+pair ``(a, b)`` of integer arcs, reads an arc's faces off its two darts,
+and finds pieces by merging the crossing sets of components.  This
+builds and sorts ``(Edge, Edge)`` pairs of (component, position)
+tuples, maps every arc to its faces by scanning all faces, and joins
+crossings along every pass of every component in its own union-find;
+``SiteTable.number`` gives an Edge's integer arc.  ``r2_keys`` is the
+integer R2+ table as one sorted list of anchor pairs, the way
+``knots.moves`` built it before it carried per-arc counts.
 """
 
 import itertools
@@ -125,21 +126,20 @@ class SiteTable:
 
 
 def r2_keys(d):
-    """Sorted keys ``a*n + b`` (arcs a < b of n) of the arc pairs eligible
-    for an R2 poke, as one list: every pair of distinct arcs on each face,
-    and every pair of arcs from different pieces.  ``knots.moves`` finds
-    the same keys row by row from carried per-arc counts."""
+    """Sorted anchor pairs ``(a, b)`` (integer arcs a < b) eligible for an
+    R2 poke, as one list: every pair of distinct arcs on each face, and
+    every pair of arcs from different pieces.  ``knots.moves`` finds the
+    same pairs row by row from carried per-arc counts."""
     arc, base = d._darts[0], d._arc_base
-    n = base[-1]
     keys = set()
     for face in d.faces:
         arcs = sorted({arc[dart] for dart in face})
-        keys.update(a * n + b for a, b in itertools.combinations(arcs, 2))
+        keys.update(itertools.combinations(arcs, 2))
     by_piece = {}
     for ci, piece in enumerate(d._pieces[1]):
         by_piece.setdefault(piece, []).extend(range(base[ci], base[ci + 1]))
     groups = list(by_piece.values())
     for i, group in enumerate(groups):
         for other in groups[i + 1 :]:
-            keys.update(min(a, b) * n + max(a, b) for a in group for b in other)
+            keys.update((min(a, b), max(a, b)) for a in group for b in other)
     return sorted(keys)

@@ -1,6 +1,7 @@
 """Errors raised on bad input, one case per raise no other test reaches."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -12,12 +13,15 @@ from knots import (
     NonPlanarError,
     ParseError,
     Pass,
+    SingularDiagram,
     UnknownCrossingError,
     WalkPlan,
     coefficient,
     connected_sum,
     crossing_change,
     from_text,
+    lk,
+    lk2,
     permute_components,
     random_walk,
     reverse_component,
@@ -60,10 +64,23 @@ def test_reverse_component_rejects_a_bad_index():
         reverse_component(from_text(HOPF), 2)
 
 
+@pytest.mark.parametrize("index", [0.5, True])  # True once read as component 1
+def test_reverse_component_refuses_an_index_that_is_not_an_int(index):
+    with pytest.raises(DomainError, match=re.escape(f"no component {index!r}")):
+        reverse_component(from_text(HOPF), index)
+
+
 @pytest.mark.parametrize("surgery", [crossing_change, smooth])
 def test_surgery_at_an_unknown_crossing(surgery):
     with pytest.raises(UnknownCrossingError, match="no crossing 9"):
         surgery(from_text(TREFOIL), 9)
+
+
+@pytest.mark.parametrize("surgery", [crossing_change, smooth])
+@pytest.mark.parametrize("label", [True, 1.0])  # each once named crossing 1
+def test_surgery_refuses_a_label_that_is_not_an_int(surgery, label):
+    with pytest.raises(UnknownCrossingError, match=re.escape(f"no crossing {label!r}")):
+        surgery(from_text(TREFOIL), label)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +157,21 @@ def test_walk_plan_takes_int_and_float_weights():
 def test_integer_arguments_refuse_floats_and_bools(call, message):
     with pytest.raises(DomainError, match=message):
         call(from_text(TREFOIL))
+
+
+@pytest.mark.parametrize("linking", [lk, lk2])
+@pytest.mark.parametrize("pair", [(0.5, 1), (True, 0), (0, 1.0), (1, False)])
+def test_linking_refuses_component_indices_that_are_not_ints(linking, pair):
+    # lk once read True as component 1, and returned 0 for a float index.
+    message = re.escape(f"component pair ({pair[0]!r}, {pair[1]!r}) out of range")
+    with pytest.raises(DomainError, match=message):
+        linking(from_text(HOPF), *pair)
+
+
+@pytest.mark.parametrize("label", [True, 1.0])
+def test_singular_diagram_refuses_a_label_that_is_not_an_int(label):
+    with pytest.raises(DomainError, match=f"marked double point {label!r} is not a crossing"):
+        SingularDiagram(from_text(TREFOIL), {label})
 
 
 def test_triangles_linked_needs_three_points_each():

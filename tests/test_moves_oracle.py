@@ -21,7 +21,7 @@ from knots import (
     is_realizable,
     random_walk,
 )
-from knots.moves import _R2_VARIANTS, _apply_r2_plus, _decode, _keys, _variants
+from knots.moves import _R2_VARIANTS, _apply_r2_plus, _keys, _variants
 
 GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
 
@@ -49,9 +49,8 @@ def trial_r2_variants(d, pair):
 
 
 def check_against_retrace(d):
-    for key in _keys(d, "R2+"):
-        pair = _decode(d, "R2+", key)
-        assert _variants(d, "R2+", key) == trial_r2_variants(d, pair), pair
+    for pair in _keys(d, "R2+"):
+        assert _variants(d, "R2+", pair) == trial_r2_variants(d, pair), pair
     for site in enumerate_sites(d):
         assert is_realizable(apply_move(d, site)), site
 

@@ -1,13 +1,15 @@
 """The integer insertion-site table against the Edge-tuple oracle.
 
-``moves`` keys R1+ anchors by integer arc and R2+ anchors by ``a*n + b``;
-they must be the oracle's ``Edge`` anchors, numbered as integer arcs, in
-the same order (so seeded walks draw the same sites), with the same R2+
-variants.  ``Diagram.pieces`` and ``genus`` come from a union-find over
-components and must match the oracle's union-find over passes.  Inputs: default and growth walks up
-to about 110 crossings, split starts with free loops, 2-3-component
-polygon projections, and random (mostly non-planar) codes for the
-pieces.
+``moves`` anchors R1+ sites at ``(a,)`` and R2+ sites at ``(a, b)`` for
+integer arcs; they must be the oracle's ``Edge`` anchors, numbered as
+integer arcs, in the same order (so seeded walks draw the same sites),
+with the same R2+ variants.  ``Diagram.pieces`` and ``genus`` come from
+merging the crossing sets of components and must match the oracle's
+union-find over passes.  Inputs: default and growth walks up to about
+110 crossings, split starts with free loops, 2-3-component polygon
+projections, random (mostly non-planar) codes for the pieces, and a few
+fixed codes where the merge joins groups, meets free loops or orders
+pieces against component order.
 """
 
 import random
@@ -42,13 +44,12 @@ def _check_pieces(d):
 def _check(d):
     _check_pieces(d)
     table = site_oracle.SiteTable(d)
-    n = sum(max(len(comp), 1) for comp in d.components)
-    assert _keys(d, "R1+") == [table.number(e) for (e,) in table.r1_anchors()], d
-    keys = list(_keys(d, "R2+"))
+    assert _keys(d, "R1+") == [(table.number(e),) for (e,) in table.r1_anchors()], d
+    anchors = list(_keys(d, "R2+"))
     pairs = table.r2_pairs()
-    assert keys == [table.number(a) * n + table.number(b) for a, b in pairs], d
-    for key, pair in zip(keys, pairs):
-        assert _variants(d, "R2+", key) == table.r2_variants(*pair), (d, pair)
+    assert anchors == [(table.number(a), table.number(b)) for a, b in pairs], d
+    for anchor, pair in zip(anchors, pairs):
+        assert _variants(d, "R2+", anchor) == table.r2_variants(*pair), (d, pair)
     return d.n_crossings
 
 
@@ -126,3 +127,34 @@ def test_pieces_of_random_codes():
         _check_pieces(d)
         several += len(d.pieces) > 1
     assert several > 100
+
+
+def _oracle_piece_of(d):
+    """Component -> piece index from the oracle's pieces: the piece of its
+    first crossing, and the free loops after the pieces in component
+    order."""
+    found = site_oracle.pieces(d)
+    loops = iter(range(len(found), len(found) + len(d.free_loops)))
+    return tuple(
+        next(i for i, p in enumerate(found) if comp[0].crossing in p) if comp else next(loops)
+        for comp in d.components
+    )
+
+
+@pytest.mark.parametrize(
+    "code, pieces",
+    [
+        # The third component joins the groups of the first two.
+        ("O1+ U3+ ; O2+ U4+ ; U1+ O3+ U2+ O4+", [{1, 2, 3, 4}]),
+        # Free loops before, between and after pieces.
+        ("() ; O1+ U1+ ; ()", [{1}]),
+        ("O2+ U2+ ; () ; O1+ U3+ ; U1+ O3+", [{1, 3}, {2}]),
+        # Pieces come by smallest label, not by component.
+        ("O5+ U5+ ; O1+ U1+", [{1}, {5}]),
+    ],
+)
+def test_pieces_of_fixed_codes(code, pieces):
+    d = from_text(code)
+    _check(d)
+    assert d.pieces == tuple(map(frozenset, pieces))
+    assert d._pieces[1] == _oracle_piece_of(d)

@@ -10,8 +10,13 @@ while its projections fall short.  Each call runs on a fresh copy of the
 diagram (nothing cached), so the planarity trace of ``conway`` is
 counted.  Each row gives the median of ``REPEATS`` calls in
 milliseconds: ``ms`` for ``conway`` and ``colorings_ms`` for
-``count_colorings(d, 3)``, the same kernel at t = -1 over Z/3.  Run from
-anywhere:
+``count_colorings(d, 3)``, the same kernel at t = -1 over Z/3.
+
+The machine's speed drifts on a shared host, so each pair of calls
+alternates with a run of ``bench/calibrate.py``'s ``probe``.  A row's
+slowdown is the median probe time against ``calibrate.REFERENCE_S``;
+both medians are divided by it, and ``slowdown`` gives it per row.  Run
+from anywhere:
 
     python3 tools/conway_cost.py
 """
@@ -24,9 +29,11 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
 
-sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+import calibrate  # noqa: E402
 from knots import Diagram, SpatialLink, conway, count_colorings, from_text, project  # noqa: E402
 
 SIZES = (25, 50, 100, 150)
@@ -60,24 +67,33 @@ def projection(comps, target):
             m += 1
 
 
-def call_ms(f, d):
-    """Median milliseconds of ``f`` on fresh copies of ``d``."""
-    times = []
-    for _ in range(REPEATS):
-        fresh = Diagram(d.components)
-        start = time.perf_counter()
-        f(fresh)
-        times.append(time.perf_counter() - start)
-    return round(1000 * statistics.median(times), 2)
+def call_s(f, d):
+    """Seconds of ``f`` on a fresh copy of ``d``."""
+    fresh = Diagram(d.components)
+    start = time.perf_counter()
+    f(fresh)
+    return time.perf_counter() - start
 
 
 def row(kind, d):
+    conway_s, colorings_s, probes = [], [], []
+    for _ in range(REPEATS):
+        probes.append(calibrate.probe())
+        conway_s.append(call_s(conway, d))
+        colorings_s.append(call_s(lambda fresh: count_colorings(fresh, 3), d))
+    slowdown = statistics.median(probes) / calibrate.REFERENCE_S
+
+    def ms(times):
+        """Median milliseconds, scaled to the reference machine."""
+        return round(1000 * statistics.median(times) / slowdown, 2)
+
     return {
         "kind": kind,
         "components": d.n_components,
         "crossings": d.n_crossings,
-        "ms": call_ms(conway, d),
-        "colorings_ms": call_ms(lambda fresh: count_colorings(fresh, 3), d),
+        "ms": ms(conway_s),
+        "colorings_ms": ms(colorings_s),
+        "slowdown": round(slowdown, 3),
     }
 
 
