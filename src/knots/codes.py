@@ -159,31 +159,42 @@ class Diagram:
             move's result finds it when first read.
 
     Raises:
-        ConsistencyError: unless every crossing has a positive integer
-            label (not a bool: the text form could not read either back),
-            one OVER and one UNDER pass, and the same sign +1 or -1 on
-            both.  A faulty pass is reported first; then, in order of
-            first appearance, a crossing missing a pass or with unequal
-            signs.
+        ConsistencyError: unless there is at least one component, each a
+            sequence of (crossing, role, sign) passes, and every crossing
+            has a positive integer label (not a bool: the text form could
+            not read either back), one OVER and one UNDER pass, and the
+            same sign +1 or -1 on both.  A faulty pass is reported first;
+            then, in order of first appearance, a crossing missing a pass
+            or with unequal signs.
     """
 
     def __init__(self, components: Iterable[Sequence[Pass]]):
-        self.components = comps = tuple(tuple(c) for c in components)
+        try:
+            self.components = comps = tuple(tuple(c) for c in components)
+        except TypeError:
+            raise ConsistencyError(f"{components!r} is not a sequence of components") from None
+        if not comps:
+            raise ConsistencyError("a diagram needs at least one component")
         self.signs, self.locate = signs, locate = {}, {}
-        for ci, comp in enumerate(comps):
-            for k, (c, role, sign) in enumerate(comp):
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise ConsistencyError(f"crossing label {c!r} is not an integer")
-                if c < 1:
-                    raise ConsistencyError(f"crossing label {c} is not positive")
-                if role not in (OVER, UNDER):
-                    raise ConsistencyError(f"bad role {role!r} at crossing {c}")
-                if sign not in (1, -1):
-                    raise ConsistencyError(f"bad sign {sign!r} at crossing {c}")
-                where = locate.setdefault(c, {})
-                if role in where:
-                    raise ConsistencyError(f"crossing {c} passed twice with role {role}")
-                where[role] = (ci, k)
+        try:  # unpacking a pass that is not a triple raises TypeError or ValueError
+            for ci, comp in enumerate(comps):
+                for k, (c, role, sign) in enumerate(comp):
+                    if isinstance(c, bool) or not isinstance(c, int):
+                        raise ConsistencyError(f"crossing label {c!r} is not an integer")
+                    if c < 1:
+                        raise ConsistencyError(f"crossing label {c} is not positive")
+                    if role not in (OVER, UNDER):
+                        raise ConsistencyError(f"bad role {role!r} at crossing {c}")
+                    if sign not in (1, -1):
+                        raise ConsistencyError(f"bad sign {sign!r} at crossing {c}")
+                    where = locate.setdefault(c, {})
+                    if role in where:
+                        raise ConsistencyError(f"crossing {c} passed twice with role {role}")
+                    where[role] = (ci, k)
+        except (TypeError, ValueError):
+            raise ConsistencyError(
+                f"pass {k} of component {ci} is not a (crossing, role, sign) triple"
+            ) from None
         for c, where in locate.items():
             if len(where) == 1:
                 missing = UNDER if OVER in where else OVER
@@ -334,7 +345,8 @@ class Diagram:
         A component's crossings all lie in one piece, so each component's
         crossing set is merged with every group found so far that it
         meets; the groups, ordered by smallest label, are the pieces.
-        Free loops are numbered after them, in component order.
+        Free loops are numbered after them, in component order.  A move's
+        result finds them here too, when first read (see ``_child``).
         """
         groups = []  # disjoint crossing sets
         for comp in filter(None, self.components):
@@ -378,11 +390,9 @@ class Diagram:
         count again (see ``_partner_counts``): this diagram's counts, fresh
         or stale with their own pending darts, or zeros with every dart
         pending when it has none.  Insertions and removals renumber arcs
-        in order, so every other count stays right.  Pieces are copied,
-        with the move's crossings added or removed, unless the move may
-        join, split or reorder them; then they are found again when asked
-        for, as ``locate`` always is.  The child holds no reference to
-        this diagram.
+        in order, so every other count stays right.  Pieces and
+        ``locate`` are not carried: the child finds them when first read.
+        The child holds no reference to this diagram.
         """
         comps, base = list(self.components), self._arc_base
         arc, alpha, head = self._darts
@@ -430,7 +440,6 @@ class Diagram:
             gain = (m or 1) - (len(comp) or 1)
             shift, resized = shift + gain, resized or gain != 0
         gone = {p.crossing for p in old} if not new else set()
-        born = {p.crossing: p.sign for p in new} if not old else {}
 
         child = Diagram.__new__(Diagram)
         child.components = comps = tuple(comps)
@@ -438,11 +447,10 @@ class Diagram:
         if resized:
             child._arc_base = tuple(accumulate((len(c) or 1 for c in comps), initial=0))
         child.signs = signs = self.signs
-        if gone or born:
+        if gone or not old:  # a removal or an insertion
             child.signs = signs = signs.copy()
-            for c in gone:
-                del signs[c]
-            signs.update(born)
+            deque(map(signs.pop, gone), 0)
+            signs.update((p.crossing, p.sign) for p in new)
 
         # Drop the darts of removed crossings and, when arcs came or went,
         # renumber every arc from the first changed one.
@@ -469,20 +477,6 @@ class Diagram:
         for key in keys:
             pending.update(by_key[key])
         child._stale_counts = counts, pending
-
-        if "_pieces" in self.__dict__ and not (gone or born):
-            child._pieces = self._pieces
-        elif "_pieces" in self.__dict__:
-            pieces, piece_of = self._pieces
-            cis = {e[0] for e in edits}
-            touched = {piece_of[ci] for ci in cis}
-            kept = all(comps[ci] and self.components[ci] for ci in cis)  # no free loop in or out
-            if len(touched) == 1 and kept and (born or len(cis) == len(pieces) == 1):
-                # An insertion within one piece, or a removal on one
-                # component of the only piece: nothing joins or splits.
-                (p,) = touched
-                piece = (pieces[p] - gone).union(born)
-                child._pieces = pieces[:p] + (piece,) + pieces[p + 1 :], piece_of
         return child
 
 

@@ -48,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import add
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .codes import (
     OVER,
@@ -84,8 +84,9 @@ class MoveSite:
 @dataclass(frozen=True)
 class WalkPlan:
     """Deterministic recipe for a random move walk; ``seed`` and
-    ``steps`` must be ints (not bools), and ``weights`` finite ints or
-    floats >= 0 (not bools), one of them positive, else DomainError."""
+    ``steps`` must be ints (not bools), and ``weights`` a mapping of move
+    kinds to finite ints or floats >= 0 (not bools), one of them
+    positive, else DomainError."""
 
     seed: int
     steps: int
@@ -101,9 +102,9 @@ class WalkPlan:
         self.effective_weights()
 
     def effective_weights(self):
-        w = dict(DEFAULT_WEIGHTS if self.weights is None else self.weights)
-        if not set(w) <= set(DEFAULT_WEIGHTS):
-            raise DomainError(f"unknown move kinds in weights {w!r}")
+        w = DEFAULT_WEIGHTS if self.weights is None else self.weights
+        if not isinstance(w, Mapping) or not set(w) <= set(DEFAULT_WEIGHTS):
+            raise DomainError(f"bad walk weights {w!r}: not a mapping from move kinds")
         finite = all(
             isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < math.inf
             for v in w.values()
@@ -334,13 +335,14 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
         Tuple of MoveSite in a deterministic order.
 
     Raises:
-        InvalidSiteError: if ``kinds`` names a kind that is not one of the five.
+        InvalidSiteError: if ``kinds`` is not a collection of move kinds
+            or names a kind that is not one of the five.
         NonPlanarError: if some piece of ``d`` has genus > 0.
     """
-    if isinstance(kinds, str):
-        raise InvalidSiteError(f"kinds takes a collection of move kinds, not the string {kinds!r}")
-    wanted = set(_KINDS if kinds is None else kinds)
-    unknown = sorted(map(repr, wanted - set(_KINDS)))
+    if isinstance(kinds, str) or not isinstance(kinds, (Iterable, type(None))):
+        raise InvalidSiteError(f"kinds takes a collection of move kinds, not {kinds!r}")
+    wanted = _KINDS if kinds is None else tuple(kinds)
+    unknown = sorted({repr(k) for k in wanted if k not in _KINDS})
     if unknown:
         raise InvalidSiteError(f"unknown move kind {', '.join(unknown)}")
     if not is_realizable(d):

@@ -226,11 +226,11 @@ def _near_pairs(segs):
 class SpatialLink:
     """Closed 3D polygonal components (tuples of float triples).
 
-    DomainError unless every component has three vertices or more, no
-    two consecutive ones equal, no two consecutive segments share more
-    than their common vertex (a fold back along one line), and no two of
-    all the segments that are not consecutive on one component share a
-    point.
+    DomainError unless there is a component, every component has three
+    vertices or more, no two consecutive ones equal, no two consecutive
+    segments share more than their common vertex (a fold back along one
+    line), and no two of all the segments that are not consecutive on
+    one component share a point.
     """
 
     components: tuple
@@ -243,6 +243,8 @@ class SpatialLink:
             )
             for c, comp in enumerate(_sequence(components, "components"))
         )
+        if not comps:
+            raise DomainError("a link needs at least one component")
         segs, where = [], []
         for c, comp in enumerate(comps):
             if len(comp) < 3:
@@ -268,7 +270,6 @@ class SpatialLink:
 class ProjectionResult:
     diagram: Diagram
     direction: tuple
-    perturbation_seed: int
 
 
 def _random_direction(rng):
@@ -373,13 +374,17 @@ def gauss_code(found, over, walks, labels=None):
     ])
 
 
-def retry(attempt, rng):
+def retry(attempt, seed):
     """``attempt(rng)`` until it raises no DegeneracyError.
 
-    Each attempt draws fresh random positions from ``rng``; after
-    MAX_RETRIES failures this gives up with GenericityFailure.
+    Each attempt draws fresh random positions from one ``random.Random``
+    seeded with ``seed``, which must be an ``int`` (not a bool), so a seed
+    gives the same result every time; after MAX_RETRIES failures this
+    gives up with GenericityFailure.
     """
-    last = None
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DomainError(f"seed must be an int, got {seed!r}")
+    last, rng = None, random.Random(seed)
     for _ in range(MAX_RETRIES):
         try:
             return attempt(rng)
@@ -406,7 +411,8 @@ def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
     """Generic diagram of ``link`` seen along a seeded random direction.
 
     Retries fresh directions until the shadow is generic, up to
-    MAX_RETRIES, then gives up with GenericityFailure.
+    MAX_RETRIES, then gives up with GenericityFailure.  ``seed`` must be
+    an int (DomainError otherwise).
     """
     segs, walks, ring = [], [], []
     for comp in link.components:
@@ -424,9 +430,9 @@ def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
         if not is_realizable(diagram):
             # Exact predicates trace a plane curve, so this is a bug.
             raise AssertionError(f"non-planar shadow {genus(diagram)}")
-        return ProjectionResult(diagram, direction, seed)
+        return ProjectionResult(diagram, direction)
 
-    return retry(attempt, random.Random(seed))
+    return retry(attempt, seed)
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +538,7 @@ def _cycle_skews(pts, seed):
     edges, adjacent, cycles = _k7()
     segs = [(pts[a], pts[b]) for a, b in edges]
     _direction, found, over = retry(
-        lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), random.Random(seed)
+        lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), seed
     )
     table = [
         (1 << i | 1 << j, i, t, j, u) if over[x] == i else (1 << i | 1 << j, j, u, i, t)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -189,26 +188,24 @@ def realize(word, seed: int = 0) -> SingularDiagram:
     Args:
         word: chord word (string or ChordDiagram); letters may be any
             hashable symbols, each appearing twice.
-        seed: jitter seed; different seeds give different incidental
-            crossings around the same marked pattern.
+        seed: jitter seed, an int; different seeds give different
+            incidental crossings around the same marked pattern.
 
     Returns:
         SingularDiagram with doubles labelled 1..n in first-occurrence
         order of the word and all double-point signs +1.
 
     Raises:
+        DomainError: if seed is not an int.
         GenericityFailure: if jittering cannot reach a generic polygon
             (does not happen for words of supported size in practice).
     """
     if isinstance(word, ChordDiagram):
         word = word.word
     word = canonical_word(word)
-    n = len(word) // 2
-    if n == 0:
-        return SingularDiagram(Diagram(((),)), ())
     letters = sorted(set(word), key=word.index)
     letter_id = {ch: i + 1 for i, ch in enumerate(letters)}
-    return retry(lambda rng: _realize_once(word, letter_id, rng), random.Random(seed))
+    return retry(lambda rng: _realize_once(word, letter_id, rng), seed)
 
 
 def _realize_once(word, letter_id, rng):
@@ -336,13 +333,15 @@ def symbol(inv: Callable[[Diagram], int], n: int, samples: int = 20, seed: int =
 
     Raises:
         DomainError: before any enumerating, if samples is not an int of
-            at least 1, if n is outside 0..6 (the range of
-            ``CHORD_COUNTS``) or if the call would resolve more than
-            100,000 diagrams (chord diagrams * samples * 2^n; at 20
+            at least 1, if seed is not an int, if n is outside 0..6 (the
+            range of ``CHORD_COUNTS``) or if the call would resolve more
+            than 100,000 diagrams (chord diagrams * samples * 2^n; at 20
             samples n = 5 makes 67,200, about 10 s, and n = 6 is refused).
     """
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be an int of at least 1, got {samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DomainError(f"seed must be an int, got {seed!r}")
     work = _chord_count(n) * samples * 2**n
     if work > 100_000:
         raise DomainError(f"symbol would resolve {work:,} diagrams, past the limit of 100,000")

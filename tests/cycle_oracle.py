@@ -9,7 +9,6 @@ invariant from that.
 """
 
 import itertools
-import random
 
 from knots import arf
 from knots.spatial import _check_points, _shadow, gauss_code, retry
@@ -26,8 +25,7 @@ def cycle_diagrams(pts, seed):
     index = {e: k for k, e in enumerate(edges)}
     segs = [(pts[a], pts[b]) for a, b in edges]
     _direction, found, over = retry(
-        lambda rng: _shadow(segs, lambda i, j: bool(set(edges[i]) & set(edges[j])), rng),
-        random.Random(seed),
+        lambda rng: _shadow(segs, lambda i, j: bool(set(edges[i]) & set(edges[j])), rng), seed
     )
     for tail in itertools.permutations(range(1, 7)):
         if tail[0] > tail[-1]:

@@ -14,6 +14,7 @@ from knots import (
     ParseError,
     Pass,
     SingularDiagram,
+    SpatialLink,
     UnknownCrossingError,
     WalkPlan,
     coefficient,
@@ -23,15 +24,19 @@ from knots import (
     lk,
     lk2,
     permute_components,
+    project,
     random_walk,
+    realize,
     reverse_component,
     smooth,
     triangles_linked,
+    verify_seven_points,
 )
 from knots.cli import main
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 HOPF = "O1+ U2+ ; O2+ U1+"
+SEVEN = [(0, 0, 0), (1, 0, 0.1), (0, 1, 0.2), (0, 0, 1), (1, 1, 0.3), (1, 0.2, 1), (0.3, 1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -57,6 +62,49 @@ def test_from_text_rejects_non_strings_and_empty_parts(text, message):
 def test_diagram_rejects_bad_roles_and_signs(passes, message):
     with pytest.raises(ConsistencyError, match=message):
         Diagram([passes])
+
+
+@pytest.mark.parametrize(
+    "components,message",
+    [
+        ([], "a diagram needs at least one component"),
+        (5, "5 is not a sequence of components"),
+        ([5], r"\[5\] is not a sequence of components"),
+        ([[1]], r"pass 0 of component 0 is not a \(crossing, role, sign\) triple"),
+        ([[(1, "O")]], r"pass 0 of component 0 is not a \(crossing, role, sign\) triple"),
+        ([(), [Pass(1, "O", 1), (1, "U", 1, 0)]], "pass 1 of component 1 is not"),
+        (["O1+ U1+"], "pass 0 of component 0 is not"),
+    ],
+    ids=["empty", "int", "int-component", "int-pass", "pair", "quadruple", "text"],
+)
+def test_diagram_refuses_no_components_and_passes_that_are_not_triples(components, message):
+    # An empty diagram was accepted (its text form '' does not parse
+    # back); the rest raised TypeError or ValueError.
+    with pytest.raises(ConsistencyError, match=message):
+        Diagram(components)
+
+
+def test_spatial_link_refuses_no_components():
+    with pytest.raises(DomainError, match="a link needs at least one component"):
+        SpatialLink([])
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "x", True], ids=["none", "float", "text", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: project(SpatialLink([[(0, 0, 0), (1, 0, 0), (0, 1, 0)]]), seed=seed),
+        lambda seed: realize("1212", seed=seed),
+        lambda seed: realize("", seed=seed),
+        lambda seed: verify_seven_points(SEVEN, seed=seed),
+    ],
+    ids=["project", "realize", "realize-empty", "seven"],
+)
+def test_seeds_must_be_ints(call, seed):
+    # None once drew a fresh seed from the system, and any other value
+    # was passed on to random.Random.
+    with pytest.raises(DomainError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        call(seed)
 
 
 def test_reverse_component_rejects_a_bad_index():
@@ -117,8 +165,10 @@ def test_walk_plan_rejects_all_zero_weights():
         {"R1+": float("nan"), "R2+": 1.0},
         {"R1+": True},
         {"R1+": -1},
+        "R1+",  # once ValueError
+        [("R1+", 1)],  # once accepted
     ],
-    ids=["text", "inf", "nan", "bool", "negative"],
+    ids=["text", "inf", "nan", "bool", "negative", "string", "pairs"],
 )
 def test_walk_plan_refuses_weights_that_are_not_finite_non_negative_reals(weights):
     with pytest.raises(DomainError, match="bad walk weights"):

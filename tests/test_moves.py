@@ -134,7 +134,10 @@ def test_enumerate_sites_rejects_nonplanar_diagrams():
 
 def test_enumerate_sites_rejects_unknown_kinds():
     d = from_text("O1+ U1+")
-    for kinds, named in ((("R9",), "'R9'"), (("r1-", "R1-"), "'r1-'"), ("R1+", "'R1+'")):
+    # A bare int or a list of lists once raised TypeError.
+    refused = [(("R9",), "'R9'"), (("r1-", "R1-"), "'r1-'"), ("R1+", "'R1+'")]
+    refused += [(5, "not 5"), ([["R1+"]], "['R1+']")]
+    for kinds, named in refused:
         with pytest.raises(InvalidSiteError, match=re.escape(named)):
             enumerate_sites(d, kinds=kinds)
     assert enumerate_sites(d, kinds=()) == ()

@@ -100,7 +100,7 @@ def test_retry_gives_up_after_max_retries_naming_the_last_cause():
         raise DegeneracyError(f"attempt {len(tries)} degenerate")
 
     with pytest.raises(GenericityFailure) as info:
-        retry(attempt, random.Random(0))
+        retry(attempt, 0)
     assert len(tries) == MAX_RETRIES == 64
     assert str(info.value) == "no generic position after 64 tries: attempt 64 degenerate"
 

@@ -60,6 +60,7 @@ def _check(d):
     decoded = tuple(tuple((x >> 2, SLOTS[x & 3]) for x in face) for face in d.faces)
     assert decoded == face_oracle.faces(d)
     assert d._pieces == fresh._pieces
+    assert d.pieces == site_oracle.pieces(d)
     assert d._partner_counts == fresh._partner_counts
     assert list(_keys(d, "R2+")) == site_oracle.r2_keys(fresh)
     for kind in _KINDS:

@@ -201,6 +201,9 @@ def test_symbol_refuses_before_enumerating(monkeypatch):
     for samples in (0, -3, True, 2.0, "5", None):
         with pytest.raises(DomainError, match="samples must be an int of at least 1"):
             symbol(casson, 2, samples=samples)
+    for seed in (None, 1.5, "x", False):  # None once raised TypeError
+        with pytest.raises(DomainError, match="seed must be an int"):
+            symbol(casson, 1, samples=1, seed=seed)
 
 
 @pytest.mark.parametrize(
