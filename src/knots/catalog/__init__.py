@@ -103,8 +103,11 @@ def lookup(name: str) -> CatalogEntry:
         CatalogEntry with the frozen code and golden values.
 
     Raises:
-        UnknownNameError: if no entry has that name.
+        UnknownNameError: if no entry has that name, or ``name`` is not
+            a string.
     """
+    if not isinstance(name, str):
+        raise UnknownNameError(f"no catalog entry named {name!r}")
     key = _ALIASES.get(name.strip().lower(), name.strip().lower())
     m = _TRIVIAL.match(key)
     if m:

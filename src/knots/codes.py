@@ -565,7 +565,9 @@ def reverse_component(diagram: Diagram, index: int) -> Diagram:
 
 def permute_components(diagram: Diagram, order: Sequence[int]) -> Diagram:
     """Reorder components; ``order[i]`` is the old index of new slot i."""
-    ints = all(isinstance(i, int) and not isinstance(i, bool) for i in order)
+    ints = isinstance(order, Sequence) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in order
+    )
     if not ints or sorted(order) != list(range(diagram.n_components)):
         raise DomainError(f"bad permutation {order!r}")
     return Diagram(tuple(diagram.components[i] for i in order))

@@ -1,5 +1,5 @@
-"""Diagram surgery: Reidemeister moves, crossing changes, smoothing,
-connected sum, disjoint union, and random move walks.
+"""Diagram surgery: Reidemeister moves, smoothing, connected sum,
+disjoint union, and random move walks.
 
 Move detection works on the face structure of the combinatorial map:
 
@@ -55,7 +55,6 @@ from .codes import (
     UNDER,
     Diagram,
     Pass,
-    crossing_change,  # re-exported beside smooth and the other surgery
     genus,
     is_realizable,
 )

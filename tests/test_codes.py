@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from knots import moves
 from knots import (
     ConsistencyError,
     Diagram,
@@ -200,4 +199,3 @@ def test_crossing_change_takes_several_crossings_at_once():
     assert crossing_change(d, *d.signs) == mirror(d)
     with pytest.raises(UnknownCrossingError, match="no crossing 7"):
         crossing_change(d, 1, 7)
-    assert moves.crossing_change is crossing_change

@@ -16,7 +16,9 @@ from knots import (
     SingularDiagram,
     SpatialLink,
     UnknownCrossingError,
+    UnknownNameError,
     WalkPlan,
+    catalog,
     coefficient,
     connected_sum,
     crossing_change,
@@ -207,6 +209,18 @@ def test_walk_plan_takes_int_and_float_weights():
 def test_integer_arguments_refuse_floats_and_bools(call, message):
     with pytest.raises(DomainError, match=message):
         call(from_text(TREFOIL))
+
+
+@pytest.mark.parametrize("order", [5, None])
+def test_permute_components_refuses_an_order_that_is_not_a_sequence(order):
+    with pytest.raises(DomainError, match=f"bad permutation {order!r}"):
+        permute_components(from_text(HOPF), order)
+
+
+@pytest.mark.parametrize("name", [5, None])
+def test_catalog_lookup_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(UnknownNameError, match=f"no catalog entry named {name!r}"):
+        catalog.lookup(name)
 
 
 @pytest.mark.parametrize("linking", [lk, lk2])

@@ -1,11 +1,12 @@
 """Every move's result against a full rebuild, step by step.
 
 Moves build their results by patching the parent's maps
-(``Diagram._child``): signs, locations, darts, faces, per-arc R2+
-partner counts and pieces.  At every step of seeded walks (default and
+(``Diagram._child``): signs, darts and faces, with the per-arc R2+
+partner counts carried along; a result finds ``locate`` and its pieces
+when they are first read.  At every step of seeded walks (default and
 growth weights, each move kind alone, split starts with free loops) and
 of walks of enumerated sites taken by ``apply_move``, the result must
-equal ``Diagram(result.components)`` in all of them and in every site
+equal ``Diagram(result.components)`` in all of these and in every site
 table, its faces must be those of ``tests/face_oracle.py`` and its
 signs and locations those of ``tests/validate_oracle.py``.  The R2+
 partner counts are also checked after several steps taken without
