@@ -499,77 +499,93 @@ def verify_six_points(points):
 
 @functools.cache
 def _k7():
-    """The 21 edges of K7, their adjacency table, and its 360
-    Hamiltonian cycles, each once: from point 0, first to the smaller
-    of its two neighbours on the cycle.
+    """The 21 edges of K7, their adjacency table, its 360 Hamiltonian
+    cycles, each once (from point 0, first to the smaller of its two
+    neighbours on the cycle), and three tables of cycle masks, in which
+    bit c stands for cycle c:
 
-    A cycle is (vertex order, bitmask of its 7 edges, place), where
-    place[e] is (walk index, reversed) for each edge e of the cycle and
-    None for the others; sharing the 14 distinct steps keeps the table
-    near 0.15 MB.
+    - ``before[e][f]``: the cycles that walk edge e before edge f;
+    - ``fwd[e]``: the cycles that walk edge e from its lower point;
+    - ``rev[e]``: the cycles that walk edge e from its higher point.
+
+    The masks are ints of up to 360 bits; the whole table takes about
+    0.07 MB.
     """
     edges = list(itertools.combinations(range(7), 2))
     index = {e: k for k, e in enumerate(edges)}
     adjacent = [[bool(set(e) & set(f)) for f in edges] for e in edges]
-    steps = [((k, False), (k, True)) for k in range(7)]
-    cycles = []
+    cycles, before = [], [[0] * len(edges) for _ in edges]
+    fwd, rev = [0] * len(edges), [0] * len(edges)
     for tail in itertools.permutations(range(1, 7)):
         if tail[0] > tail[-1]:
             continue
-        cycle = (0,) + tail
-        place = [None] * len(edges)
-        for k, (a, b) in enumerate(zip(cycle, tail + (0,))):
-            place[index[min(a, b), max(a, b)]] = steps[k][a > b]
-        mask = sum(1 << e for e, step in enumerate(place) if step)
-        cycles.append((cycle, mask, tuple(place)))
-    return edges, adjacent, cycles
+        bit, cycle = 1 << len(cycles), (0,) + tail
+        cycles.append(cycle)
+        walk = [(index[min(a, b), max(a, b)], a > b) for a, b in zip(cycle, tail + (0,))]
+        for k, (e, reversed_) in enumerate(walk):
+            (rev if reversed_ else fwd)[e] |= bit
+            for f, _ in walk[k + 1 :]:
+                before[e][f] |= bit
+    return edges, adjacent, cycles, before, fwd, rev
 
 
 def _cycle_skews(pts, seed):
-    """(cycle, number of skew pairs) for each Hamiltonian cycle on seven
-    points, in ``_k7`` order; the parity is the cycle's Arf invariant.
+    """The skew-pair counts of all Hamiltonian cycles on seven points,
+    bit-sliced over ``_k7`` cycle order: bit c of planes[k] is bit k of
+    cycle c's count, so planes[0] holds the cycles with Arf 1.
 
     One seeded generic direction gives one crossing table of all 21
-    edges.  A cycle keeps the crossings of two of its own edges, places
-    each pass at walk index plus parameter along the walked direction,
-    and counts the pairs with over a < under b < under a < over b, as
-    ``skew_pairs`` does from the cycle's first step.
+    edges.  A pass is (edge, rank along the edge), and the cycles in
+    which pass p comes before pass q are ``before[e][f]`` on different
+    edges and ``fwd[e]`` or ``rev[e]`` on one edge, as p's rank is below
+    or above q's (``crossings`` gives no two passes one rank).  A pair
+    of crossings x, y is skew, as in ``skew_pairs`` from the cycle's
+    first step, in the cycles where over x < under y < under x < over y
+    or the same with x and y swapped; each pair's mask is added into
+    the planes.
     """
-    edges, adjacent, cycles = _k7()
+    edges, adjacent, _cycles, before, fwd, rev = _k7()
     segs = [(pts[a], pts[b]) for a, b in edges]
     _direction, found, over = retry(
         lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), seed
     )
     table = [
-        (1 << i | 1 << j, i, t, j, u) if over[x] == i else (1 << i | 1 << j, j, u, i, t)
+        ((i, t), (j, u)) if over[x] == i else ((j, u), (i, t))
         for x, (i, j, t, u, _turn) in enumerate(found)
     ]
-    for cycle, mask, place in cycles:
-        passes = []  # (over position, under position) along the walk
-        for bits, top, t, bottom, u in table:
-            if mask & bits == bits:
-                (ko, ro), (ku, ru) = place[top], place[bottom]
-                passes.append((ko + (1 - t if ro else t), ku + (1 - u if ru else u)))
-        yield cycle, len([1 for oa, ua in passes for ob, ub in passes if oa < ub < ua < ob])
+
+    def first(p, q):
+        (e, r), (f, s) = p, q
+        return before[e][f] if e != f else fwd[e] if r < s else rev[e]
+
+    planes = []
+    for (ox, ux), (oy, uy) in itertools.combinations(table, 2):
+        carry = first(ox, uy) & first(uy, ux) & first(ux, oy)
+        carry |= first(oy, ux) & first(ux, uy) & first(uy, ox)
+        for k, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[k], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
 
 
 def verify_seven_points(points, seed: int = 0):
     """Scan all 360 Hamiltonian cycles on 7 points for a knotted one.
 
     Projects the seven points once along a seeded generic direction and
-    reads each cycle's Arf invariant off that one crossing table, as
-    the parity of its skew pairs; no per-cycle diagram is built.
+    reads every cycle's Arf invariant off that one crossing table at
+    once, as the lowest plane of the bit-sliced skew-pair counts of
+    ``_cycle_skews``; no per-cycle diagram is built and no loop runs
+    over the cycles.
 
     Returns:
         (witness, parity): the first cycle (vertex order) whose
         projected diagram has arf = 1, or None if none does, and the
         sum of all 360 arf values mod 2.
     """
-    witness = None
-    total = 0
-    for cycle, skew in _cycle_skews(_check_points(points, 7), seed):
-        value = skew % 2
-        total += value
-        if value and witness is None:
-            witness = cycle
-    return witness, total % 2
+    planes = _cycle_skews(_check_points(points, 7), seed)
+    knotted = planes[0] if planes else 0
+    witness = _k7()[2][(knotted & -knotted).bit_length() - 1] if knotted else None
+    return witness, knotted.bit_count() % 2

@@ -1,11 +1,12 @@
 """Seven-point cycles the slow way, for tests only: one ``Diagram`` per
 Hamiltonian cycle.
 
-``knots.verify_seven_points`` reads each cycle's skew pairs straight
-off the shared crossing table.  This walks the same table (the same
+``knots.verify_seven_points`` counts the skew pairs of all cycles at
+once, as bit masks over cycles.  This walks the same table (the same
 seeded direction, the same crossings), traces each cycle into a
 ``Diagram`` with ``gauss_code`` and reads its skew pairs and Arf
-invariant from that.
+invariant from that.  ``cycle_walks`` gives each cycle's steps straight
+from its vertex order, a reference for the cycle masks.
 """
 
 import itertools
@@ -13,25 +14,37 @@ import itertools
 from knots import arf
 from knots.spatial import _check_points, _shadow, gauss_code, retry
 
+EDGES = list(itertools.combinations(range(7), 2))
 
-def cycle_diagrams(pts, seed):
-    """(cycle, diagram) for each Hamiltonian cycle on seven points.
 
-    One seeded generic direction, one crossing table of all 21 edges;
-    each cycle, from point 0 and once per direction, walks its edges
-    through that table.
-    """
-    edges = list(itertools.combinations(range(7), 2))
-    index = {e: k for k, e in enumerate(edges)}
-    segs = [(pts[a], pts[b]) for a, b in edges]
-    _direction, found, over = retry(
-        lambda rng: _shadow(segs, lambda i, j: bool(set(edges[i]) & set(edges[j])), rng), seed
-    )
+def cycle_walks():
+    """(cycle, walk) for each Hamiltonian cycle on seven points, from
+    point 0 and once per direction: the walk lists (edge index,
+    reversed) step by step, an edge reversed when walked from its
+    higher point."""
+    index = {e: k for k, e in enumerate(EDGES)}
     for tail in itertools.permutations(range(1, 7)):
         if tail[0] > tail[-1]:
             continue  # each cycle once, not once per direction
         cycle = (0,) + tail
-        walk = [(index[min(a, b), max(a, b)], a > b) for a, b in zip(cycle, tail + (0,))]
+        yield cycle, [(index[min(a, b), max(a, b)], a > b) for a, b in zip(cycle, tail + (0,))]
+
+
+def cycle_table(pts, seed):
+    """(found, over): the crossing table of all 21 edges along one
+    seeded generic direction."""
+    segs = [(pts[a], pts[b]) for a, b in EDGES]
+    _direction, found, over = retry(
+        lambda rng: _shadow(segs, lambda i, j: bool(set(EDGES[i]) & set(EDGES[j])), rng), seed
+    )
+    return found, over
+
+
+def cycle_diagrams(pts, seed):
+    """(cycle, diagram) for each Hamiltonian cycle on seven points, each
+    cycle's walk traced through one ``cycle_table``."""
+    found, over = cycle_table(pts, seed)
+    for cycle, walk in cycle_walks():
         yield cycle, gauss_code(found, over, [walk])
 
 

@@ -1,6 +1,9 @@
 """Catalog integrity: every golden value recomputes from its code."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,26 @@ def test_freeze_golden_reproduces_the_committed_file():
     spec.loader.exec_module(tool)
     committed = ROOT / "src" / "knots" / "catalog" / "data" / "golden.json"
     assert tool.golden_json().encode() == committed.read_bytes()
+
+
+def test_freeze_golden_runs_from_a_checkout_that_is_not_installed(tmp_path):
+    # No PYTHONPATH and another working directory: the tool finds this
+    # checkout's src/ itself.  Loaded under a name other than __main__,
+    # it writes nothing; its text must equal the committed file.
+    code = (
+        "import runpy, sys; tool = runpy.run_path(sys.argv[1], run_name='freeze_golden'); "
+        "print(sys.modules['knots'].__file__); sys.stdout.write(tool['golden_json']())"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tools" / "freeze_golden.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    where, text = out.split("\n", 1)
+    assert Path(where) == ROOT / "src" / "knots" / "__init__.py"
+    committed = ROOT / "src" / "knots" / "catalog" / "data" / "golden.json"
+    assert text.encode() == committed.read_bytes()

@@ -33,13 +33,20 @@ from knots.spatial import (
     _check_points,
     _crossing,
     _cycle_skews,
+    _k7,
     _meet,
     crossings,
     orient3d,
     retry,
 )
 
-from cycle_oracle import cycle_diagrams, verify_seven_points_by_diagrams
+from cycle_oracle import (
+    EDGES,
+    cycle_diagrams,
+    cycle_table,
+    cycle_walks,
+    verify_seven_points_by_diagrams,
+)
 
 
 def _circle(n, radius=1.0, z=0.0, phase=0.0):
@@ -295,21 +302,82 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
+def _same_edge_cases(found, over):
+    """(reversed, lower rank first) of every comparison of two passes on
+    one edge that decides whether a pair of crossings is skew in some
+    cycle: the other two comparisons of its chain hold.  Positions are
+    walk index plus parameter along the walked direction."""
+    cases = set()
+    for _, walk in cycle_walks():
+        step = {e: (k, rev) for k, (e, rev) in enumerate(walk)}
+        passes = [
+            ((i, t), (j, u)) if over[x] == i else ((j, u), (i, t))
+            for x, (i, j, t, u, _turn) in enumerate(found)
+            if i in step and j in step
+        ]
+
+        def pos(p):
+            k, rev = step[p[0]]
+            return k + (1 - p[1] if rev else p[1])
+
+        for (ox, ux), (oy, uy) in itertools.permutations(passes, 2):
+            chain = [(ox, uy), (uy, ux), (ux, oy)]
+            for n, (p, q) in enumerate(chain):
+                others = [pos(a) < pos(b) for m, (a, b) in enumerate(chain) if m != n]
+                if p[0] == q[0] and all(others):
+                    cases.add((step[p[0]][1], p[1] < q[1]))
+    return cases
+
+
+def _counts(planes):
+    """Each cycle's skew count, decoded from the bit-sliced planes."""
+    return [sum((plane >> c & 1) << k for k, plane in enumerate(planes)) for c in range(360)]
+
+
 def test_cycle_skews_match_the_oracle_diagrams():
-    # Every one of the 360 skew counts read off the shared table equals
+    # Every one of the 360 skew counts decoded from the planes equals
     # that of the cycle's own Diagram (so its parity is that Arf), on
     # several point sets and seeds; the count, unlike the Arf, also
-    # tells a diagram from its mirror.
+    # tells a diagram from its mirror.  The sample reaches the one-edge
+    # comparison with both rank orders, in forward and reversed cycles,
+    # where it decides the pair.
     rng = random.Random(7000)
+    cases = set()
     for k in range(6):
         pts = _check_points(_seven(rng), 7)
         for seed in (k, 1000 + k):
-            fast = list(_cycle_skews(pts, seed))
+            planes = _cycle_skews(pts, seed)
             slow = list(cycle_diagrams(pts, seed))
-            assert [c for c, _ in fast] == [c for c, _ in slow]
-            for (cycle, skew), (_, d) in zip(fast, slow):
-                assert skew == len(skew_pairs(d)), cycle
-                assert skew % 2 == arf(d), cycle
+            assert _k7()[2] == [c for c, _ in slow]
+            assert planes[-1]  # the top plane holds a bit, none is spare
+            for count, (cycle, d) in zip(_counts(planes), slow, strict=True):
+                assert count == len(skew_pairs(d)), cycle
+                assert count % 2 == arf(d), cycle
+            cases |= _same_edge_cases(*cycle_table(pts, seed))
+    assert cases == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_cycle_masks_match_the_walks():
+    # before, fwd and rev against each cycle's steps, read off its
+    # vertex order: bit c is set where cycle c walks e at an earlier
+    # step than f, or walks e from its lower or higher point.
+    edges, adjacent, cycles, before, fwd, rev = _k7()
+    assert edges == EDGES
+    assert adjacent == [[bool(set(e) & set(f)) for f in EDGES] for e in EDGES]
+    walks = list(cycle_walks())
+    assert cycles == [c for c, _ in walks]
+    n = len(EDGES)
+    want_before, want_fwd, want_rev = [[0] * n for _ in range(n)], [0] * n, [0] * n
+    for c, (_, walk) in enumerate(walks):
+        step = {e: (k, reversed_) for k, (e, reversed_) in enumerate(walk)}
+        for e, (k, reversed_) in step.items():
+            (want_rev if reversed_ else want_fwd)[e] |= 1 << c
+            for f, (k2, _) in step.items():
+                if k < k2:
+                    want_before[e][f] |= 1 << c
+    assert (before, fwd, rev) == (want_before, want_fwd, want_rev)
+    assert sum(m.bit_count() for m in fwd + rev) == 7 * 360
+    assert all(before[e][e] == 0 for e in range(n))
 
 
 def test_verify_seven_points_matches_the_oracle():

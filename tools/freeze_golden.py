@@ -6,16 +6,22 @@ appropriate to its component count, and rewrites data/golden.json in
 the canonical listing order.  Run after editing a catalog code; commit
 the regenerated sidecar together with the code change.  ``golden_json``
 returns the text without writing it; ``tests/test_catalog.py`` checks
-that it equals the committed file byte for byte.
+that it equals the committed file byte for byte.  Run from anywhere:
+
+    python3 tools/freeze_golden.py
 """
 
 import json
+import sys
 from pathlib import Path
 
-from knots import from_text
-from knots.cli import _suite
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))  # this checkout's knots, not an installed copy
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "knots" / "catalog" / "data"
+from knots import from_text  # noqa: E402
+from knots.cli import _suite  # noqa: E402
+
+DATA = SRC / "knots" / "catalog" / "data"
 
 # Canonical listing order: knots, then links.
 ORDER = [
