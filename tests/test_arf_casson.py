@@ -3,6 +3,7 @@
 import pytest
 
 from knots import (
+    UNDER,
     NotAKnotError,
     WalkPlan,
     arf,
@@ -106,10 +107,35 @@ def _torus_knot(n):
 
 
 def _agrees_from_every_basepoint(d):
-    comp = d.components[0]
+    """Hold ``skew_pairs``, ``casson`` and ``arf`` to the event-sort
+    listing from every basepoint; return the sweep branches taken."""
+    comp, branches = d.components[0], set()
     for k in range(max(1, len(comp))):
         rotated = Diagram((comp[k:] + comp[:k],))
-        assert skew_pairs(rotated) == skew_pairs_by_events(rotated), (d, k)
+        oracle = skew_pairs_by_events(rotated)
+        assert skew_pairs(rotated) == oracle, (d, k)
+        assert casson(rotated) == sum(sp.sign for sp in oracle), (d, k)
+        assert arf(rotated) == len(oracle) % 2, (d, k)
+        branches |= _sweep_branches(rotated, oracle)
+    return branches
+
+
+def _sweep_branches(d, pairs):
+    """The branches of the ``casson`` sweep that ``d`` reaches, found
+    from its skew pairs: ``("close", s)`` when a held under-first crossing
+    of sign s is deleted, ``"both signs"`` when an over-first crossing has
+    skew partners of both signs (both held lists count at its under pass).
+    """
+    first = {}
+    for p in d.components[0]:
+        first.setdefault(p.crossing, p.role)
+    branches = {("close", d.signs[c]) for c, role in first.items() if role == UNDER}
+    partner_signs = {}
+    for sp in pairs:
+        partner_signs.setdefault(sp.a, set()).add(sp.sign * d.signs[sp.a])
+    if any(len(signs) == 2 for signs in partner_signs.values()):
+        branches.add("both signs")
+    return branches
 
 
 @pytest.mark.parametrize("n", range(3, 40, 2))
@@ -122,11 +148,25 @@ def test_skew_pairs_match_the_event_sort_on_catalog_knots_and_walks():
     starts = [e.diagram for e in catalog.all() if e.diagram.n_components == 1]
     for d in starts:
         _agrees_from_every_basepoint(d)
-    walks = 0
+    walks, branches = 0, set()
     for seed in range(26):
         for i, d in enumerate(starts):
             weights = GROW if (seed + i) % 2 else None
             walked = random_walk(d, WalkPlan(seed=seed, steps=12, weights=weights))
-            _agrees_from_every_basepoint(walked)
+            for variant in (walked, reverse_all(walked), mirror(walked)):
+                branches |= _agrees_from_every_basepoint(variant)
             walks += 1
     assert walks >= 100
+    # T(2, n) has one sign, so only walks reach these.
+    assert branches == {("close", 1), ("close", -1), "both signs"}
+
+
+@pytest.mark.parametrize(
+    "n", (3, 5, 7, 9, 11, 21, 51, 101, 103, 163, 201, 401, 1001, 2001)
+)
+def test_casson_of_large_torus_knots_is_the_closed_form(n):
+    # T(2, n) = T(2, 2k+1) has Casson invariant C(k+1, 2) = (n^2 - 1) / 8,
+    # its mirror the same; an oracle independent of both listings.
+    for d in (_torus_knot(n), mirror(_torus_knot(n))):
+        assert casson(d) == (n * n - 1) // 8
+        assert arf(d) == casson(d) % 2
