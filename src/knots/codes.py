@@ -287,6 +287,15 @@ class Diagram:
         return by_key, face_of
 
     @cached_property
+    def _unit_reduction(self):
+        """The coloring matrix reduced on its +-1 entries, which every
+        prime shares (see ``colorings.unit_reduction``); a move's result
+        reduces its own."""
+        from .colorings import unit_reduction  # colorings imports this module
+
+        return unit_reduction(self)
+
+    @cached_property
     def faces(self):
         """Faces of the surface map as tuples of integer darts.
 

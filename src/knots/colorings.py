@@ -13,12 +13,16 @@ For p = 3 this congruence says exactly "all three colors equal or all
 distinct", the trichromatic rule.  These are the rows of the Fox
 presentation matrix (``fox_rows``) that the Conway polynomial uses, at
 t = -1.  The count of colorings is p to the dimension of the solution
-space, whose rank is the number of steps of ``pivot_steps``, the one
-sparse fraction-free kernel that also takes the Conway determinant,
-here over Z/p: each step takes the shortest row left and pivots on its
-column held by the fewest other rows.  A coloring is proper when it
-uses at least two colors, and the p monochromatic assignments always
-work, so proper = total - p.
+space.  Its rank is found in two stages.  First the matrix is reduced
+once over Z, pivoting only on entries +1 and -1 (``unit_reduction``):
+such a step is a unimodular row operation, so it is the same step
+modulo every prime, and the result is cached on the diagram for all of
+them.  What is left, a handful of rows on large diagrams, goes mod p
+through ``pivot_steps``, the one sparse fraction-free kernel that also
+takes the Conway determinant: each step takes the shortest row left and
+pivots on its column held by the fewest other rows.  A coloring is
+proper when it uses at least two colors, and the p monochromatic
+assignments always work, so proper = total - p.
 """
 
 from __future__ import annotations
@@ -153,11 +157,73 @@ def pivot_steps(rows, div, one):
         yield r, col, pivot
 
 
+def unit_reduction(d: Diagram):
+    """(free, rest): the coloring matrix reduced over Z on +-1 pivots.
+
+    Each step takes the shortest row that holds an entry +1 or -1 (the
+    lowest index on ties) and, among those entries, the column held by
+    the fewest other rows (the lowest label on ties); it subtracts
+    f * pivot times the pivot row from every row with f in that column,
+    in place.  As 1 / pivot = pivot, no division is needed, and as the
+    step is unimodular, it is a valid step modulo every prime.  A row
+    with no unit entry waits until an update gives it one.  ``free`` is
+    the number of arcs less the number of steps, and ``rest`` the rows
+    left as (column, entry) pairs, none with a unit entry, so the rank
+    mod p is the number of steps plus the rank of ``rest`` mod p.
+    ``Diagram`` caches it, so every prime asked of one diagram shares it.
+    """
+    rows = {}
+    for i, fox in enumerate(fox_rows(d).values()):
+        # At t = -1 the entry a + b*t is a - b.
+        row = {col: e for col, (a, b) in fox.items() if (e := a - b)}
+        if row:
+            rows[i] = row
+    holders = {}
+    for i, row in rows.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items() if 1 in row.values() or -1 in row.values()]
+    heapify(heap)
+    steps = 0
+    while heap:
+        n, r = heappop(heap)
+        row = rows.get(r)
+        if row is None or len(row) != n:
+            continue
+        units = [j for j, v in row.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        del rows[r]
+        for j in row:
+            holders[j].discard(r)
+        col = min(units, key=lambda j: (len(holders[j]), j))
+        pivot = row.pop(col)
+        for i in holders.pop(col):
+            other = rows[i]
+            f = other.pop(col) * pivot
+            for j, v in row.items():
+                if e := other.get(j, 0) - f * v:
+                    if j not in other:
+                        holders[j].add(i)
+                    other[j] = e
+                elif j in other:
+                    del other[j]
+                    holders[j].discard(i)
+            if not other:
+                del rows[i]
+            elif 1 in other.values() or -1 in other.values():
+                heappush(heap, (len(other), i))
+        steps += 1
+    rest = tuple(tuple(row.items()) for row in rows.values())
+    return d.n_crossings + closed_arcs(d) - steps, rest
+
+
 def count_colorings(d: Diagram, p: int) -> ColoringCount:
-    """Count all and proper p-colorings by elimination mod p.
+    """Count all and proper p-colorings: the +-1 reduction over Z, shared
+    by every prime of ``d``, then elimination mod p of what it leaves.
 
     Args:
-        d: any diagram.
+        d: any diagram; anything else raises ``DomainError``.
         p: an odd prime ``int`` below 2**31; anything else raises
             ``DomainError`` at once, before any trial division.
 
@@ -165,17 +231,15 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
         ColoringCount with total = p^(solution dimension) and
         proper = total - p.
     """
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
     _check_modulus(p)
-    # At t = -1 the entry a + b*t is a - b.
-    rows = [
-        {col: e for col, (a, b) in fox.items() if (e := (a - b) % p)}
-        for fox in fox_rows(d).values()
-    ]
+    free, rest = d._unit_reduction
+    rows = [{col: e for col, v in row if (e := v % p)} for row in rest]
     # One modular inverse per pivot, not per updated entry (an inverse is never 0).
     inverse = {}
     div = lambda a, b: a * (inverse.get(b) or inverse.setdefault(b, pow(b, -1, p))) % p
-    rank = sum(1 for _ in pivot_steps(rows, div, 1))
-    total = p ** (d.n_crossings + closed_arcs(d) - rank)
+    total = p ** (free - sum(1 for _ in pivot_steps(rows, div, 1)))
     return ColoringCount(p, total, total - p)
 
 

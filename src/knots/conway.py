@@ -161,8 +161,11 @@ def conway(d: Diagram) -> ConwayPoly:
         ConwayPoly with integer coefficients.
 
     Raises:
+        DomainError: if ``d`` is not a ``Diagram``.
         NonPlanarError: if no plane diagram has this code.
     """
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
     genera = genus(d)
     if any(genera):
         raise NonPlanarError(f"no plane diagram has this code: genera {genera}")

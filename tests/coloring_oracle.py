@@ -11,6 +11,7 @@ matrix or the sparse elimination.
 """
 
 import itertools
+from math import isqrt
 from typing import NamedTuple
 
 from knots import UNDER, ColoringCount, DomainError
@@ -53,7 +54,7 @@ def arc_split(d):
 
 
 def _check_modulus(p):
-    if p < 3 or any(p % q == 0 for q in range(2, p)):
+    if p < 3 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise DomainError(f"modulus must be an odd prime, got {p}")
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import pytest
 from click.testing import CliRunner
 
 import knots.cli
@@ -44,6 +45,18 @@ def test_compute_json_schema():
     assert doc["code"] == "U1- O2- ; U2- O1-"
     assert doc["invariants"]["conway"]["coeffs"] == [0, -1]
     assert doc["invariants"]["lk"] == [[0, -1], [-1, 0]]
+
+
+@pytest.mark.parametrize("n", [101, 105])
+def test_compute_json_colorings_of_a_large_torus_knot(n):
+    # T(2, n) has determinant n: 9 three-colorings when 3 | n, else the 3
+    # constant ones, and likewise 25 or 5 five-colorings.
+    text = " ".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n))
+    res = _run("compute", text, "--format", "json")
+    assert res.exit_code == 0
+    colorings = json.loads(res.output)["invariants"]["colorings"]
+    want = {p: p * p if n % p == 0 else p for p in (3, 5)}
+    assert colorings == {str(p): [total, total - p] for p, total in want.items()}
 
 
 def test_compute_arf_of_link_is_domain_error():

@@ -1,5 +1,6 @@
-"""Fox p-colorings: arc extraction, rank counts, the elimination kernel,
-the brute-force and dense-rank oracles, and independence of the labels."""
+"""Fox p-colorings: arc extraction, rank counts, the +-1 reduction shared
+by every prime, the elimination kernel, the brute-force and dense-rank
+oracles, and independence of the labels."""
 
 import itertools
 import random
@@ -14,17 +15,20 @@ from knots import (
     Pass,
     SpatialLink,
     WalkPlan,
+    apply_move,
     catalog,
     conway,
     count_colorings,
+    crossing_change,
     disjoint_union,
+    enumerate_sites,
     from_text,
     is_colorable,
     mirror,
     project,
     random_walk,
 )
-from knots.colorings import fox_rows, pivot_steps
+from knots.colorings import fox_rows, pivot_steps, unit_reduction
 from knots.conway import _exact_div
 
 from coloring_oracle import (
@@ -229,6 +233,80 @@ def test_dense_rank_oracle_on_polygon_projections():
         sizes.append(d.n_crossings)
         _dense_agrees(d)
     assert 120 <= max(sizes) <= 200, sizes
+
+
+WIDE = (3, 5, 7, 11, 13, 2**31 - 1)
+
+
+def _shared_reduction_agrees(d):
+    """On one instance, every prime of ``WIDE`` in both orders and each
+    asked twice gives what a fresh instance and the dense oracle give."""
+    want = {p: count_colorings_by_dense_rank(d, p) for p in WIDE}
+    for order in (WIDE, WIDE[::-1]):
+        one = Diagram(d.components)
+        for p in order + order:
+            assert count_colorings(one, p) == want[p], (d, p)
+    for p in WIDE:
+        assert count_colorings(Diagram(d.components), p) == want[p], (d, p)
+    return want
+
+
+def _reduction_sample():
+    """Seeded walks, torus bands, polygon projections, free loops and
+    split links."""
+    sample = [from_text("()"), from_text("() ; ()")]
+    starts = [e.diagram for e in catalog.all()]
+    for seed in range(2):
+        for i, d in enumerate(starts):
+            weights = GROW if (seed + i) % 2 else None
+            walked = random_walk(d, WalkPlan(seed=seed, steps=20, weights=weights))
+            sample.append(walked)
+            sample.append(disjoint_union(walked, from_text("()")))
+            sample.append(disjoint_union(walked, starts[(i + 3) % len(starts)]))
+    sample.extend(_torus(n) for n in (9, 15, 20, 21, 35, 44))
+    rng = random.Random(20261019)
+    for comps, m in ((1, 10), (1, 16), (2, 9), (3, 7)):
+        polygon = [
+            [(rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(m)]
+            for c in range(comps)
+        ]
+        sample.append(project(SpatialLink(polygon), seed=rng.randrange(2**31)).diagram)
+    return sample
+
+
+def _nullity(count):
+    return next(k for k in range(count.total) if count.p**k == count.total)
+
+
+def test_shared_reduction_matches_the_dense_oracle_for_every_prime_in_any_order():
+    empty = zero_entry = differs = 0
+    for d in _reduction_sample():
+        want = _shared_reduction_agrees(d)
+        rest = unit_reduction(d)[1]
+        empty += d.n_crossings > 0 and not rest
+        zero_entry += any(v % p == 0 for row in rest for _, v in row for p in WIDE)
+        differs += _nullity(want[3]) != _nullity(want[5])
+    # Unit steps alone, a remainder entry that vanishes mod a tested
+    # prime, and ranks that differ between primes of one diagram.
+    assert empty > 0 and zero_entry > 0 and differs > 0, (empty, zero_entry, differs)
+
+
+def test_a_diagram_made_from_a_counted_one_counts_afresh():
+    rng = random.Random(24)
+    for e in catalog.all()[1:]:
+        d = random_walk(e.diagram, WalkPlan(seed=len(e.name), steps=12))
+        assert count_colorings(d, 3) == count_colorings_by_dense_rank(d, 3)
+        sites = enumerate_sites(d)
+        made = [apply_move(d, site) for site in rng.sample(sites, min(len(sites), 8))]
+        made.append(random_walk(d, WalkPlan(seed=1, steps=6)))
+        made.append(mirror(d))
+        changed = rng.sample(sorted(d.signs), min(2, d.n_crossings))
+        made.extend(crossing_change(d, c) for c in changed)
+        for child in made:
+            for p in (3, 5):
+                assert count_colorings(child, p) == count_colorings_by_dense_rank(child, p)
+            assert child._unit_reduction == unit_reduction(Diagram(child.components)), child
 
 
 def _mod(p):

@@ -21,8 +21,11 @@ from knots import (
     catalog,
     coefficient,
     connected_sum,
+    conway,
+    count_colorings,
     crossing_change,
     from_text,
+    is_colorable,
     lk,
     lk2,
     permute_components,
@@ -221,6 +224,28 @@ def test_permute_components_refuses_an_order_that_is_not_a_sequence(order):
 def test_catalog_lookup_refuses_a_name_that_is_not_a_string(name):
     with pytest.raises(UnknownNameError, match=f"no catalog entry named {name!r}"):
         catalog.lookup(name)
+
+
+class _Unreadable:
+    """Fails the test when any attribute is read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name}")
+
+    def __repr__(self):
+        return "unreadable"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda d: count_colorings(d, 3), lambda d: is_colorable(d, 5), conway],
+    ids=["count_colorings", "is_colorable", "conway"],
+)
+@pytest.mark.parametrize("d", [None, "abc", 5, _Unreadable()], ids=repr)
+def test_invariants_refuse_a_diagram_that_is_not_a_diagram(call, d):
+    # Each once raised AttributeError from ``d.components`` or ``d._pieces``.
+    with pytest.raises(DomainError, match=re.escape(f"d must be a Diagram, got {d!r}")):
+        call(d)
 
 
 @pytest.mark.parametrize("linking", [lk, lk2])

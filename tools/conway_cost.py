@@ -10,7 +10,8 @@ while its projections fall short.  Each call runs on a fresh copy of the
 diagram (nothing cached), so the planarity trace of ``conway`` is
 counted.  Each row gives the median of ``REPEATS`` calls in
 milliseconds: ``ms`` for ``conway`` and ``colorings_ms`` for
-``count_colorings(d, 3)``, the same kernel at t = -1 over Z/3.
+``count_colorings(d, 3)``: the Fox matrix at t = -1 reduced over Z on
+its +-1 entries, then what is left by the same kernel over Z/3.
 
 The machine's speed drifts on a shared host, so each pair of calls
 alternates with a run of ``bench/calibrate.py``'s ``probe``.  A row's
