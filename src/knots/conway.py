@@ -21,12 +21,38 @@ eps = sign(c1) * (-1)^(number of negative crossings),
 With t^k dropped, c_j is the coefficient of t^((K+j)/2) once the terms
 of higher j are taken off, for j = K, K-2, ...  ``colorings.pivot_steps``,
 the kernel that also ranks the coloring matrix, reduces D fraction-free
-(Bareiss) over Z[t], each step on the shortest row left and its column
-held by the fewest other rows; its last pivot times the sign of the
-pivots' row -> column permutation is D.  A singular minor means C = 0
-for a link.  A knot has Delta(1) = +-1, so there a singular minor, or
-C(0) != 1 (a failed sign rule), raises ``ArithmeticError``.  Codes that
-no plane diagram realizes raise ``NonPlanarError``.
+(Bareiss) over Z[t, 1/t], each step on the shortest row left and its
+column held by the fewest other rows; its last pivot times the sign of
+the pivots' row -> column permutation is D.  A singular minor means
+C = 0 for a link.  A knot has Delta(1) = +-1, so there a singular minor,
+or C(0) != 1 (a failed sign rule), raises ``ArithmeticError``.  Codes
+that no plane diagram realizes raise ``NonPlanarError``.
+
+The pivots carry large powers of t (units of Z[t, 1/t], which the
+determinant ignores), so an entry t^lo * A(t) of the elimination, with
+A(0) != 0, is kept as one integer: its value at t = 2^w, stored as
+m * 2^e with m odd.  A product multiplies the m's and adds the e's; a
+difference shifts the operand with the higher e left by the gap, so a
+zero operand keeps the other's exponent (aligning it to e = 0 would pad
+every fill-in entry with zeros); a quotient is a ``divmod`` of the m's
+that must leave no remainder, with the quotient's trailing zero bits
+moved into e.  Evaluation at 2^w is a ring map into Z[1/2], so products
+and differences are exact, and as the divisor's m is odd, it divides
+the dividend's m whenever the Laurent division is exact; stripping only
+moves powers of 2 into e.  The width must make the map one-to-one on
+the entries the kernel keeps, so that no nonzero entry reads as zero
+and every pivot reads back: in signed w-bit digits,
+A(2^w) = m * 2^(e mod w) and lo = e div w (floored).  Every kept entry
+is a minor of the Fox minor, and by Hadamard's bound on |t| = 1 each
+coefficient of a minor is at most the square root of
+
+    P = prod over rows of (sum over entries of (|a| + |b|)^2),
+
+for entries a + b*t.  So w = (bits of P + 1) // 2 + 1 puts every
+coefficient strictly inside +-2^(w-1), where the digits are unique.  A
+row is not always worth 6: a component with one under pass has the row
+(1 - t, t - 1), worth 8, so P is taken from the rows of the minor, per
+call.
 
 ``violations`` and ``is_descending`` describe the crossing changes that
 unknot a diagram or split a link.  They walk each component from its
@@ -49,12 +75,19 @@ from .errors import DomainError, NonPlanarError
 
 @dataclass(frozen=True)
 class ConwayPoly:
-    """Integer polynomial c0 + c1 t + c2 t^2 + ... with trimmed tail."""
+    """Integer polynomial c0 + c1 t + c2 t^2 + ... with trimmed tail.
+
+    Coefficients must be ints (not bools), else ``DomainError``; ``+``,
+    ``-`` and ``*`` take only another ``ConwayPoly``.
+    """
 
     coeffs: tuple
 
     def __init__(self, coeffs: Sequence[int] = ()):
         cs = list(coeffs)
+        for c in cs:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise DomainError(f"coefficients must be ints, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -74,12 +107,18 @@ class ConwayPoly:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
     def __add__(self, other):
+        if not isinstance(other, ConwayPoly):
+            return NotImplemented
         return ConwayPoly([a + b for a, b in zip_longest(self, other, fillvalue=0)])
 
     def __sub__(self, other):
+        if not isinstance(other, ConwayPoly):
+            return NotImplemented
         return ConwayPoly([a - b for a, b in zip_longest(self, other, fillvalue=0)])
 
     def __mul__(self, other):
+        if not isinstance(other, ConwayPoly):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -125,18 +164,71 @@ def is_descending(d: Diagram) -> bool:
     return not violations(d)
 
 
-def _exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
-    """a / b in Z[t], where b divides a (as Bareiss guarantees)."""
-    rest, top = list(a.coeffs), b.degree
-    q = [0] * (len(rest) - top)
-    for k in reversed(range(len(q))):
-        q[k] = c = rest[k + top] // b.coeffs[-1]
-        if c:
-            for j, y in enumerate(b.coeffs):
-                rest[k + j] -= c * y
-    if any(rest):
-        raise ArithmeticError(f"{b} does not divide {a}")
-    return ConwayPoly(q)
+class _Laurent:
+    """An entry t^lo * A(t) at t = 2^w: the number m * 2^e, m odd or 0."""
+
+    __slots__ = ("e", "m")
+
+    def __init__(self, e: int, m: int):
+        self.e, self.m = e, m
+
+    def __mul__(self, other):
+        return _Laurent(self.e + other.e, self.m * other.m)
+
+    def __sub__(self, other):
+        if not (self.m and other.m):  # a zero keeps the other operand's exponent
+            return _Laurent(other.e, -other.m) if other.m else self
+        gap = self.e - other.e
+        if gap >= 0:
+            return _Laurent(other.e, (self.m << gap) - other.m)
+        return _Laurent(self.e, self.m - (other.m << -gap))
+
+    def __bool__(self):
+        return self.m != 0
+
+
+def _divide(a: _Laurent, b: _Laurent) -> _Laurent:
+    """a / b, where b divides a in Z[t, 1/t] (as Bareiss guarantees)."""
+    q, rest = divmod(a.m, b.m)
+    if rest:
+        # Sizes only: the decimal text of a long int can pass str()'s digit limit.
+        raise ArithmeticError(
+            f"a {b.m.bit_length()}-bit entry does not divide a {a.m.bit_length()}-bit one"
+        )
+    if not q:
+        return a
+    zeros = (q & -q).bit_length() - 1
+    return _Laurent(a.e - b.e + zeros, q >> zeros)
+
+
+def _fox_minor(d: Diagram):
+    """(order, rows, w): the Fox matrix of ``d`` less the row and column
+    of its lowest label ``order[0]``, as ``_Laurent`` entries at t = 2^w,
+    with w the digit width of the module docstring."""
+    fox, order = fox_rows(d), sorted(d.signs)
+    minor = [{j: v for j, v in fox[c].items() if j != order[0] and v != (0, 0)} for c in order[1:]]
+    bound = 1
+    for row in minor:
+        bound *= sum((abs(a) + abs(b)) ** 2 for a, b in row.values()) or 1
+    w = (bound.bit_length() + 1) // 2 + 1
+    # An entry a + b*t has a in {-1, 0, 1}, and b = +-1 when a = 0, so m is odd.
+    rows = [
+        {j: _Laurent(0, a + (b << w)) if a else _Laurent(w, b) for j, (a, b) in row.items()}
+        for row in minor
+    ]
+    return order, rows, w
+
+
+def _digits(x: _Laurent, w: int):
+    """(lo, [c0, c1, ...]) with x = t^lo * (c0 + c1 t + ...) at t = 2^w and
+    c0 != 0, each c read as a signed w-bit digit."""
+    lo = x.e // w
+    v, half, mask, out = x.m << (x.e - lo * w), 1 << (w - 1), (1 << w) - 1, []
+    while v:
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> w
+    return lo, out
 
 
 def _sign(perm: dict) -> int:
@@ -172,20 +264,15 @@ def conway(d: Diagram) -> ConwayPoly:
     knot, n = d.n_components == 1, d.n_crossings
     if closed_arcs(d):
         return ONE if knot else ZERO
-    rows, order = fox_rows(d), sorted(d.signs)
-    minor = [
-        {a: poly for a, v in rows[c].items() if a != order[0] and (poly := ConwayPoly(v))}
-        for c in order[1:]
-    ]
-    steps = list(pivot_steps(minor, _exact_div, ONE))
+    order, minor, w = _fox_minor(d)
+    steps = list(pivot_steps(minor, _divide, _Laurent(0, 1)))
     if len(steps) < n - 1:
         if knot:
             raise ArithmeticError(f"Alexander minor of {d!r} is singular")
         return ZERO
     negatives = sum(s < 0 for s in d.signs.values())
     sign = d.signs[order[0]] * (-1) ** negatives * _sign({order[r + 1]: c for r, c, _ in steps})
-    q = [sign * c for c in (steps[-1][2] if steps else ONE)]
-    q = q[next(i for i, c in enumerate(q) if c) :]
+    q = [sign * c for c in (_digits(steps[-1][2], w)[1] if steps else (1,))]
     top = len(q) - 1
     coeffs = [0] * len(q)
     for j in range(top, -1, -2):

@@ -29,7 +29,6 @@ from knots import (
     random_walk,
 )
 from knots.colorings import fox_rows, pivot_steps, unit_reduction
-from knots.conway import _exact_div
 
 from coloring_oracle import (
     arc_split,
@@ -37,7 +36,7 @@ from coloring_oracle import (
     count_colorings_by_enumeration,
     rank_mod_p,
 )
-from kernel_oracle import scanning_pivot_steps
+from kernel_oracle import exact_div as _exact_div, scanning_pivot_steps
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"

@@ -1,6 +1,7 @@
 """Errors raised on bad input, one case per raise no other test reaches."""
 
 import json
+import operator
 import re
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from knots import (
     ConsistencyError,
+    ConwayPoly,
     Diagram,
     DomainError,
     NonPlanarError,
@@ -246,6 +248,23 @@ def test_invariants_refuse_a_diagram_that_is_not_a_diagram(call, d):
     # Each once raised AttributeError from ``d.components`` or ``d._pieces``.
     with pytest.raises(DomainError, match=re.escape(f"d must be a Diagram, got {d!r}")):
         call(d)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0.5), "12", (True,), (1, None), (2, 0, False)])
+def test_conway_poly_refuses_coefficients_that_are_not_ints(coeffs):
+    # Once accepted, so that ``poly_text`` printed ``1 + 0.5t``.
+    bad = next(c for c in coeffs if isinstance(c, bool) or not isinstance(c, int))
+    with pytest.raises(DomainError, match=re.escape(f"coefficients must be ints, got {bad!r}")):
+        ConwayPoly(coeffs)
+
+
+@pytest.mark.parametrize("other", [2, 1.5, (1,), None])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_conway_poly_arithmetic_refuses_other_types(op, other):
+    # ``ConwayPoly((1,)) * 2`` once raised AttributeError on ``other.coeffs``,
+    # and ``ConwayPoly((1,)) + (1,)`` returned a ConwayPoly.
+    with pytest.raises(TypeError):
+        op(ConwayPoly((1,)), other)
 
 
 @pytest.mark.parametrize("linking", [lk, lk2])

@@ -4,14 +4,16 @@
 Diagrams: T(2, n) torus knots (odd n) and 2-component torus links (even
 n), and seeded projections of 1-3 random polygons (the recipe of
 ``bench/workloads._polygon``, components offset by 0.6) at about 25, 50,
-100 and 150 crossings.  A projection is kept when its crossing count is
-within 10 % of the target; the polygon grows by a vertex per component
-while its projections fall short.  Each call runs on a fresh copy of the
+100, 150, 300 and 500 crossings.  A projection is kept when its crossing
+count is within 10 % of the target; the polygon grows by a vertex per
+component while its projections fall short.  Each call runs on a fresh copy of the
 diagram (nothing cached), so the planarity trace of ``conway`` is
 counted.  Each row gives the median of ``REPEATS`` calls in
 milliseconds: ``ms`` for ``conway`` and ``colorings_ms`` for
 ``count_colorings(d, 3)``: the Fox matrix at t = -1 reduced over Z on
-its +-1 entries, then what is left by the same kernel over Z/3.
+its +-1 entries, then what is left by the same kernel over Z/3.  ``w``
+is the digit width of the packed Laurent entries that ``conway``
+eliminates, from the Hadamard bound of its Fox minor.
 
 The machine's speed drifts on a shared host, so each pair of calls
 alternates with a run of ``bench/calibrate.py``'s ``probe``.  A row's
@@ -36,8 +38,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 import calibrate  # noqa: E402
 from knots import Diagram, SpatialLink, conway, count_colorings, from_text, project  # noqa: E402
+from knots.conway import _fox_minor  # noqa: E402
 
-SIZES = (25, 50, 100, 150)
+SIZES = (25, 50, 100, 150, 300, 500)
 REPEATS = 5
 
 
@@ -92,6 +95,7 @@ def row(kind, d):
         "kind": kind,
         "components": d.n_components,
         "crossings": d.n_crossings,
+        "w": _fox_minor(d)[2],
         "ms": ms(conway_s),
         "colorings_ms": ms(colorings_s),
         "slowdown": round(slowdown, 3),
