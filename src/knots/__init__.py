@@ -4,13 +4,12 @@ Diagrams are signed oriented Gauss codes; on top of them the package
 provides Reidemeister moves with randomized invariance fuzzing, linking
 numbers, Arf and Casson invariants via skew pairs, the Conway polynomial
 of knots and links (one Alexander-matrix minor, with a sign read off
-the diagram), Fox p-colorings (the Fox matrix at t = -1, reduced once
-over Z on its +-1 entries for every prime; one sparse fraction-free
-elimination, shortest row first and its sparsest column, takes the
-Conway minor and what that reduction leaves mod p), chord diagrams and
-finite-order invariant checks, and spatial geometry for linked
-triangles and the seven-point theorem, on exact orientation predicates
-(a float filter with a rational fallback).
+the diagram), Fox p-colorings (the Fox matrix at t = -1; one sparse
+elimination kernel, unit steps and then fraction-free steps, takes the
+Conway minor and the coloring matrix, whose unit steps over Z every
+prime shares), chord diagrams and finite-order invariant checks, and
+spatial geometry for linked triangles and the seven-point theorem, on
+exact orientation predicates (a float filter with a rational fallback).
 """
 
 from .errors import (

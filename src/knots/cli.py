@@ -186,10 +186,12 @@ def fuzz(input, steps, seed, invariants, fmt):
 
 
 def _load_points(path):
-    """Every point of the JSON list in ``path``; the command checks them."""
+    """Every point of the JSON list in ``path``; the command checks them.
+    Bytes that are no JSON text (in UTF-8, -16 or -32) are a ``ParseError``."""
     try:
-        pts = json.loads(click.open_file(path).read())
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as f:
+            pts = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not JSON: {exc}") from None
     if not isinstance(pts, list):
         raise ParseError(f"{path} holds no JSON list of points")
@@ -214,7 +216,7 @@ def geom():
 
 
 @geom.command("linked-triangles")
-@click.option("--points", "points_file", type=click.Path(exists=True), default=None)
+@click.option("--points", "points_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=10, show_default=True, type=click.IntRange(min=1))
 @_format_option
@@ -234,7 +236,7 @@ def linked_triangles(points_file, seed, trials, fmt):
 
 
 @geom.command("k7")
-@click.option("--points", "points_file", type=click.Path(exists=True), default=None)
+@click.option("--points", "points_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", default=5, show_default=True, type=click.IntRange(min=1))
 @_format_option

@@ -288,9 +288,9 @@ class Diagram:
 
     @cached_property
     def _unit_reduction(self):
-        """The coloring matrix reduced on its +-1 entries, which every
-        prime shares (see ``colorings.unit_reduction``); a move's result
-        reduces its own."""
+        """The coloring matrix after the kernel's unit steps on its +-1
+        entries, which every prime shares (``colorings.unit_reduction``);
+        a move's result reduces its own."""
         from .colorings import unit_reduction  # colorings imports this module
 
         return unit_reduction(self)

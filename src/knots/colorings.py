@@ -10,25 +10,21 @@ p-coloring assigns each arc a color in Z/p so that at every crossing
     2 * (over arc)  =  (under-in arc) + (under-out arc)   (mod p)
 
 For p = 3 this congruence says exactly "all three colors equal or all
-distinct", the trichromatic rule.  These are the rows of the Fox
-presentation matrix (``fox_rows``) that the Conway polynomial uses, at
-t = -1.  The count of colorings is p to the dimension of the solution
-space.  Its rank is found in two stages.  First the matrix is reduced
-once over Z, pivoting only on entries +1 and -1 (``unit_reduction``):
-such a step is a unimodular row operation, so it is the same step
-modulo every prime, and the result is cached on the diagram for all of
-them.  What is left, a handful of rows on large diagrams, goes mod p
-through ``pivot_steps``, the one sparse fraction-free kernel that also
-takes the Conway determinant: each step takes the shortest row left and
-pivots on its column held by the fewest other rows.  A coloring is
-proper when it uses at least two colors, and the p monochromatic
-assignments always work, so proper = total - p.
+distinct", the trichromatic rule.  These are the rows of the Fox matrix
+(``fox_rows``) at t = -1, and the count of colorings is p to the
+dimension of the solution space.  Its rank comes from ``pivot_steps``,
+the one kernel that also takes the Conway determinant.  Its unit steps
+over Z, on the entries +-1 (``unit_reduction``), are unimodular, so they
+hold modulo every prime, and the diagram caches them; what they leave,
+a handful of rows on large diagrams, goes mod p through Bareiss steps
+alone.  A coloring is proper when it uses at least two colors, and the
+p monochromatic assignments always work, so proper = total - p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .codes import UNDER, Diagram
 from .errors import DomainError
@@ -93,129 +89,113 @@ def fox_rows(d: Diagram):
     return rows
 
 
-def pivot_steps(rows, div, one):
-    """Fraction-free (Bareiss) elimination of sparse rows, step by step.
+def pivot_steps(rows, div, one, inverse=None):
+    """The steps ``(row, column, pivot)`` of unit steps, then fraction-free
+    (Bareiss) steps, on sparse rows of an integral domain with unit ``one``.
 
-    A row maps columns to nonzero entries of an integral domain with unit
-    ``one`` and exact division ``div(a, b)``.  Each step takes the
-    shortest row left (the lowest index on ties), the sparsest-row rule
-    of Markowitz, and pivots on its column held by the fewest other live
-    rows (the lowest label on ties), which keeps fill-in low; it yields
-    ``(row, column, pivot)`` with ``row`` the index in ``rows``.  A heap of
-    (length, index) finds the row, with entries of rows that have since
-    changed length skipped, and a column -> live rows index gives the
-    rows to update, so no step scans every live row.  Every entry is then
-    a minor of the input, so dividing by the previous pivot is exact.  A
-    row without an entry in the pivot column would only be scaled by
-    pivot / previous pivot; these factors telescope, so it keeps the
-    values of the step it last changed at (``level``) until it is used.
-    Rows that vanish are dropped: there are rank-many steps.  The k-th
-    pivot is the minor on the first k pivot rows and columns, taken in
-    pivot order, so the last one of a nonsingular square matrix is its
-    determinant times the sign of the permutation row -> column.
+    A row maps columns to nonzero entries; ``rows`` is a list of rows,
+    copied, or a dict index -> row, reduced in place.  Each step takes the
+    shortest row left (the lowest index on ties) and pivots on its column
+    held by the fewest other live rows (the lowest label on ties), which
+    keeps fill-in low; a heap of (length, index), whose stale entries are
+    skipped, and a column -> live rows index spare it a scan of every row.
+
+    While a row holds a unit, given ``inverse`` (an entry's inverse, or
+    None for a non-unit), the steps are unit steps, on the shortest row
+    with a unit and its sparsest unit column (a row popped without a unit
+    waits until an update pushes it again): each holder with f in that
+    column loses f * inverse(pivot) times the row, in place.  Bareiss
+    steps follow if exact division ``div(a, b)`` is given, else the rows
+    left stay in a dict ``rows``.  Their entries are minors of the rows
+    left, so dividing by the previous pivot is exact; a row without an
+    entry in the pivot column would only be scaled by pivot / previous
+    pivot, factors that telescope, so it keeps its values until used.
+
+    Rows that vanish are dropped: a full run takes rank-many steps.  The
+    unit pivots are the leading run of steps on a unit (no row holds a
+    unit when Bareiss steps start; a later Bareiss pivot may be one).  The
+    k-th Bareiss pivot is the minor on the first k Bareiss pivot rows and
+    columns, so a nonsingular square matrix has determinant the sign of
+    the permutation row -> column of all steps, times the unit pivots,
+    times the last Bareiss pivot (1 if there is none).
     """
-    live = {i: dict(row) for i, row in enumerate(rows) if row}
-    level = dict.fromkeys(live, 0)
+    live = rows if isinstance(rows, dict) else {i: dict(row) for i, row in enumerate(rows) if row}
     holders = {}
     for i, row in live.items():
         for j in row:
             holders.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in live.items()]
-    heapify(heap)
-    zero, scale = one - one, [one]
-    while heap:
+    units = inverse is not None
+    heap = sorted((len(row), i) for i, row in live.items())
+    zero, scale, level, steps = one - one, [one], dict.fromkeys(live, 0), []
+    while heap or units and div and live:
+        if not heap:  # no row holds a unit: Bareiss steps from here on
+            units, heap = False, sorted((len(row), i) for i, row in live.items())
         n, r = heappop(heap)
-        if len(live.get(r, ())) != n:
+        row = live.get(r)
+        if row is None or len(row) != n:
             continue
-        row, k = live.pop(r), len(scale) - 1
+        # The pivot columns to choose from; for a unit step, each with its inverse.
+        cols = {j: u for j, v in row.items() if (u := inverse(v))} if units else row
+        if not cols:
+            continue
+        del live[r]
         for j in row:
             holders[j].discard(r)
-        if level[r] != k:
-            row = {j: div(scale[k] * v, scale[level[r]]) for j, v in row.items()}
-        col = min(row, key=lambda j: (len(holders[j]), j))
-        pivot = row.pop(col)
+        col = min(cols, key=lambda j: (len(holders[j]), j))
+        if units:
+            pivot, inv = row.pop(col), cols[col]
+        else:
+            k = len(scale) - 1
+            if level[r] != k:
+                row = {j: div(scale[k] * v, scale[level[r]]) for j, v in row.items()}
+            pivot = row.pop(col)
         for i in holders.pop(col):
             other = live[i]
             length, f = len(other), other.pop(col)
-            new = {j: pivot * v for j, v in other.items()}
-            for j, v in row.items():
-                new[j] = new.get(j, zero) - f * v
-            other = {j: q for j, v in new.items() if (q := div(v, scale[level[i]]))}
-            for j in row:
-                if j in other:
-                    holders[j].add(i)
-                else:
-                    holders[j].discard(i)
-            level[i] = k + 1
-            if other:
-                live[i] = other
-                if len(other) != length:
-                    heappush(heap, (len(other), i))
-            else:
+            if units:  # other - f / pivot * row, in place
+                f = f * inv
+                for j, v in row.items():
+                    if e := other.get(j, zero) - f * v:
+                        if j not in other:
+                            holders[j].add(i)
+                        other[j] = e
+                    else:
+                        del other[j]
+                        holders[j].discard(i)
+            else:  # (pivot * other - f * row) / the previous pivot
+                new = {j: pivot * v for j, v in other.items()}
+                for j, v in row.items():
+                    new[j] = new.get(j, zero) - f * v
+                other = live[i] = {j: q for j, v in new.items() if (q := div(v, scale[level[i]]))}
+                level[i] = k + 1
+                for j in row:
+                    (holders[j].add if j in other else holders[j].discard)(i)
+            if not other:
                 del live[i]
-        scale.append(pivot)
-        yield r, col, pivot
+            elif units or len(other) != length:
+                heappush(heap, (len(other), i))
+        if not units:
+            scale.append(pivot)
+        steps.append((r, col, pivot))
+    return steps
 
 
 def unit_reduction(d: Diagram):
-    """(free, rest): the coloring matrix reduced over Z on +-1 pivots.
+    """(free, rest): the coloring matrix after the unit steps of
+    ``pivot_steps`` over Z, on entries +1 and -1, valid modulo every prime.
 
-    Each step takes the shortest row that holds an entry +1 or -1 (the
-    lowest index on ties) and, among those entries, the column held by
-    the fewest other rows (the lowest label on ties); it subtracts
-    f * pivot times the pivot row from every row with f in that column,
-    in place.  As 1 / pivot = pivot, no division is needed, and as the
-    step is unimodular, it is a valid step modulo every prime.  A row
-    with no unit entry waits until an update gives it one.  ``free`` is
-    the number of arcs less the number of steps, and ``rest`` the rows
-    left as (column, entry) pairs, none with a unit entry, so the rank
-    mod p is the number of steps plus the rank of ``rest`` mod p.
+    ``free`` is the number of arcs less the number of steps, and ``rest``
+    the rows left as (column, entry) pairs, none with an entry +-1, so the
+    rank mod p is the number of steps plus the rank of ``rest`` mod p.
     ``Diagram`` caches it, so every prime asked of one diagram shares it.
     """
     rows = {}
     for i, fox in enumerate(fox_rows(d).values()):
         # At t = -1 the entry a + b*t is a - b.
-        row = {col: e for col, (a, b) in fox.items() if (e := a - b)}
-        if row:
+        if row := {col: e for col, (a, b) in fox.items() if (e := a - b)}:
             rows[i] = row
-    holders = {}
-    for i, row in rows.items():
-        for j in row:
-            holders.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in rows.items() if 1 in row.values() or -1 in row.values()]
-    heapify(heap)
-    steps = 0
-    while heap:
-        n, r = heappop(heap)
-        row = rows.get(r)
-        if row is None or len(row) != n:
-            continue
-        units = [j for j, v in row.items() if v == 1 or v == -1]
-        if not units:
-            continue
-        del rows[r]
-        for j in row:
-            holders[j].discard(r)
-        col = min(units, key=lambda j: (len(holders[j]), j))
-        pivot = row.pop(col)
-        for i in holders.pop(col):
-            other = rows[i]
-            f = other.pop(col) * pivot
-            for j, v in row.items():
-                if e := other.get(j, 0) - f * v:
-                    if j not in other:
-                        holders[j].add(i)
-                    other[j] = e
-                elif j in other:
-                    del other[j]
-                    holders[j].discard(i)
-            if not other:
-                del rows[i]
-            elif 1 in other.values() or -1 in other.values():
-                heappush(heap, (len(other), i))
-        steps += 1
-    rest = tuple(tuple(row.items()) for row in rows.values())
-    return d.n_crossings + closed_arcs(d) - steps, rest
+    free = d.n_crossings + closed_arcs(d) - len(pivot_steps(rows, None, 1, {1: 1, -1: -1}.get))
+    return free, tuple(tuple(row.items()) for row in rows.values())
 
 
 def count_colorings(d: Diagram, p: int) -> ColoringCount:
@@ -239,7 +219,7 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
     # One modular inverse per pivot, not per updated entry (an inverse is never 0).
     inverse = {}
     div = lambda a, b: a * (inverse.get(b) or inverse.setdefault(b, pow(b, -1, p))) % p
-    total = p ** (free - sum(1 for _ in pivot_steps(rows, div, 1)))
+    total = p ** (free - len(pivot_steps(rows, div, 1)))
     return ColoringCount(p, total, total - p)
 
 

@@ -20,10 +20,11 @@ eps = sign(c1) * (-1)^(number of negative crossings),
 
 With t^k dropped, c_j is the coefficient of t^((K+j)/2) once the terms
 of higher j are taken off, for j = K, K-2, ...  ``colorings.pivot_steps``,
-the kernel that also ranks the coloring matrix, reduces D fraction-free
-(Bareiss) over Z[t, 1/t], each step on the shortest row left and its
-column held by the fewest other rows; its last pivot times the sign of
-the pivots' row -> column permutation is D.  A singular minor means
+the kernel that also ranks the coloring matrix, reduces D over
+Z[t, 1/t]: by unit steps while a row holds a unit +-t^k (each Fox row
+holds t and -1), then by Bareiss steps.  D is the sign of their row ->
+column permutation, times the signs of the unit pivots, times the last
+Bareiss pivot.  A singular minor means
 C = 0 for a link.  A knot has Delta(1) = +-1, so there a singular minor,
 or C(0) != 1 (a failed sign rule), raises ``ArithmeticError``.  Codes
 that no plane diagram realizes raise ``NonPlanarError``.
@@ -35,24 +36,25 @@ m * 2^e with m odd.  A product multiplies the m's and adds the e's; a
 difference shifts the operand with the higher e left by the gap, so a
 zero operand keeps the other's exponent (aligning it to e = 0 would pad
 every fill-in entry with zeros); a quotient is a ``divmod`` of the m's
-that must leave no remainder, with the quotient's trailing zero bits
-moved into e.  Evaluation at 2^w is a ring map into Z[1/2], so products
-and differences are exact, and as the divisor's m is odd, it divides
-the dividend's m whenever the Laurent division is exact; stripping only
-moves powers of 2 into e.  The width must make the map one-to-one on
-the entries the kernel keeps, so that no nonzero entry reads as zero
-and every pivot reads back: in signed w-bit digits,
-A(2^w) = m * 2^(e mod w) and lo = e div w (floored).  Every kept entry
-is a minor of the Fox minor, and by Hadamard's bound on |t| = 1 each
-coefficient of a minor is at most the square root of
+that must leave no remainder.  A quotient, and a difference of equal
+exponents (odd minus odd), move the zero bits of m into e: an even m
+would hide a unit +-t^k (m = +-1, e a multiple of w) from the unit
+steps, which divide nothing, and leave a leading zero digit on the last
+pivot.  Evaluation at 2^w is a ring map into Z[1/2], so products and
+differences are exact, and as the divisor's m is odd, it divides the
+dividend's m whenever the Laurent division is exact.  The width must
+make the map one-to-one on the entries the kernel keeps, so that no
+nonzero entry reads as zero and every pivot reads back: in signed w-bit
+digits, A(2^w) = m * 2^(e mod w) and lo = e div w (floored).  Every
+kept entry is a unit times a minor of the Fox minor, and by Hadamard's
+bound on |t| = 1 each coefficient of a minor is at most the root of
 
     P = prod over rows of (sum over entries of (|a| + |b|)^2),
 
 for entries a + b*t.  So w = (bits of P + 1) // 2 + 1 puts every
 coefficient strictly inside +-2^(w-1), where the digits are unique.  A
 row is not always worth 6: a component with one under pass has the row
-(1 - t, t - 1), worth 8, so P is taken from the rows of the minor, per
-call.
+(1 - t, t - 1), worth 8, so P is taken from the rows of the minor.
 
 ``violations`` and ``is_descending`` describe the crossing changes that
 unknot a diagram or split a link.  They walk each component from its
@@ -64,8 +66,8 @@ component order is another diagram (rotate a component's passes, or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from math import comb
+from itertools import takewhile, zip_longest
+from math import comb, prod
 from typing import Sequence
 
 from .codes import OVER, UNDER, Diagram, genus
@@ -179,9 +181,11 @@ class _Laurent:
         if not (self.m and other.m):  # a zero keeps the other operand's exponent
             return _Laurent(other.e, -other.m) if other.m else self
         gap = self.e - other.e
-        if gap >= 0:
+        if gap > 0:
             return _Laurent(other.e, (self.m << gap) - other.m)
-        return _Laurent(self.e, self.m - (other.m << -gap))
+        if gap < 0:
+            return _Laurent(self.e, self.m - (other.m << -gap))
+        return _odd(self.e, self.m - other.m)  # odd minus odd is even
 
     def __bool__(self):
         return self.m != 0
@@ -195,16 +199,24 @@ def _divide(a: _Laurent, b: _Laurent) -> _Laurent:
         raise ArithmeticError(
             f"a {b.m.bit_length()}-bit entry does not divide a {a.m.bit_length()}-bit one"
         )
-    if not q:
-        return a
-    zeros = (q & -q).bit_length() - 1
-    return _Laurent(a.e - b.e + zeros, q >> zeros)
+    return _odd(a.e - b.e, q)
+
+
+def _odd(e: int, m: int) -> _Laurent:
+    """m * 2^e as a ``_Laurent``, the zero bits of m moved into e."""
+    zeros = (m & -m).bit_length() - 1
+    return _Laurent(e + zeros, m >> zeros) if m else _Laurent(e, 0)
+
+
+def _unit_inverse(w: int):
+    """``pivot_steps``' ``inverse`` at t = 2^w: a unit +-t^k has m = +-1, w | e."""
+    return lambda x: _Laurent(-x.e, x.m) if (x.m == 1 or x.m == -1) and not x.e % w else None
 
 
 def _fox_minor(d: Diagram):
     """(order, rows, w): the Fox matrix of ``d`` less the row and column
-    of its lowest label ``order[0]``, as ``_Laurent`` entries at t = 2^w,
-    with w the digit width of the module docstring."""
+    of ``order[0]``, its lowest label, as a dict index -> row of
+    ``_Laurent`` entries at t = 2^w (w: see the module docstring)."""
     fox, order = fox_rows(d), sorted(d.signs)
     minor = [{j: v for j, v in fox[c].items() if j != order[0] and v != (0, 0)} for c in order[1:]]
     bound = 1
@@ -212,10 +224,10 @@ def _fox_minor(d: Diagram):
         bound *= sum((abs(a) + abs(b)) ** 2 for a, b in row.values()) or 1
     w = (bound.bit_length() + 1) // 2 + 1
     # An entry a + b*t has a in {-1, 0, 1}, and b = +-1 when a = 0, so m is odd.
-    rows = [
-        {j: _Laurent(0, a + (b << w)) if a else _Laurent(w, b) for j, (a, b) in row.items()}
-        for row in minor
-    ]
+    rows = {
+        i: {j: _Laurent(0, a + (b << w)) if a else _Laurent(w, b) for j, (a, b) in row.items()}
+        for i, row in enumerate(minor)
+    }
     return order, rows, w
 
 
@@ -265,14 +277,19 @@ def conway(d: Diagram) -> ConwayPoly:
     if closed_arcs(d):
         return ONE if knot else ZERO
     order, minor, w = _fox_minor(d)
-    steps = list(pivot_steps(minor, _divide, _Laurent(0, 1)))
+    inverse = _unit_inverse(w)
+    steps = pivot_steps(minor, _divide, _Laurent(0, 1), inverse)
     if len(steps) < n - 1:
         if knot:
             raise ArithmeticError(f"Alexander minor of {d!r} is singular")
         return ZERO
     negatives = sum(s < 0 for s in d.signs.values())
     sign = d.signs[order[0]] * (-1) ** negatives * _sign({order[r + 1]: c for r, c, _ in steps})
-    q = [sign * c for c in (_digits(steps[-1][2], w)[1] if steps else (1,))]
+    pivots = [pivot for _, _, pivot in steps]
+    units = list(takewhile(inverse, pivots))  # the first Bareiss pivot ends the run
+    sign *= prod(x.m for x in units)
+    last = pivots[-1] if len(units) < len(pivots) else _Laurent(0, 1)
+    q = [sign * c for c in _digits(last, w)[1]]
     top = len(q) - 1
     coeffs = [0] * len(q)
     for j in range(top, -1, -2):

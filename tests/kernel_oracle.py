@@ -11,10 +11,11 @@ determinant: the last pivot times the sign of the permutation row ->
 column of the steps.
 
 ``exact_div`` and ``dense_conway`` are the dense form of the Conway
-kernel: ``knots.conway.conway`` with its elimination run over
-``ConwayPoly`` entries, coefficient lists from t^0 with every power of t
-kept, and schoolbook division.  ``conway`` must give the same polynomial
-from its packed Laurent entries.
+kernel: ``knots.conway.conway`` with its elimination run by Bareiss
+steps alone (no unit steps) over ``ConwayPoly`` entries, coefficient
+lists from t^0 with every power of t kept, and schoolbook division.
+``conway`` must give the same polynomial from its packed Laurent
+entries.
 """
 
 from math import comb
@@ -89,8 +90,8 @@ def dense_minor(d: Diagram):
 
 
 def dense_conway(d: Diagram) -> ConwayPoly:
-    """``knots.conway.conway`` with the elimination over ``ConwayPoly``, for
-    a diagram that a plane diagram realizes."""
+    """``knots.conway.conway`` by Bareiss steps alone over ``ConwayPoly``,
+    for a diagram that a plane diagram realizes."""
     knot, n = d.n_components == 1, d.n_crossings
     if closed_arcs(d):
         return ONE if knot else ZERO

@@ -1,8 +1,10 @@
 """Command-line interface: output shapes and exit codes."""
 
+import gc
 import json
 import math
 import random
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -248,3 +250,30 @@ def test_geom_k7_bad_json_is_a_parse_error(tmp_path):
     res = _k7_file(tmp_path, None, raw="[[0, 1, 2], [3, 4")
     assert res.exit_code == 2, res.output
     assert "is not JSON" in res.output
+
+
+def test_geom_k7_points_file_that_is_not_text_is_a_parse_error(tmp_path):
+    f = tmp_path / "points.json"
+    f.write_bytes(b"[[0, 1, 2], [\xff\xfe 3, 4, 5]]")
+    res = _run("geom", "k7", "--points", str(f))
+    assert res.exit_code == 2, res.output
+    assert "is not JSON" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["k7", "linked-triangles"])
+def test_geom_points_directory_is_a_usage_error(tmp_path, command):
+    res = _run("geom", command, "--points", str(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
+    assert not isinstance(res.exception, IsADirectoryError)
+
+
+def test_geom_points_file_is_closed_after_reading(tmp_path):
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps(_generic_points(7)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = _run("geom", "k7", "--points", str(f))
+        gc.collect()
+    assert res.exit_code == 0, res.output
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

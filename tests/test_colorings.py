@@ -412,6 +412,75 @@ def test_eliminate_rank_mod_p_matches_the_dense_rank():
             assert len(steps) == rank_mod_p(matrix, cols, p)
 
 
+UNITS = {1: 1, -1: -1}.get
+
+
+def _unit_run_determinant(steps):
+    """sign(row -> column) * the leading run of +-1 pivots * the last
+    Bareiss pivot (1 if there is none), rows and columns 0..n-1."""
+    perm = [c for _, c, _ in sorted(steps, key=lambda step: step[0])]
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    pivots = [pivot for _, _, pivot in steps]
+    units = list(itertools.takewhile(UNITS, pivots))
+    det = -1 if inversions % 2 else 1
+    for pivot in units:
+        det *= pivot
+    return det * (pivots[-1] if len(units) < len(pivots) else 1)
+
+
+def _unit_rich(rng, n, ncols):
+    return [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -3)) for _ in range(ncols)] for _ in range(n)]
+
+
+def test_unit_steps_then_bareiss_steps_give_the_exact_determinant():
+    rng = random.Random(26)
+    mixed = 0
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        matrix = _unit_rich(rng, n, n)
+        det = _leibniz(matrix, 1)
+        steps = pivot_steps(_sparse(matrix), _int_div, 1, UNITS)
+        if not det:
+            assert len(steps) < n
+            continue
+        assert len(steps) == n and _unit_run_determinant(steps) == det, matrix
+        units = len(list(itertools.takewhile(UNITS, [pivot for _, _, pivot in steps])))
+        mixed += 0 < units < n
+    # Many runs take both kinds of step (the fixed case below pins a later
+    # Bareiss pivot that is a unit).
+    assert mixed > 20, mixed
+
+
+def test_unit_steps_alone_leave_no_unit_and_keep_the_rank_mod_p():
+    rng = random.Random(27)
+    left = 0
+    for _ in range(200):
+        n, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        matrix = _unit_rich(rng, n, ncols)
+        rows = {i: row for i, row in enumerate(_sparse(matrix)) if row}
+        steps = pivot_steps(rows, None, 1, UNITS)
+        assert all(v not in (1, -1) for row in rows.values() for v in row.values())
+        assert all(UNITS(pivot) for _, _, pivot in steps)
+        rest = [[row.get(j, 0) for j in range(ncols)] for row in rows.values()]
+        left += bool(rest)
+        for p in PRIMES:
+            assert len(steps) + rank_mod_p(rest, ncols, p) == rank_mod_p(matrix, ncols, p)
+    assert left > 20, left
+
+
+def test_a_unit_bareiss_pivot_is_no_unit_step():
+    # One unit step on row 0 leaves [[2, 3], [3, 5]], which holds no +-1;
+    # its Bareiss pivots are 2 and then the determinant 1, a unit that the
+    # leading run must not take in, or D would read 2.
+    matrix = [[1, 1, 0], [1, 3, 3], [0, 3, 5]]
+    rows = dict(enumerate(_sparse(matrix)))
+    assert pivot_steps(rows, None, 1, UNITS) == [(0, 0, 1)]
+    assert rows == {1: {1: 2, 2: 3}, 2: {1: 3, 2: 5}}
+    steps = pivot_steps(_sparse(matrix), _int_div, 1, UNITS)
+    assert [pivot for _, _, pivot in steps] == [1, 2, 1]
+    assert _unit_run_determinant(steps) == _leibniz(matrix, 1) == 1
+
+
 def _signed_last_pivot(steps, cols, one):
     """sign(row -> column) * last pivot, row i standing for ``cols[i]``."""
     where = {c: k for k, c in enumerate(cols)}

@@ -1,16 +1,21 @@
 """The packed Laurent kernel of ``conway`` against the dense kernel.
 
 ``conway`` eliminates the Fox minor over entries packed into one integer
-each (``knots.conway._Laurent``); ``kernel_oracle.dense_conway`` does the
-same over ``ConwayPoly`` coefficient lists.  On catalog entries and their
-mirrors, T(2, n) of both hands, seeded walks and seeded projections up
-to about 300 crossings, both must give the same polynomial.  Both
-kernels also take the same steps, and every packed pivot, read back as
-signed w-bit digits, must be the dense pivot with each coefficient
-strictly inside +-2^(w-1): the digit width holds every minor.
+each (``knots.conway._Laurent``), by unit steps and then Bareiss steps;
+``kernel_oracle.dense_conway`` runs Bareiss steps alone over
+``ConwayPoly`` coefficient lists.  On catalog entries and their mirrors,
+T(2, n) of both hands, seeded walks and seeded projections up to about
+300 crossings, both must give the same polynomial.  Run by Bareiss steps
+alone, both kernels also take the same steps, and every packed pivot,
+read back as signed w-bit digits, must be the dense pivot with each
+coefficient strictly inside +-2^(w-1): the digit width holds every
+minor.  On a projection of about 470 crossings, the unit steps and
+Bareiss steps alone must give the same determinant.
 """
 
 import random
+from itertools import takewhile
+from math import prod
 
 import pytest
 
@@ -27,7 +32,7 @@ from knots import (
     random_walk,
 )
 from knots.colorings import closed_arcs, pivot_steps
-from knots.conway import ONE, _digits, _divide, _fox_minor, _Laurent
+from knots.conway import ONE, _digits, _divide, _fox_minor, _Laurent, _sign, _unit_inverse
 
 from kernel_oracle import dense_conway, dense_minor, exact_div
 
@@ -126,3 +131,77 @@ def test_a_zero_operand_keeps_the_other_exponent():
     assert (entry.e, entry.m) == (40, -3)
     entry = _Laurent(40, 3) - zero
     assert (entry.e, entry.m) == (40, 3)
+
+
+def test_an_equal_exponent_difference_keeps_m_odd():
+    # 3 * 2^5 - 2^5 = 2^6: kept as m = 1, e = 6, not m = 2, e = 5.
+    x = _Laurent(5, 3) - _Laurent(5, 1)
+    assert (x.e, x.m) == (6, 1)
+    # (1 + t) - 1 = t at w = 8: a unit the unit steps must see.
+    x = _Laurent(0, 1 + (1 << 8)) - _Laurent(0, 1)
+    assert (x.e, x.m) == (8, 1)
+    assert _digits(x, 8) == (1, [1])
+    x = _Laurent(5, -7) - _Laurent(5, -7)
+    assert not x
+
+
+def test_the_units_are_plus_or_minus_powers_of_t():
+    inverse = _unit_inverse(8)
+    for e, m in ((0, 1), (0, -1), (16, 1), (-8, -1)):
+        x = inverse(_Laurent(e, m))
+        assert (x.e, x.m) == (-e, m)
+    # +-2^s t^k with 0 < s < w, and entries with m != +-1, are no units.
+    for e, m in ((3, 1), (19, -1), (-5, 1), (0, 3), (8, -3), (0, 1 - (1 << 8))):
+        assert inverse(_Laurent(e, m)) is None
+
+
+def _run(d, inverse):
+    """The steps of ``d``'s minor, with the unit stage or (``inverse``
+    None) Bareiss steps alone, and the signed digits of D they give:
+    sign(row -> column) times the leading run of unit pivots times the
+    last Bareiss pivot."""
+    order, rows, w = _fox_minor(d)
+    steps = pivot_steps(rows, _divide, _Laurent(0, 1), inverse)
+    pivots = [pivot for _, _, pivot in steps]
+    units = list(takewhile(inverse, pivots)) if inverse else []
+    sign = _sign({order[r + 1]: c for r, c, _ in steps}) * prod(x.m for x in units)
+    last = pivots[-1] if len(units) < len(pivots) else _Laurent(0, 1)
+    return steps, len(units), [sign * c for c in _digits(last, w)[1]]
+
+
+@pytest.mark.parametrize("n", [*range(2, 40), 101], ids=str)
+def test_torus_minors_take_unit_steps_but_at_most_one(n):
+    for d in (_torus(n), mirror(_torus(n))):
+        inverse = _unit_inverse(_fox_minor(d)[2])
+        steps, units, digits = _run(d, inverse)
+        assert len(steps) == n - 1 and len(steps) - units <= 1, (n, len(steps), units)
+        assert digits == _run(d, None)[2], n
+
+
+def test_unit_steps_and_bareiss_steps_alone_agree_on_a_large_projection():
+    rng = random.Random(2608)
+    polygon = [
+        [(rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(36)]
+        for c in range(2)
+    ]
+    d = project(SpatialLink(polygon), seed=rng.randrange(2**31)).diagram
+    assert 450 <= d.n_crossings <= 490, d.n_crossings
+    inverse = _unit_inverse(_fox_minor(d)[2])
+    steps, units, digits = _run(d, inverse)
+    bareiss, none, want = _run(d, None)
+    assert none == 0 and len(steps) == len(bareiss) == d.n_crossings - 1
+    # The unit steps leave a few rows for Bareiss steps, and D is the same.
+    assert 0 < len(steps) - units < 30, len(steps) - units
+    assert digits == want
+
+
+def test_a_unit_last_bareiss_pivot_stays_out_of_the_unit_run():
+    # This unknot diagram leaves two rows to Bareiss steps, and their last
+    # pivot is D, a unit: only the leading run of unit pivots are unit
+    # steps, or D would read as the first Bareiss pivot times D.
+    d = random_walk(catalog.lookup("unknot").diagram, WalkPlan(42, 40, GROW))
+    inverse = _unit_inverse(_fox_minor(d)[2])
+    steps, units, digits = _run(d, inverse)
+    assert len(steps) - units == 2 and inverse(steps[-1][2]), (len(steps), units)
+    assert conway(d) == dense_conway(d) == ONE
+    assert [abs(c) for c in digits] == [1]

@@ -4,7 +4,7 @@
 Diagrams: T(2, n) torus knots (odd n) and 2-component torus links (even
 n), and seeded projections of 1-3 random polygons (the recipe of
 ``bench/workloads._polygon``, components offset by 0.6) at about 25, 50,
-100, 150, 300 and 500 crossings.  A projection is kept when its crossing
+100, 150, 300 and 500 crossings, and of 2 polygons at about 744.  A projection is kept when its crossing
 count is within 10 % of the target; the polygon grows by a vertex per
 component while its projections fall short.  Each call runs on a fresh copy of the
 diagram (nothing cached), so the planarity trace of ``conway`` is
@@ -13,7 +13,10 @@ milliseconds: ``ms`` for ``conway`` and ``colorings_ms`` for
 ``count_colorings(d, 3)``: the Fox matrix at t = -1 reduced over Z on
 its +-1 entries, then what is left by the same kernel over Z/3.  ``w``
 is the digit width of the packed Laurent entries that ``conway``
-eliminates, from the Hadamard bound of its Fox minor.
+eliminates, from the Hadamard bound of its Fox minor.  The cost drivers
+of both calls are the kernel's unit steps and the rows they leave to
+Bareiss steps: ``unit_steps`` and ``rows_left`` for the Conway minor,
+``colorings_rows_left`` for the coloring matrix.
 
 The machine's speed drifts on a shared host, so each pair of calls
 alternates with a run of ``bench/calibrate.py``'s ``probe``.  A row's
@@ -38,7 +41,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 import calibrate  # noqa: E402
 from knots import Diagram, SpatialLink, conway, count_colorings, from_text, project  # noqa: E402
-from knots.conway import _fox_minor  # noqa: E402
+from knots.colorings import pivot_steps  # noqa: E402
+from knots.conway import _fox_minor, _Laurent, _unit_inverse  # noqa: E402
 
 SIZES = (25, 50, 100, 150, 300, 500)
 REPEATS = 5
@@ -79,6 +83,13 @@ def call_s(f, d):
     return time.perf_counter() - start
 
 
+def unit_stage(d):
+    """(unit steps, rows left) of the Conway minor of ``d``, and its w."""
+    _, rows, w = _fox_minor(d)
+    steps = pivot_steps(rows, None, _Laurent(0, 1), _unit_inverse(w))
+    return len(steps), sum(1 for left in rows.values() if left), w
+
+
 def row(kind, d):
     conway_s, colorings_s, probes = [], [], []
     for _ in range(REPEATS):
@@ -91,11 +102,15 @@ def row(kind, d):
         """Median milliseconds, scaled to the reference machine."""
         return round(1000 * statistics.median(times) / slowdown, 2)
 
+    unit_steps, rows_left, w = unit_stage(d)
     return {
         "kind": kind,
         "components": d.n_components,
         "crossings": d.n_crossings,
-        "w": _fox_minor(d)[2],
+        "w": w,
+        "unit_steps": unit_steps,
+        "rows_left": rows_left,
+        "colorings_rows_left": len(Diagram(d.components)._unit_reduction[1]),
         "ms": ms(conway_s),
         "colorings_ms": ms(colorings_s),
         "slowdown": round(slowdown, 3),
@@ -109,6 +124,7 @@ def main():
         rows.append(row("torus", torus(size + size % 2)))
         for comps in (1, 2, 3):
             rows.append(row("projection", projection(comps, size)))
+    rows.append(row("projection", projection(2, 744)))
     print(
         json.dumps(
             {
