@@ -53,13 +53,12 @@ from .moves import (
 )
 from .moves import apply as apply_move
 from .linking import LinkingReport, linking_matrix, lk, lk2
-from .arf_casson import SkewPair, arf, casson, skew_pairs
+from .arf_casson import arf, casson
 from .conway import (
     ConwayPoly,
     coefficient,
     conway,
     is_descending,
-    poly_text,
     violations,
 )
 from .colorings import ColoringCount, count_colorings, is_colorable

@@ -1,4 +1,4 @@
-"""Skew pairs of crossings; Arf and Casson invariants of knot diagrams.
+"""Arf and Casson invariants of knot diagrams, from skew pairs of crossings.
 
 Walk a knot diagram from its first pass and write down each crossing
 twice (once per pass).  An unordered pair of crossings {A, B} is *skew*
@@ -17,63 +17,29 @@ A in the pattern meets its over pass first, B its under pass.  From
 B's under pass to its over pass, B's position is held in a sorted list
 for its sign.  At A's under pass, every held B has u_B < u_A < o_B, so
 the skew partners of A are the held B with o_A < u_B: one bisection
-per sign list.  ``skew_pairs`` lists the pairs themselves, the readable
-definition that the tests hold the sweep to.  Both are independent of
-the basepoint and of traversal direction, which the test suite checks
-exhaustively on small diagrams: another basepoint is the same knot with
-its passes rotated.
+per sign list.  The tests hold the sweep to a listing of the pairs
+themselves, made by sorting the four passes of every pair.  The counts
+are independent of the basepoint and of traversal direction, which the
+test suite checks exhaustively on small diagrams: another basepoint is
+the same knot with its passes rotated.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple
 
-from .codes import OVER, UNDER, Diagram
-from .errors import NotAKnotError
-
-
-class SkewPair(NamedTuple):
-    """A skew pair (a, b), ordered so the walk meets 'over a' first."""
-
-    a: int
-    b: int
-    sign: int  # product of the two crossing signs
+from .codes import UNDER, Diagram
+from .errors import DomainError, NotAKnotError
 
 
 def _knot(d: Diagram):
-    """The passes of a knot diagram; NotAKnotError for several components."""
+    """The passes of a knot diagram; DomainError for a non-``Diagram``,
+    NotAKnotError for several components."""
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
     if d.n_components != 1:
         raise NotAKnotError(f"{d.n_components}-component diagram; skew pairs need a knot")
     return d.components[0]
-
-
-def skew_pairs(d: Diagram):
-    """All skew pairs of a knot diagram read from its first pass.
-
-    Args:
-        d: a one-component diagram.
-
-    Returns:
-        Tuple of SkewPair, one per skew unordered pair, ordered by the
-        walk position of the first 'over' pass, then by the label of b.
-
-    Raises:
-        NotAKnotError: if ``d`` has several components.
-    """
-    _knot(d)
-    # crossing -> walk index of its over/under pass
-    over = {c: w[OVER][1] for c, w in d.locate.items()}
-    under = {c: w[UNDER][1] for c, w in d.locate.items()}
-    firsts = sorted((over[c], under[c], c) for c in d.signs)
-    seconds = [(c, under[c], over[c]) for c in sorted(d.signs)]
-    return tuple(
-        SkewPair(a, b, d.signs[a] * d.signs[b])
-        for oa, ua, a in firsts
-        if oa < ua
-        for b, ub, ob in seconds
-        if oa < ub < ua < ob
-    )
 
 
 def arf(d: Diagram) -> int:
@@ -85,6 +51,7 @@ def casson(d: Diagram) -> int:
     """Sum of sign products over all skew pairs, in one sweep.
 
     Raises:
+        DomainError: if ``d`` is not a ``Diagram``.
         NotAKnotError: if ``d`` has several components.
     """
     first, total = {}, 0

@@ -22,7 +22,7 @@ from . import catalog as _catalog
 from .arf_casson import arf, casson
 from .codes import from_text, to_text
 from .colorings import count_colorings
-from .conway import conway, poly_text
+from .conway import conway
 from .errors import DegeneracyError, DomainError, ParseError, UnknownNameError
 from .linking import lk, lk2
 from .moves import WalkPlan, random_walk
@@ -74,7 +74,7 @@ def _matrix(fn, d):
 
 def _conway(d):
     p = conway(d)
-    return {"coeffs": list(p.coeffs), "text": poly_text(p)}
+    return {"coeffs": list(p.coeffs), "text": str(p)}
 
 
 def _colorings(d):

@@ -18,13 +18,18 @@ eps = sign(c1) * (-1)^(number of negative crossings),
 
     eps * D = t^k * t^(K/2) * C(t^1/2 - t^-1/2),   K = deg C.
 
-With t^k dropped, c_j is the coefficient of t^((K+j)/2) once the terms
-of higher j are taken off, for j = K, K-2, ...  ``colorings.pivot_steps``,
-the kernel that also ranks the coloring matrix, reduces D over
-Z[t, 1/t]: by unit steps while a row holds a unit +-t^k (each Fox row
-holds t and -1), then by Bareiss steps.  D is the sign of their row ->
-column permutation, times the signs of the unit pivots, times the last
-Bareiss pivot.  A singular minor means
+With t^k dropped, the term c_j z^j of C gives c_j t^((K-j)/2) (t - 1)^j
+in D.  So c_0 is D(1), the sum of D's coefficients; taking it off the
+middle power t^(K/2) leaves a multiple of t - 1, whose quotient by
+t - 1 (synthetic division) yields c_1 the same way, and so on.  A D
+that is not palindromic leaves some c_j != 0 where no middle power
+exists.
+
+``colorings.pivot_steps``, the kernel that also ranks the coloring
+matrix, reduces D over Z[t, 1/t]: by unit steps while a row holds a
+unit +-t^k (each Fox row holds t and -1), then by Bareiss steps.  D is
+the sign of their row -> column permutation, times the signs of the
+unit pivots, times the last Bareiss pivot.  A singular minor means
 C = 0 for a link.  A knot has Delta(1) = +-1, so there a singular minor,
 or C(0) != 1 (a failed sign rule), raises ``ArithmeticError``.  Codes
 that no plane diagram realizes raise ``NonPlanarError``.
@@ -66,8 +71,8 @@ component order is another diagram (rotate a component's passes, or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile, zip_longest
-from math import comb, prod
+from itertools import accumulate, takewhile, zip_longest
+from math import prod
 from typing import Sequence
 
 from .codes import OVER, UNDER, Diagram, genus
@@ -133,23 +138,19 @@ class ConwayPoly:
         return ConwayPoly((0,) + self.coeffs) if self.coeffs else self
 
     def __str__(self):
-        return poly_text(self)
+        """Readable text form, e.g. ``1 + 3t^2 + t^4`` or ``1 - t^2``."""
+        terms = []
+        for n, c in enumerate(self.coeffs):
+            if c:
+                power = "" if n == 0 else "t" if n == 1 else f"t^{n}"
+                body = power if abs(c) == 1 and n else f"{abs(c)}{power}"
+                sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
+                terms.append(sign + body)
+        return " ".join(terms) or "0"
 
 
 ONE = ConwayPoly((1,))
 ZERO = ConwayPoly()
-
-
-def poly_text(p: ConwayPoly) -> str:
-    """Readable text form, e.g. ``1 + 3t^2 + t^4`` or ``1 - t^2``."""
-    terms = []
-    for n, c in enumerate(p.coeffs):
-        if c:
-            power = "" if n == 0 else "t" if n == 1 else f"t^{n}"
-            body = power if abs(c) == 1 and n else f"{abs(c)}{power}"
-            sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
-            terms.append(sign + body)
-    return " ".join(terms) or "0"
 
 
 def violations(d: Diagram):
@@ -289,14 +290,15 @@ def conway(d: Diagram) -> ConwayPoly:
     units = list(takewhile(inverse, pivots))  # the first Bareiss pivot ends the run
     sign *= prod(x.m for x in units)
     last = pivots[-1] if len(units) < len(pivots) else _Laurent(0, 1)
-    q = [sign * c for c in _digits(last, w)[1]]
-    top = len(q) - 1
-    coeffs = [0] * len(q)
-    for j in range(top, -1, -2):
-        coeffs[j] = c = q[(top + j) // 2]
-        for i in range(j + 1):
-            q[(top - j) // 2 + i] -= c * comb(j, i) * (-1) ** (j - i)
-    if any(q) or coeffs[0] != knot:
+    q = [sign * c for c in reversed(_digits(last, w)[1])]
+    coeffs = []
+    while q:
+        coeffs.append(c := sum(q))  # the value at t = 1
+        if c and len(q) % 2 == 0:  # no middle power: D is not palindromic
+            break
+        q[len(q) // 2] -= c
+        q = list(accumulate(q))[:-1]  # divided by t - 1, remainder 0
+    if q or coeffs[0] != knot:
         raise ArithmeticError(f"Alexander minor of {d!r} is no link's")
     return ConwayPoly(coeffs)
 

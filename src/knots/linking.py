@@ -31,6 +31,8 @@ class LinkingReport:
 
 
 def _check_pair(d: Diagram, i: int, j: int):
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
     n = d.n_components
     ints = all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j))  # True reads as 1
     if not ints or not (0 <= i < n and 0 <= j < n):

@@ -539,7 +539,7 @@ def _cycle_skews(pts, seed):
     which pass p comes before pass q are ``before[e][f]`` on different
     edges and ``fwd[e]`` or ``rev[e]`` on one edge, as p's rank is below
     or above q's (``crossings`` gives no two passes one rank).  A pair
-    of crossings x, y is skew, as in ``skew_pairs`` from the cycle's
+    of crossings x, y is skew, as in ``arf_casson`` from the cycle's
     first step, in the cycles where over x < under y < under x < over y
     or the same with x and y swapped; each pair's mask is added into
     the planes.

@@ -1,16 +1,27 @@
 """Reference skew pairs by sorting the four passes of every pair, for
 tests only.
 
-``knots.skew_pairs`` compares walk positions directly; this sorts the
-events of each pair and matches the word against the skew pattern.
+``knots.casson`` counts the skew pairs in one sweep along the walk
+without listing them; this lists them, sorting the events of each pair
+and matching the word against the skew pattern.
 """
 
-from knots import OVER, UNDER, SkewPair
+from typing import NamedTuple
+
+from knots import OVER, UNDER
+
+
+class SkewPair(NamedTuple):
+    """A skew pair (a, b), ordered so the walk meets 'over a' first."""
+
+    a: int
+    b: int
+    sign: int  # product of the two crossing signs
 
 
 def skew_pairs_by_events(d):
-    """Skew pairs of the knot ``d`` read from its first pass, in the
-    order of ``knots.skew_pairs``."""
+    """Skew pairs of the knot ``d`` read from its first pass, ordered by
+    the walk position of 'over a'."""
     (comp,) = d.components
     position = {(q.crossing, q.role): t for t, q in enumerate(comp)}  # -> walk index
     out = []

@@ -14,10 +14,9 @@ from knots import (
     mirror,
     random_walk,
     reverse_all,
-    skew_pairs,
 )
 from knots.codes import Diagram
-from skew_oracle import skew_pairs_by_events
+from skew_oracle import SkewPair, skew_pairs_by_events
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"
@@ -43,14 +42,14 @@ def test_arf_is_casson_mod_two():
 
 def test_trefoil_skew_pairs():
     d = from_text(TREFOIL)
-    pairs = skew_pairs(d)
-    assert len(pairs) == 1
-    assert pairs[0].sign == 1
+    assert skew_pairs_by_events(d) == (SkewPair(1, 2, 1),)
+    assert casson(d) == 1
 
 
 def test_fig8_skew_pairs_cancel_to_minus_one():
-    pairs = skew_pairs(from_text(FIG8))
-    assert sorted(p.sign for p in pairs) == [-1]
+    d = from_text(FIG8)
+    assert sorted(p.sign for p in skew_pairs_by_events(d)) == [-1]
+    assert casson(d) == -1
 
 
 def test_skew_pairs_are_basepoint_independent_in_count():
@@ -94,7 +93,7 @@ def test_links_are_rejected():
 def test_descending_diagram_has_no_skew_pairs():
     # First visits are all over: nothing interleaves.
     d = from_text("O1+ O2+ U1+ U2+")
-    assert skew_pairs(d) == ()
+    assert skew_pairs_by_events(d) == ()
     assert casson(d) == 0
 
 
@@ -107,13 +106,12 @@ def _torus_knot(n):
 
 
 def _agrees_from_every_basepoint(d):
-    """Hold ``skew_pairs``, ``casson`` and ``arf`` to the event-sort
-    listing from every basepoint; return the sweep branches taken."""
+    """Hold ``casson`` and ``arf`` to the event-sort listing from every
+    basepoint; return the sweep branches taken."""
     comp, branches = d.components[0], set()
     for k in range(max(1, len(comp))):
         rotated = Diagram((comp[k:] + comp[:k],))
         oracle = skew_pairs_by_events(rotated)
-        assert skew_pairs(rotated) == oracle, (d, k)
         assert casson(rotated) == sum(sp.sign for sp in oracle), (d, k)
         assert arf(rotated) == len(oracle) % 2, (d, k)
         branches |= _sweep_branches(rotated, oracle)
@@ -166,7 +164,7 @@ def test_skew_pairs_match_the_event_sort_on_catalog_knots_and_walks():
 )
 def test_casson_of_large_torus_knots_is_the_closed_form(n):
     # T(2, n) = T(2, 2k+1) has Casson invariant C(k+1, 2) = (n^2 - 1) / 8,
-    # its mirror the same; an oracle independent of both listings.
+    # its mirror the same; an oracle independent of the sweep and the listing.
     for d in (_torus_knot(n), mirror(_torus_knot(n))):
         assert casson(d) == (n * n - 1) // 8
         assert arf(d) == casson(d) % 2

@@ -10,7 +10,9 @@ alone, both kernels also take the same steps, and every packed pivot,
 read back as signed w-bit digits, must be the dense pivot with each
 coefficient strictly inside +-2^(w-1): the digit width holds every
 minor.  On a projection of about 470 crossings, the unit steps and
-Bareiss steps alone must give the same determinant.
+Bareiss steps alone must give the same determinant.  Past the dense
+kernel's reach, T(2, n) of both hands up to n = 1001 must follow the
+skein recurrence.
 """
 
 import random
@@ -78,6 +80,19 @@ def test_torus_knots_and_links_of_both_hands(ns):
     for n in ns:
         _agree(_torus(n))
         _agree(mirror(_torus(n)))
+
+
+@pytest.mark.parametrize("n", (301, 302, 501, 1001))
+def test_large_torus_follows_the_skein_recurrence(n):
+    # The skein relation at one crossing of T(2, n) gives
+    # C_n = z C_{n-1} + C_{n-2}, from C_0 = 0 (the two-component unlink)
+    # and C_1 = 1; the mirror has C_n(-z).
+    prev, want = ConwayPoly(), ONE
+    for _ in range(n - 1):
+        prev, want = want, want.shifted() + prev
+    assert conway(_torus(n)) == want
+    flipped = ConwayPoly([-c if j % 2 else c for j, c in enumerate(want)])
+    assert conway(mirror(_torus(n))) == flipped
 
 
 def test_default_and_growth_walks():

@@ -20,6 +20,8 @@ from knots import (
     UnknownCrossingError,
     UnknownNameError,
     WalkPlan,
+    arf,
+    casson,
     catalog,
     coefficient,
     connected_sum,
@@ -240,19 +242,28 @@ class _Unreadable:
 
 @pytest.mark.parametrize(
     "call",
-    [lambda d: count_colorings(d, 3), lambda d: is_colorable(d, 5), conway],
-    ids=["count_colorings", "is_colorable", "conway"],
+    [
+        lambda d: count_colorings(d, 3),
+        lambda d: is_colorable(d, 5),
+        conway,
+        casson,
+        arf,
+        lambda d: lk(d, 0, 1),
+        lambda d: lk2(d, 0, 1),
+    ],
+    ids=["count_colorings", "is_colorable", "conway", "casson", "arf", "lk", "lk2"],
 )
 @pytest.mark.parametrize("d", [None, "abc", 5, _Unreadable()], ids=repr)
 def test_invariants_refuse_a_diagram_that_is_not_a_diagram(call, d):
-    # Each once raised AttributeError from ``d.components`` or ``d._pieces``.
+    # Each once raised AttributeError from ``d.components``, ``d.n_components``
+    # or ``d._pieces``.
     with pytest.raises(DomainError, match=re.escape(f"d must be a Diagram, got {d!r}")):
         call(d)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0.5), "12", (True,), (1, None), (2, 0, False)])
 def test_conway_poly_refuses_coefficients_that_are_not_ints(coeffs):
-    # Once accepted, so that ``poly_text`` printed ``1 + 0.5t``.
+    # Once accepted, so that ``str(ConwayPoly((1, 0.5)))`` printed ``1 + 0.5t``.
     bad = next(c for c in coeffs if isinstance(c, bool) or not isinstance(c, int))
     with pytest.raises(DomainError, match=re.escape(f"coefficients must be ints, got {bad!r}")):
         ConwayPoly(coeffs)

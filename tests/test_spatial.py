@@ -23,7 +23,6 @@ from knots import (
     lk,
     lk2,
     project,
-    skew_pairs,
     triangles_linked,
     verify_seven_points,
     verify_six_points,
@@ -47,6 +46,7 @@ from cycle_oracle import (
     cycle_walks,
     verify_seven_points_by_diagrams,
 )
+from skew_oracle import skew_pairs_by_events
 
 
 def _circle(n, radius=1.0, z=0.0, phase=0.0):
@@ -351,7 +351,7 @@ def test_cycle_skews_match_the_oracle_diagrams():
             assert _k7()[2] == [c for c, _ in slow]
             assert planes[-1]  # the top plane holds a bit, none is spare
             for count, (cycle, d) in zip(_counts(planes), slow, strict=True):
-                assert count == len(skew_pairs(d)), cycle
+                assert count == len(skew_pairs_by_events(d)), cycle
                 assert count % 2 == arf(d), cycle
             cases |= _same_edge_cases(*cycle_table(pts, seed))
     assert cases == {(False, True), (False, False), (True, True), (True, False)}
