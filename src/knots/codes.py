@@ -38,9 +38,12 @@ Faces are the orbits of dart -> sigma(alpha(dart)), the usual
 permutation model; with V crossings, E = 2V edge arcs and F faces,
 each connected piece has genus (2 - V + E - F) / 2.
 
-A Reidemeister move's result is not checked and traced from scratch:
-``Diagram._child`` copies the parent's maps and patches them where the
-move acts, since a move keeps a valid code valid.
+Full validation runs only on parsed or hand-built codes.  Edits of a
+valid code are trusted, since they keep it valid: a Reidemeister move's
+result is not checked and traced from scratch (``Diagram._child`` copies
+the parent's maps and patches them where the move acts), and a crossing
+change (``crossing_change``, ``mirror``) copies the passes and signs
+with the changed crossings flipped.
 """
 
 from __future__ import annotations
@@ -155,8 +158,9 @@ class Diagram:
             traversal order (cyclic; the starting pass is where walks
             begin, and rotating it gives the same link).
         signs: crossing label -> +1/-1.
-        locate: crossing label -> {role: (component, position)}; a
-            move's result finds it when first read.
+        locate: crossing label -> {role: (component, position)}; the
+            result of a move or a crossing change finds it when first
+            read.
 
     Raises:
         ConsistencyError: unless there is at least one component, each a
@@ -224,9 +228,10 @@ class Diagram:
 
     @cached_property
     def locate(self):
-        # ``__init__`` sets it while checking.  A move's result finds it
-        # here when first read: a walk never reads it, and patching it
-        # would move every later pass of the component.
+        # ``__init__`` sets it while checking.  A move's or a crossing
+        # change's result finds it here when first read: a walk never
+        # reads it, and patching it would move every later pass of the
+        # component.
         locate = {}
         for ci, comp in enumerate(self.components):
             for k, (c, role, _) in enumerate(comp):
@@ -519,21 +524,26 @@ def is_realizable(diagram: Diagram) -> bool:
 
 def crossing_change(diagram: Diagram, *crossings) -> Diagram:
     """Exchange over and under at each of ``crossings`` (and so flip
-    their signs), rebuilding the diagram once.  A label that is not an
-    ``int`` names no crossing, though ``True`` or ``1.0`` equals 1."""
+    their signs).  A label that is not an ``int`` names no crossing,
+    though ``True`` or ``1.0`` equals 1.
+
+    A crossing change keeps a valid code valid, so the result is a
+    trusted edit, not checked again: the two passes of each changed
+    crossing are replaced where ``locate`` puts them, and the signs are
+    copied in order of first appearance with those entries negated.
+    """
+    old, locate = diagram.signs, diagram.locate
     for c in crossings:
-        if isinstance(c, bool) or not isinstance(c, int) or c not in diagram.signs:
+        if isinstance(c, bool) or not isinstance(c, int) or c not in old:
             raise UnknownCrossingError(f"no crossing {c!r}")
-    swap, changed = {OVER: UNDER, UNDER: OVER}, set(crossings)
-    return Diagram(
-        tuple(
-            tuple(
-                Pass(p.crossing, swap[p.role], -p.sign) if p.crossing in changed else p
-                for p in comp
-            )
-            for comp in diagram.components
-        )
-    )
+    comps, signs = list(map(list, diagram.components)), {c: old[c] for c in locate}
+    for c in set(crossings):
+        signs[c] = sign = -old[c]
+        (oi, ok), (ui, uk) = locate[c][OVER], locate[c][UNDER]
+        comps[oi][ok], comps[ui][uk] = Pass(c, UNDER, sign), Pass(c, OVER, sign)
+    child = Diagram.__new__(Diagram)
+    child.components, child.signs = tuple(map(tuple, comps)), signs
+    return child
 
 
 def mirror(diagram: Diagram) -> Diagram:

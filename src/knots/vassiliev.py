@@ -200,9 +200,7 @@ def realize(word, seed: int = 0) -> SingularDiagram:
         GenericityFailure: if jittering cannot reach a generic polygon
             (does not happen for words of supported size in practice).
     """
-    if isinstance(word, ChordDiagram):
-        word = word.word
-    word = canonical_word(word)
+    word = word.word if isinstance(word, ChordDiagram) else canonical_word(word)
     letters = sorted(set(word), key=word.index)
     letter_id = {ch: i + 1 for i, ch in enumerate(letters)}
     return retry(lambda rng: _realize_once(word, letter_id, rng), seed)
@@ -250,7 +248,7 @@ def _realize_once(word, letter_id, rng):
     if not is_realizable(base):
         raise AssertionError("polygon trace produced a non-planar code")
     s = SingularDiagram(base, range(1, n + 1))
-    if sigma(s) != ChordDiagram(word):
+    if sigma(s).word != word:
         raise AssertionError("realized chord word drifted")
     return s
 
@@ -336,7 +334,8 @@ def symbol(inv: Callable[[Diagram], int], n: int, samples: int = 20, seed: int =
             at least 1, if seed is not an int, if n is outside 0..6 (the
             range of ``CHORD_COUNTS``) or if the call would resolve more
             than 100,000 diagrams (chord diagrams * samples * 2^n; at 20
-            samples n = 5 makes 67,200, about 10 s, and n = 6 is refused).
+            samples n = 5 makes 67,200, about 2 s for ``casson`` on a
+            2-vCPU x86-64 VM, and n = 6 is refused).
     """
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be an int of at least 1, got {samples!r}")

@@ -154,6 +154,21 @@ def test_realize_round_trips_the_chord_word():
             assert all(s.base.signs[c] == 1 for c in s.doubles)
 
 
+def test_realize_takes_a_chord_diagram_or_any_spelling_of_its_word():
+    # A ChordDiagram's word is canonical already; any other spelling of
+    # it (rotated, letters renamed) is canonicalized to the same word.
+    for n in range(1, 5):
+        for cd in enumerate_chord_diagrams(n):
+            w = cd.word[1:] + cd.word[:1]
+            names = {ch: "ZYXW"[i] for i, ch in enumerate(sorted(set(w), reverse=True))}
+            spelled = "".join(map(names.get, w))
+            assert spelled != cd.word
+            for seed in range(3):
+                s = realize(cd, seed=seed)
+                assert s == realize(spelled, seed=seed)
+                assert sigma(s) == cd
+
+
 def test_realize_empty_word_is_the_unknot():
     s = realize("", seed=0)
     assert s.base.n_crossings == 0
