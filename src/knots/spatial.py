@@ -397,12 +397,14 @@ def _shadow(segs, adjacent, rng):
     """3D segments seen along a random direction: (direction, crossings,
     over), with the strand nearer the viewer on top.
 
-    Segment i is on top of j exactly when orient3d of their ends has the
-    sign of the crossing's turn; coplanar ends raise DegeneracyError.
+    Each distinct endpoint is projected once.  Segment i is on top of j
+    exactly when orient3d of their ends has the sign of the crossing's
+    turn; coplanar ends raise DegeneracyError.
     """
     direction = _random_direction(rng)
     u, v, _w = _frame(direction)
-    found = crossings([[(_dot(p, u), _dot(p, v)) for p in seg] for seg in segs], adjacent)
+    plane = {p: (_dot(p, u), _dot(p, v)) for p in dict.fromkeys(itertools.chain.from_iterable(segs))}
+    found = crossings([(plane[p], plane[q]) for p, q in segs], adjacent)
     over = [i if _orient3d_checked(*segs[i], *segs[j]) == turn else j for i, j, _, _, turn in found]
     return direction, found, over
 
@@ -509,7 +511,8 @@ def _k7():
     - ``rev[e]``: the cycles that walk edge e from its higher point.
 
     The masks are ints of up to 360 bits; the whole table takes about
-    0.07 MB.
+    0.07 MB.  ``_cycle_skews`` ANDs them into one mask of cycles per
+    pair of crossings and XORs those into one Arf mask.
     """
     edges = list(itertools.combinations(range(7), 2))
     index = {e: k for k, e in enumerate(edges)}
@@ -530,9 +533,8 @@ def _k7():
 
 
 def _cycle_skews(pts, seed):
-    """The skew-pair counts of all Hamiltonian cycles on seven points,
-    bit-sliced over ``_k7`` cycle order: bit c of planes[k] is bit k of
-    cycle c's count, so planes[0] holds the cycles with Arf 1.
+    """The Arf invariants of all Hamiltonian cycles on seven points as
+    one mask over ``_k7`` cycle order: bit c is the Arf of cycle c.
 
     One seeded generic direction gives one crossing table of all 21
     edges.  A pass is (edge, rank along the edge), and the cycles in
@@ -541,34 +543,31 @@ def _cycle_skews(pts, seed):
     or above q's (``crossings`` gives no two passes one rank).  A pair
     of crossings x, y is skew, as in ``arf_casson`` from the cycle's
     first step, in the cycles where over x < under y < under x < over y
-    or the same with x and y swapped; each pair's mask is added into
-    the planes.
+    or the same with x and y swapped; each pair's mask is XORed into the
+    result, so a bit ends set where the cycle has an odd number of skew
+    pairs.
     """
     edges, adjacent, _cycles, before, fwd, rev = _k7()
     segs = [(pts[a], pts[b]) for a, b in edges]
-    _direction, found, over = retry(
-        lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), seed
-    )
-    table = [
-        ((i, t), (j, u)) if over[x] == i else ((j, u), (i, t))
-        for x, (i, j, t, u, _turn) in enumerate(found)
-    ]
-
-    def first(p, q):
-        (e, r), (f, s) = p, q
-        return before[e][f] if e != f else fwd[e] if r < s else rev[e]
-
-    planes = []
-    for (ox, ux), (oy, uy) in itertools.combinations(table, 2):
-        carry = first(ox, uy) & first(uy, ux) & first(ux, oy)
-        carry |= first(oy, ux) & first(ux, uy) & first(uy, ox)
-        for k, plane in enumerate(planes):
-            if not carry:
-                break
-            planes[k], carry = plane ^ carry, plane & carry
-        if carry:
-            planes.append(carry)
-    return planes
+    _, found, over = retry(lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), seed)
+    table = [(i, t, j, u) if o == i else (j, u, i, t) for (i, j, t, u, _), o in zip(found, over)]
+    arf = 0
+    for x, (oe, ro, ue, ru) in enumerate(table):
+        bo, bu = before[oe], before[ue]
+        for fe, so, ge, su in table[x + 1 :]:
+            # over x < under y < under x < over y, or the same with x and y
+            # swapped; each factor is the one pass-before-pass lookup above,
+            # written out in place because a helper call per lookup is slower
+            arf ^= (
+                (bo[ge] if oe != ge else fwd[oe] if ro < su else rev[oe])
+                & (before[ge][ue] if ge != ue else fwd[ue] if su < ru else rev[ue])
+                & (bu[fe] if ue != fe else fwd[ue] if ru < so else rev[ue])
+            ) | (
+                (before[fe][ue] if fe != ue else fwd[ue] if so < ru else rev[ue])
+                & (bu[ge] if ue != ge else fwd[ue] if ru < su else rev[ue])
+                & (before[ge][oe] if ge != oe else fwd[oe] if su < ro else rev[oe])
+            )
+    return arf
 
 
 def verify_seven_points(points, seed: int = 0):
@@ -576,16 +575,15 @@ def verify_seven_points(points, seed: int = 0):
 
     Projects the seven points once along a seeded generic direction and
     reads every cycle's Arf invariant off that one crossing table at
-    once, as the lowest plane of the bit-sliced skew-pair counts of
-    ``_cycle_skews``; no per-cycle diagram is built and no loop runs
-    over the cycles.
+    once, as one bit of the XOR mask of ``_cycle_skews``; no per-cycle
+    diagram is built and no loop runs over the cycles.  The witness is
+    the mask's lowest set bit and the parity its popcount mod 2.
 
     Returns:
         (witness, parity): the first cycle (vertex order) whose
         projected diagram has arf = 1, or None if none does, and the
         sum of all 360 arf values mod 2.
     """
-    planes = _cycle_skews(_check_points(points, 7), seed)
-    knotted = planes[0] if planes else 0
+    knotted = _cycle_skews(_check_points(points, 7), seed)
     witness = _k7()[2][(knotted & -knotted).bit_length() - 1] if knotted else None
     return witness, knotted.bit_count() % 2

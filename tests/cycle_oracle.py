@@ -1,8 +1,9 @@
 """Seven-point cycles the slow way, for tests only: one ``Diagram`` per
 Hamiltonian cycle.
 
-``knots.verify_seven_points`` counts the skew pairs of all cycles at
-once, as bit masks over cycles.  This walks the same table (the same
+``knots.verify_seven_points`` reads the Arf invariants of all cycles
+at once, as one mask over cycles into which each pair of crossings
+XORs the cycles where it is skew.  This walks the same table (the same
 seeded direction, the same crossings), traces each cycle into a
 ``Diagram`` with ``gauss_code`` and reads its skew pairs and Arf
 invariant from that.  ``cycle_walks`` gives each cycle's steps straight

@@ -32,8 +32,13 @@ from knots.spatial import (
     _check_points,
     _crossing,
     _cycle_skews,
+    _dot,
+    _frame,
     _k7,
     _meet,
+    _orient3d_checked,
+    _random_direction,
+    _shadow,
     crossings,
     orient3d,
     retry,
@@ -329,16 +334,10 @@ def _same_edge_cases(found, over):
     return cases
 
 
-def _counts(planes):
-    """Each cycle's skew count, decoded from the bit-sliced planes."""
-    return [sum((plane >> c & 1) << k for k, plane in enumerate(planes)) for c in range(360)]
-
-
 def test_cycle_skews_match_the_oracle_diagrams():
-    # Every one of the 360 skew counts decoded from the planes equals
-    # that of the cycle's own Diagram (so its parity is that Arf), on
-    # several point sets and seeds; the count, unlike the Arf, also
-    # tells a diagram from its mirror.  The sample reaches the one-edge
+    # Every one of the 360 bits of the Arf mask equals the Arf of the
+    # cycle's own Diagram and the parity of its listed skew pairs, on
+    # several point sets and seeds.  The sample reaches the one-edge
     # comparison with both rank orders, in forward and reversed cycles,
     # where it decides the pair.
     rng = random.Random(7000)
@@ -346,15 +345,65 @@ def test_cycle_skews_match_the_oracle_diagrams():
     for k in range(6):
         pts = _check_points(_seven(rng), 7)
         for seed in (k, 1000 + k):
-            planes = _cycle_skews(pts, seed)
+            mask = _cycle_skews(pts, seed)
             slow = list(cycle_diagrams(pts, seed))
             assert _k7()[2] == [c for c, _ in slow]
-            assert planes[-1]  # the top plane holds a bit, none is spare
-            for count, (cycle, d) in zip(_counts(planes), slow, strict=True):
-                assert count == len(skew_pairs_by_events(d)), cycle
-                assert count % 2 == arf(d), cycle
+            assert 0 < mask < 1 << 360
+            for c, (cycle, d) in enumerate(slow):
+                assert mask >> c & 1 == arf(d) == len(skew_pairs_by_events(d)) % 2, cycle
             cases |= _same_edge_cases(*cycle_table(pts, seed))
     assert cases == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def _shadow_by_ends(segs, adjacent, rng):
+    """``_shadow`` projecting every segment end on its own with ``_dot``,
+    and the plane segments it projects to."""
+    direction = _random_direction(rng)
+    u, v, _w = _frame(direction)
+    plane = [tuple((_dot(p, u), _dot(p, v)) for p in seg) for seg in segs]
+    found = crossings(plane, adjacent)
+    over = [i if _orient3d_checked(*segs[i], *segs[j]) == turn else j for i, j, _, _, turn in found]
+    return (direction, found, over), plane
+
+
+def _polygon_segments(components):
+    """(segs, adjacent) of closed polygons, as ``project`` builds them."""
+    segs, ring = [], []
+    for comp in components:
+        m, start = len(comp), len(segs)
+        segs += [(comp[k - 1], comp[k]) for k in range(m)]
+        ring += [(start, m)] * m
+    return segs, lambda i, j: ring[i] == ring[j] and (j - i) % ring[i][1] in (1, ring[i][1] - 1)
+
+
+def test_shadow_projects_each_point_once_to_the_same_plane_coordinates(monkeypatch):
+    # Projecting each distinct point once gives the same plane
+    # coordinates, direction, crossings and over strands as projecting
+    # every segment end, on K7 sets, the same sets scaled by 1e-3, and
+    # 1-3-component polygons.
+    seen = []
+    monkeypatch.setattr(
+        "knots.spatial.crossings", lambda plane, adj: crossings(seen.append(plane) or plane, adj)
+    )
+    edges, adjacent, *_ = _k7()
+    rng = random.Random(7200)
+    cases = []
+    for _ in range(40):
+        pts = _seven(rng)
+        for scaled in (pts, [tuple(1e-3 * x for x in p) for p in pts]):
+            cases.append(([(scaled[a], scaled[b]) for a, b in edges], lambda i, j: adjacent[i][j]))
+    for _ in range(40):
+        comps = [
+            [(rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for _ in range(rng.randint(15, 40))]
+            for c in range(rng.randint(1, 3))
+        ]
+        cases.append(_polygon_segments(SpatialLink(comps).components))
+    for segs, adj in cases:
+        s = rng.randrange(2**31)
+        want, plane = _shadow_by_ends(segs, adj, random.Random(s))
+        assert _shadow(segs, adj, random.Random(s)) == want
+        assert seen.pop() == plane and want[1]
 
 
 def test_cycle_masks_match_the_walks():
