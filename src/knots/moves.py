@@ -23,9 +23,11 @@ new crossing (two variants per shared face; all eight across pieces).
 Applying R3 swaps the two adjacent passes across each of the three
 side arcs; the three crossings keep their signs.
 
-``enumerate_sites``, ``random_walk`` and ``apply`` all read one site
-table: the anchors of each move kind and the variants at an anchor.
-Every table entry is a ``MoveSite`` anchor; an insertion anchor is made
+``enumerate_sites``, ``random_walk`` and ``apply`` all read one move
+table, ``_MOVES``: for each move kind, in the order ``enumerate_sites``
+lists them, its anchors on a diagram, the variants at an anchor and the
+builder of its result.  It is the one list of the move kinds there are.
+Every anchor is a ``MoveSite`` anchor; an insertion anchor is made
 of integer arcs (see ``codes``), ``(a,)`` for R1+ and ``(a, b)`` with
 a < b for R2+, and ``apply`` checks an insertion site on its own arcs
 and faces.  The R2+ pairs are never listed: row a of the table holds
@@ -102,7 +104,7 @@ class WalkPlan:
 
     def effective_weights(self):
         w = DEFAULT_WEIGHTS if self.weights is None else self.weights
-        if not isinstance(w, Mapping) or not set(w) <= set(DEFAULT_WEIGHTS):
+        if not isinstance(w, Mapping) or not set(w) <= set(_MOVES):
             raise DomainError(f"bad walk weights {w!r}: not a mapping from move kinds")
         finite = all(
             isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < math.inf
@@ -186,6 +188,11 @@ def _triangles(d: Diagram):
     return sorted(out)
 
 
+def _curls(d: Diagram):
+    """R1- anchors ``(c,)``: the crossings of one-dart faces, sorted."""
+    return sorted({(face[0] >> 2,) for face in d._faces[0].values() if len(face) == 1})
+
+
 def _r1_anchors(d: Diagram):
     """R1+ anchors ``(a,)``: the real arcs, then the free loops.  A real
     arc's in-dart is never 0, a free loop's is None."""
@@ -257,9 +264,9 @@ class _PairKeys:
                 yield from ((a, b) for b in _r2_row(self.d, a))
 
 
-def _r2_variants(d: Diagram, a: int, b: int):
-    """The R2+ variants poking integer arcs ``a`` and ``b`` that keep ``d``
-    planar.
+def _r2_variants(d: Diagram, anchor):
+    """The R2+ variants poking the integer arcs ``a, b = anchor`` that keep
+    ``d`` planar.
 
     Arcs in different pieces admit all eight.  Otherwise each face both
     arcs bound admits two: the strands run antiparallel when the face
@@ -268,6 +275,7 @@ def _r2_variants(d: Diagram, a: int, b: int):
     An arc's two darts are its in-dart and, through alpha, its out-dart;
     a face runs along the arc where its dart there is the out-dart.
     """
+    a, b = anchor
     if _arc_piece(d, a) != _arc_piece(d, b):
         return _R2_VARIANTS
     _, alpha, head = d._darts
@@ -284,43 +292,22 @@ def _r2_variants(d: Diagram, a: int, b: int):
     return tuple(v for v in _R2_VARIANTS if v in ok)
 
 
-def _keys(d: Diagram, kind: str):
-    """The anchors of every ``kind`` site on ``d``, in a fixed order."""
-    if kind == "R1-":
-        return sorted({(face[0] >> 2,) for face in d._faces[0].values() if len(face) == 1})
-    if kind == "R2-":
-        return _bigon_pairs(d)
-    if kind == "R3":
-        return _triangles(d)
-    if kind == "R1+":
-        return _r1_anchors(d)
-    if kind == "R2+":
-        return _PairKeys(d)
-    raise InvalidSiteError(f"unknown move kind {kind!r}")
-
-
 def _is_site(d: Diagram, kind: str, anchor) -> bool:
-    """Whether ``d`` has a ``kind`` site at ``anchor``; only removals and
-    R3 scan the table."""
+    """Whether ``d`` has a ``kind`` site at ``anchor``, for a kind of the
+    table; only removals and R3 look up the table's anchors."""
     if kind not in ("R1+", "R2+"):
-        return anchor in _keys(d, kind)
+        return anchor in _MOVES[kind][0](d)
     n = d._arc_base[-1]
     shaped = isinstance(anchor, tuple) and len(anchor) == int(kind[1])  # R1+ one arc, R2+ two
     arcs = shaped and all(type(a) is int and 0 <= a < n for a in anchor)  # bool is no arc
     # A pair is a candidate exactly when it admits some variant.
-    return arcs and (kind == "R1+" or anchor[0] < anchor[1] and bool(_r2_variants(d, *anchor)))
+    return arcs and (kind == "R1+" or anchor[0] < anchor[1] and bool(_r2_variants(d, anchor)))
 
 
-def _variants(d: Diagram, kind: str, anchor):
-    """The variants of the ``kind`` site at ``anchor``."""
-    if kind == "R1+":
-        return _R1_VARIANTS
-    if kind == "R2+":
-        return _r2_variants(d, *anchor)
-    return ("",)
-
-
-_KINDS = ("R1-", "R2-", "R3", "R1+", "R2+")
+def _known(kind) -> bool:
+    """Whether ``kind`` names a move of the table; a list names none
+    (and cannot be hashed)."""
+    return isinstance(kind, str) and kind in _MOVES
 
 
 def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
@@ -336,21 +323,24 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
     Raises:
         InvalidSiteError: if ``kinds`` is not a collection of move kinds
             or names a kind that is not one of the five.
+        DomainError: if ``d`` is not a ``Diagram``.
         NonPlanarError: if some piece of ``d`` has genus > 0.
     """
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
     if isinstance(kinds, str) or not isinstance(kinds, (Iterable, type(None))):
         raise InvalidSiteError(f"kinds takes a collection of move kinds, not {kinds!r}")
-    wanted = _KINDS if kinds is None else tuple(kinds)
-    unknown = sorted({repr(k) for k in wanted if k not in _KINDS})
+    wanted = tuple(_MOVES) if kinds is None else tuple(kinds)
+    unknown = sorted({repr(k) for k in wanted if not _known(k)})
     if unknown:
         raise InvalidSiteError(f"unknown move kind {', '.join(unknown)}")
     if not is_realizable(d):
         raise NonPlanarError(f"genus {genus(d)} diagram; moves need genus 0")
     out = []
-    for kind in _KINDS:
+    for kind, (anchors, variants, _) in _MOVES.items():
         if kind in wanted:
-            for anchor in _keys(d, kind):
-                out.extend(MoveSite(kind, anchor, v) for v in _variants(d, kind, anchor))
+            for anchor in anchors(d):
+                out.extend(MoveSite(kind, anchor, v) for v in variants(d, anchor))
     return tuple(out)
 
 
@@ -408,12 +398,14 @@ def _apply_r2_plus(d: Diagram, anchor, variant) -> Diagram:
     return d._child(edits)
 
 
-_BUILD = {
-    "R1-": _remove,
-    "R2-": _remove,
-    "R3": _apply_r3,
-    "R1+": _apply_r1_plus,
-    "R2+": _apply_r2_plus,
+# The move table: per kind, in ``enumerate_sites`` order, its anchors on
+# d, the variants at an anchor and the builder of its result.
+_MOVES = {
+    "R1-": (_curls, lambda d, anchor: ("",), _remove),
+    "R2-": (_bigon_pairs, lambda d, anchor: ("",), _remove),
+    "R3": (_triangles, lambda d, anchor: ("",), _apply_r3),
+    "R1+": (_r1_anchors, lambda d, anchor: _R1_VARIANTS, _apply_r1_plus),
+    "R2+": (_PairKeys, _r2_variants, _apply_r2_plus),
 }
 
 
@@ -421,16 +413,21 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
     """Apply one move at ``site`` of the planar diagram ``d``.
 
     Raises:
-        InvalidSiteError: if ``site`` is not among ``enumerate_sites(d)``,
-            or names an insertion arc by anything but an ``int`` (a
-            ``bool`` or ``float`` arc may compare equal to a listed one).
+        DomainError: if ``d`` is not a ``Diagram``.
+        InvalidSiteError: if ``site`` is not a ``MoveSite`` among
+            ``enumerate_sites(d)``, or names an insertion arc by anything
+            but an ``int`` (a ``bool`` or ``float`` arc may compare equal
+            to a listed one).
     """
-    _require(_is_site(d, site.kind, site.anchor), f"no {site.kind} site at {site.anchor!r}")
-    _require(
-        site.variant in _variants(d, site.kind, site.anchor),
-        f"no {site.kind} variant {site.variant!r} at {site.anchor!r}",
-    )
-    return _BUILD[site.kind](d, site.anchor, site.variant)
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
+    _require(isinstance(site, MoveSite), f"site must be a MoveSite, got {site!r}")
+    kind, anchor = site.kind, site.anchor
+    _require(_known(kind), f"unknown move kind {kind!r}")
+    _, variants, build = _MOVES[kind]
+    _require(_is_site(d, kind, anchor), f"no {kind} site at {anchor!r}")
+    _require(site.variant in variants(d, anchor), f"no {kind} variant {site.variant!r} at {anchor!r}")
+    return build(d, anchor, site.variant)
 
 
 # ----------------------------------------------------------------------
@@ -518,22 +515,29 @@ def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
     A step draws a kind, then an anchor of that kind, then a variant
     valid there, which weights anchors uniformly rather than sites; for
     fuzzing only determinism matters.  A step whose drawn kind has no
-    site on the current diagram is consumed without changing it.
+    site on the current diagram is consumed without changing it.  A ``d``
+    that is not a ``Diagram``, or a ``plan`` that is not a ``WalkPlan``,
+    raises DomainError.
     """
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
+    if not isinstance(plan, WalkPlan):
+        raise DomainError(f"plan must be a WalkPlan, got {plan!r}")
     if not is_realizable(d):
         raise NonPlanarError("random walks need a genus-0 start")
     weights = plan.effective_weights()
     kinds = sorted(weights)
+    moves = [_MOVES[k] for k in kinds]
     cum = list(accumulate(weights[k] for k in kinds))  # what choices() sums each time
     rng = random.Random(plan.seed)
     cur = d
     for _ in range(plan.steps):
-        kind = rng.choices(kinds, cum_weights=cum)[0]
-        anchors = _keys(cur, kind)
+        anchors_of, variants_of, build = rng.choices(moves, cum_weights=cum)[0]
+        anchors = anchors_of(cur)
         if not anchors:
             continue
         anchor = rng.choice(anchors)
-        variants = _variants(cur, kind, anchor)
+        variants = variants_of(cur, anchor)
         variant = rng.choice(variants) if len(variants) > 1 else variants[0]
-        cur = _BUILD[kind](cur, anchor, variant)
+        cur = build(cur, anchor, variant)
     return cur

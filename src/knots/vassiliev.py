@@ -131,12 +131,15 @@ def enumerate_chord_diagrams(n: int):
 
 @dataclass(frozen=True)
 class SingularDiagram:
-    """A knot diagram with some crossings marked as double points."""
+    """A knot diagram with some crossings marked as double points; a
+    ``base`` that is not a ``Diagram`` raises DomainError."""
 
     base: Diagram
     doubles: frozenset
 
     def __init__(self, base: Diagram, doubles):
+        if not isinstance(base, Diagram):
+            raise DomainError(f"d must be a Diagram, got {base!r}")
         if base.n_components != 1:
             raise DomainError("singular diagrams are built on knot diagrams")
         doubles = frozenset(doubles)

@@ -12,6 +12,8 @@ from knots import (
     ConwayPoly,
     Diagram,
     DomainError,
+    InvalidSiteError,
+    MoveSite,
     NonPlanarError,
     ParseError,
     Pass,
@@ -20,6 +22,7 @@ from knots import (
     UnknownCrossingError,
     UnknownNameError,
     WalkPlan,
+    apply_move,
     arf,
     casson,
     catalog,
@@ -28,6 +31,7 @@ from knots import (
     conway,
     count_colorings,
     crossing_change,
+    enumerate_sites,
     from_text,
     is_colorable,
     lk,
@@ -250,8 +254,24 @@ class _Unreadable:
         arf,
         lambda d: lk(d, 0, 1),
         lambda d: lk2(d, 0, 1),
+        enumerate_sites,
+        lambda d: random_walk(d, WalkPlan(seed=0, steps=1)),
+        lambda d: apply_move(d, MoveSite("R1-", (1,))),
+        lambda d: SingularDiagram(d, []),
     ],
-    ids=["count_colorings", "is_colorable", "conway", "casson", "arf", "lk", "lk2"],
+    ids=[
+        "count_colorings",
+        "is_colorable",
+        "conway",
+        "casson",
+        "arf",
+        "lk",
+        "lk2",
+        "enumerate_sites",
+        "random_walk",
+        "apply_move",
+        "SingularDiagram",
+    ],
 )
 @pytest.mark.parametrize("d", [None, "abc", 5, _Unreadable()], ids=repr)
 def test_invariants_refuse_a_diagram_that_is_not_a_diagram(call, d):
@@ -259,6 +279,20 @@ def test_invariants_refuse_a_diagram_that_is_not_a_diagram(call, d):
     # or ``d._pieces``.
     with pytest.raises(DomainError, match=re.escape(f"d must be a Diagram, got {d!r}")):
         call(d)
+
+
+@pytest.mark.parametrize("plan", [None, 5, {"seed": 0, "steps": 1}, _Unreadable()], ids=repr)
+def test_random_walk_refuses_a_plan_that_is_not_a_walk_plan(plan):
+    # Once raised AttributeError from ``plan.effective_weights``.
+    with pytest.raises(DomainError, match=re.escape(f"plan must be a WalkPlan, got {plan!r}")):
+        random_walk(from_text(TREFOIL), plan)
+
+
+@pytest.mark.parametrize("site", ["R1-", ("R1-", (1,)), None, _Unreadable()], ids=repr)
+def test_apply_move_refuses_a_site_that_is_not_a_move_site(site):
+    # Once raised AttributeError from ``site.kind``.
+    with pytest.raises(InvalidSiteError, match=re.escape(f"site must be a MoveSite, got {site!r}")):
+        apply_move(from_text("O1+ U1+"), site)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0.5), "12", (True,), (1, None), (2, 0, False)])

@@ -31,7 +31,7 @@ from knots import (
     smooth,
     to_text,
 )
-from knots.moves import _place
+from knots.moves import _MOVES, _place
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 KINK = "O1+ U1+"
@@ -135,12 +135,19 @@ def test_enumerate_sites_rejects_unknown_kinds():
     d = from_text("O1+ U1+")
     # A bare int or a list of lists once raised TypeError.
     refused = [(("R9",), "'R9'"), (("r1-", "R1-"), "'r1-'"), ("R1+", "'R1+'")]
-    refused += [(5, "not 5"), ([["R1+"]], "['R1+']")]
+    refused += [(5, "not 5"), ([["R1+"]], "['R1+']"), ([("R1-",)], "('R1-',)"), ([None], "None")]
     for kinds, named in refused:
         with pytest.raises(InvalidSiteError, match=re.escape(named)):
             enumerate_sites(d, kinds=kinds)
     assert enumerate_sites(d, kinds=()) == ()
     assert enumerate_sites(d, kinds=["R1-"]) == enumerate_sites(d, kinds=("R1-",))
+
+
+@pytest.mark.parametrize("kind", ["R9", "r1-", ["R1-"], ("R1-",), None], ids=repr)
+def test_apply_rejects_unknown_kinds_by_name(kind):
+    # An unhashable kind must not reach a dict lookup as a TypeError.
+    with pytest.raises(InvalidSiteError, match=re.escape(f"unknown move kind {kind!r}")):
+        apply_move(from_text(KINK), MoveSite(kind, ()))
 
 
 def test_apply_rejects_stale_sites():
@@ -437,6 +444,19 @@ def test_random_walk_weights_bias_growth():
 
 def test_default_weights_prefer_removal():
     assert DEFAULT_WEIGHTS["R1-"] > DEFAULT_WEIGHTS["R1+"]
+
+
+def test_move_kinds_are_declared_once():
+    # The move table lists the kinds; the default weights name each once.
+    assert set(DEFAULT_WEIGHTS) == set(_MOVES)
+    assert tuple(_MOVES) == ("R1-", "R2-", "R3", "R1+", "R2+")  # enumerate_sites order
+
+
+@pytest.mark.parametrize("weights", [{"R9": 1.0}, {"R1+": 1.0, "r2+": 1.0}, {3: 1.0}], ids=repr)
+def test_walk_plan_refuses_weight_keys_outside_the_move_table(weights):
+    named = f"bad walk weights {weights!r}: not a mapping from move kinds"
+    with pytest.raises(DomainError, match=re.escape(named)):
+        WalkPlan(seed=0, steps=1, weights=weights)
 
 
 def test_walk_plan_validation():

@@ -21,7 +21,7 @@ from knots import (
     is_realizable,
     random_walk,
 )
-from knots.moves import _R2_VARIANTS, _apply_r2_plus, _keys, _variants
+from knots.moves import _MOVES, _R2_VARIANTS, _apply_r2_plus
 
 GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
 
@@ -49,8 +49,9 @@ def trial_r2_variants(d, pair):
 
 
 def check_against_retrace(d):
-    for pair in _keys(d, "R2+"):
-        assert _variants(d, "R2+", pair) == trial_r2_variants(d, pair), pair
+    pairs, variants, _ = _MOVES["R2+"]
+    for pair in pairs(d):
+        assert variants(d, pair) == trial_r2_variants(d, pair), pair
     for site in enumerate_sites(d):
         assert is_realizable(apply_move(d, site)), site
 

@@ -29,7 +29,7 @@ from knots import (
     project,
     random_walk,
 )
-from knots.moves import _keys, _variants
+from knots.moves import _MOVES
 
 import site_oracle
 
@@ -44,12 +44,13 @@ def _check_pieces(d):
 def _check(d):
     _check_pieces(d)
     table = site_oracle.SiteTable(d)
-    assert _keys(d, "R1+") == [(table.number(e),) for (e,) in table.r1_anchors()], d
-    anchors = list(_keys(d, "R2+"))
+    assert _MOVES["R1+"][0](d) == [(table.number(e),) for (e,) in table.r1_anchors()], d
+    pairs, variants, _ = _MOVES["R2+"]
+    anchors = list(pairs(d))
     pairs = table.r2_pairs()
     assert anchors == [(table.number(a), table.number(b)) for a, b in pairs], d
     for anchor, pair in zip(anchors, pairs):
-        assert _variants(d, "R2+", anchor) == table.r2_variants(*pair), (d, pair)
+        assert variants(d, anchor) == table.r2_variants(*pair), (d, pair)
     return d.n_crossings
 
 

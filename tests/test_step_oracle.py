@@ -30,7 +30,7 @@ from knots import (
     from_text,
     random_walk,
 )
-from knots.moves import _KINDS, _keys
+from knots.moves import _MOVES
 
 import face_oracle
 import site_oracle
@@ -63,9 +63,9 @@ def _check(d):
     assert d._pieces == fresh._pieces
     assert d.pieces == site_oracle.pieces(d)
     assert d._partner_counts == fresh._partner_counts
-    assert list(_keys(d, "R2+")) == site_oracle.r2_keys(fresh)
-    for kind in _KINDS:
-        assert list(_keys(d, kind)) == list(_keys(fresh, kind)), kind
+    assert list(_MOVES["R2+"][0](d)) == site_oracle.r2_keys(fresh)
+    for kind, (anchors, _, _) in _MOVES.items():
+        assert list(anchors(d)) == list(anchors(fresh)), kind
 
 
 def _partition(d):
@@ -108,7 +108,7 @@ def test_stale_counts_carried_over_several_steps(name):
             _check(d)
 
 
-@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("kind", _MOVES)
 def test_each_kind_alone(kind):
     for seed, name in enumerate(("trefoil-l", "borromean", "trefoil-r|hopf+")):
         d = random_walk(_start(name), WalkPlan(seed=seed, steps=25, weights=GROW))

@@ -13,6 +13,7 @@ from knots import (
     casson,
     check_1t,
     check_4t,
+    coefficient,
     enumerate_chord_diagrams,
     extend,
     from_text,
@@ -22,6 +23,7 @@ from knots import (
     sigma,
     symbol,
 )
+from knots.colorings import pivot_steps
 from knots.vassiliev import CHORD_COUNTS, canonical_word, has_isolated_chord
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
@@ -312,3 +314,67 @@ def test_casson_symbols_do_not_depend_on_the_seed(seed):
     for order, want in ((2, {"1122": 0, "1212": 1}), (3, dict.fromkeys(three, 0))):
         values, consistent = symbol(casson, order, samples=20, seed=seed)
         assert consistent and {cd.word: v for cd, v in values.items()} == want
+
+
+def _linear_words(m):
+    """Every matching of 2m points in a row, chords named by first end."""
+    if not m:
+        return [()]
+    # The first point pairs with the point after k others.
+    return [
+        ("1",) + rest[:k] + ("1",) + rest[k:]
+        for rest in (tuple(str(int(c) + 1) for c in w) for w in _linear_words(m - 1))
+        for k in range(2 * m - 1)
+    ]
+
+
+def _weight_relations(n):
+    """The 1T rows (one per diagram with an isolated chord) and the 4T
+    rows (one per skeleton and other chord) over the n-chord diagrams,
+    as sparse rows {diagram index: coefficient}."""
+    index = {cd: i for i, cd in enumerate(enumerate_chord_diagrams(n))}
+    rows = [{i: 1} for cd, i in index.items() if has_isolated_chord(cd)]
+    if n < 2:
+        return index, rows
+    for letters in _linear_words(n - 1):
+        w = ("A",) + letters
+        for b in map(str, range(1, n)):
+            q1 = w.index(b)
+            q2 = w.index(b, q1 + 1)
+            row = {}
+            for slot, sg in ((q1, 1), (q1 + 1, -1), (q2, 1), (q2 + 1, -1)):
+                col = index[ChordDiagram(w[:slot] + ("A",) + w[slot:])]
+                row[col] = row.get(col, 0) + sg
+            if row := {col: v for col, v in row.items() if v}:  # a skeleton may cancel out
+                rows.append(row)
+    return index, rows
+
+
+# Dimensions of the weight systems of order n = 0..6: Bar-Natan, "On the
+# Vassiliev knot invariants", Topology 34 (1995), table 1.
+WEIGHT_SYSTEM_DIMENSIONS = (1, 0, 1, 1, 3, 4, 9)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_weight_system_dimensions_match_the_published_table(n):
+    # A rank mod p can fall short of the rank over Q (p may divide every
+    # minor of full size), so the rank is taken at two primes.
+    index, rows = _weight_relations(n)
+    for p in (2**31 - 1, 1_000_003):
+        modular = [{col: v % p for col, v in row.items()} for row in rows]
+        div = lambda a, b: a * pow(b, -1, p) % p
+        rank = len(pivot_steps(modular, div, 1))
+        assert len(index) - rank == WEIGHT_SYSTEM_DIMENSIONS[n], (n, p)
+
+
+def test_order_four_conway_symbol_satisfies_every_relation():
+    values, consistent = symbol(lambda d: coefficient(d, 4), 4, samples=2)
+    assert consistent
+    assert check_1t(values, 4) and check_4t(values, 4)
+    index, rows = _weight_relations(4)
+    assert sorted(values, key=index.get) == list(index)
+    table = [values[cd] for cd in index]
+    assert all(sum(v * table[i] for i, v in row.items()) == 0 for row in rows)
+    # A symbol changed on any one diagram breaks a relation.
+    for cd in values:
+        assert not check_4t({**values, cd: values[cd] + 1}, 4), cd
