@@ -28,16 +28,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .codes import UNDER, Diagram
-from .errors import DomainError, NotAKnotError
+from .codes import UNDER, Diagram, diagram_arg
+from .errors import NotAKnotError
 
 
 def _knot(d: Diagram):
     """The passes of a knot diagram; DomainError for a non-``Diagram``,
     NotAKnotError for several components."""
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
-    if d.n_components != 1:
+    if diagram_arg(d).n_components != 1:
         raise NotAKnotError(f"{d.n_components}-component diagram; skew pairs need a knot")
     return d.components[0]
 

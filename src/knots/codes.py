@@ -38,6 +38,10 @@ Faces are the orbits of dart -> sigma(alpha(dart)), the usual
 permutation model; with V crossings, E = 2V edge arcs and F faces,
 each connected piece has genus (2 - V + E - F) / 2.
 
+Every public function that takes a diagram checks it first with
+``diagram_arg``, which also refuses a piece of genus > 0 where a plane
+diagram is needed (the Conway polynomial, the Reidemeister moves).
+
 Full validation runs only on parsed or hand-built codes.  Edits of a
 valid code are trusted, since they keep it valid: a Reidemeister move's
 result is not checked and traced from scratch (``Diagram._child`` copies
@@ -56,7 +60,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConsistencyError, DomainError, ParseError, UnknownCrossingError
+from .errors import ConsistencyError, DomainError, NonPlanarError, ParseError, UnknownCrossingError
 
 OVER = "O"
 UNDER = "U"
@@ -142,11 +146,11 @@ def from_text(text: str) -> Diagram:
     return Diagram(components)
 
 
-def to_text(obj) -> str:
+def to_text(obj: Diagram) -> str:
     """Serialize a Diagram back to the token text form."""
     return " ; ".join(
         " ".join(f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in comp) or "()"
-        for comp in obj.components
+        for comp in diagram_arg(obj).components
     )
 
 
@@ -378,6 +382,24 @@ class Diagram:
             for comp in self.components
         )
 
+    @cached_property
+    def _genus(self):
+        """Genus of each piece, then a 0 per free loop (see ``genus``)."""
+        pieces, piece_of = self._pieces
+        locate = self.locate
+        face_count = [0] * len(pieces)
+        for key in self._faces[0]:
+            face_count[piece_of[locate[key >> 2][OVER][0]]] += 1
+        out = []
+        for piece, f in zip(pieces, face_count):
+            # Euler: V - E + F = 2 - 2g with E = 2V.
+            twice_genus = 2 + len(piece) - f
+            if twice_genus % 2:
+                raise AssertionError("odd Euler defect; face trace broken")
+            out.append(twice_genus // 2)
+        out.extend(0 for _ in self.free_loops)
+        return tuple(out)
+
     @property
     def pieces(self):
         """Connected pieces as frozensets of crossing labels.
@@ -494,32 +516,32 @@ class Diagram:
         return child
 
 
+def diagram_arg(d, planar: bool = False) -> Diagram:
+    """``d``, once checked: DomainError naming it unless it is a
+    ``Diagram``; with ``planar``, NonPlanarError naming the first piece of
+    genus > 0 (in ``pieces`` order) by its smallest label, and the genus."""
+    if not isinstance(d, Diagram):
+        raise DomainError(f"d must be a Diagram, got {d!r}")
+    if planar and any(d._genus):
+        piece, g = next((piece, g) for piece, g in zip(d.pieces, d._genus) if g)
+        raise NonPlanarError(f"the piece of crossing {min(piece)} has genus {g}")
+    return d
+
+
 def genus(diagram: Diagram) -> tuple:
     """Genus of each connected piece of the diagram's surface.
 
     One entry per piece with crossings (ordered by smallest label), then
     one 0 per free loop.  A code is drawable in the plane exactly when
-    all entries are 0.
+    all entries are 0.  The diagram caches it: the faces are counted
+    once per diagram, whoever asks.
     """
-    pieces, piece_of = diagram._pieces
-    locate = diagram.locate
-    face_count = [0] * len(pieces)
-    for key in diagram._faces[0]:
-        face_count[piece_of[locate[key >> 2][OVER][0]]] += 1
-    out = []
-    for piece, f in zip(pieces, face_count):
-        # Euler: V - E + F = 2 - 2g with E = 2V.
-        twice_genus = 2 + len(piece) - f
-        if twice_genus % 2:
-            raise AssertionError("odd Euler defect; face trace broken")
-        out.append(twice_genus // 2)
-    out.extend(0 for _ in diagram.free_loops)
-    return tuple(out)
+    return diagram_arg(diagram)._genus
 
 
 def is_realizable(diagram: Diagram) -> bool:
     """Whether every connected piece has genus zero."""
-    return all(g == 0 for g in genus(diagram))
+    return not any(genus(diagram))
 
 
 def crossing_change(diagram: Diagram, *crossings) -> Diagram:
@@ -532,7 +554,7 @@ def crossing_change(diagram: Diagram, *crossings) -> Diagram:
     crossing are replaced where ``locate`` puts them, and the signs are
     copied in order of first appearance with those entries negated.
     """
-    old, locate = diagram.signs, diagram.locate
+    old, locate = diagram_arg(diagram).signs, diagram.locate
     for c in crossings:
         if isinstance(c, bool) or not isinstance(c, int) or c not in old:
             raise UnknownCrossingError(f"no crossing {c!r}")
@@ -548,12 +570,12 @@ def crossing_change(diagram: Diagram, *crossings) -> Diagram:
 
 def mirror(diagram: Diagram) -> Diagram:
     """Reflect the diagram: a crossing change at every crossing."""
-    return crossing_change(diagram, *diagram.signs)
+    return crossing_change(diagram, *diagram_arg(diagram).signs)
 
 
 def reverse_all(diagram: Diagram) -> Diagram:
     """Reverse the orientation of every component. Signs are unchanged."""
-    return Diagram(tuple(tuple(reversed(comp)) for comp in diagram.components))
+    return Diagram(tuple(tuple(reversed(comp)) for comp in diagram_arg(diagram).components))
 
 
 def reverse_component(diagram: Diagram, index: int) -> Diagram:
@@ -563,7 +585,8 @@ def reverse_component(diagram: Diagram, index: int) -> Diagram:
     self-crossings of the reversed component and crossings not involving
     it keep theirs.
     """
-    if type(index) is not int or not 0 <= index < diagram.n_components:  # True would read as 1
+    # ``type``, not ``isinstance``: True would read as 1.
+    if type(index) is not int or not 0 <= index < diagram_arg(diagram).n_components:
         raise DomainError(f"no component {index!r}")
     flips = {
         c
@@ -587,7 +610,7 @@ def permute_components(diagram: Diagram, order: Sequence[int]) -> Diagram:
     ints = isinstance(order, Sequence) and all(
         isinstance(i, int) and not isinstance(i, bool) for i in order
     )
-    if not ints or sorted(order) != list(range(diagram.n_components)):
+    if not ints or sorted(order) != list(range(diagram_arg(diagram).n_components)):
         raise DomainError(f"bad permutation {order!r}")
     return Diagram(tuple(diagram.components[i] for i in order))
 
@@ -601,7 +624,7 @@ def canonical_key(diagram: Diagram) -> str:
     cached on this key.
     """
     relabel = {}
-    for comp in diagram.components:
+    for comp in diagram_arg(diagram).components:
         for p in comp:
             relabel.setdefault(p.crossing, len(relabel) + 1)
     comps = [[Pass(relabel[p.crossing], p.role, p.sign) for p in c] for c in diagram.components]

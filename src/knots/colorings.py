@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .codes import UNDER, Diagram
+from .codes import UNDER, Diagram, diagram_arg
 from .errors import DomainError
 
 
@@ -211,8 +211,7 @@ def count_colorings(d: Diagram, p: int) -> ColoringCount:
         ColoringCount with total = p^(solution dimension) and
         proper = total - p.
     """
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
+    diagram_arg(d)
     _check_modulus(p)
     free, rest = d._unit_reduction
     rows = [{col: e for col, v in row if (e := v % p)} for row in rest]

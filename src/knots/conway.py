@@ -75,9 +75,9 @@ from itertools import accumulate, takewhile, zip_longest
 from math import prod
 from typing import Sequence
 
-from .codes import OVER, UNDER, Diagram, genus
+from .codes import OVER, UNDER, Diagram, diagram_arg
 from .colorings import closed_arcs, fox_rows, pivot_steps
-from .errors import DomainError, NonPlanarError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def violations(d: Diagram):
 
     Components are visited in stored order, each from its first pass.
     """
-    firsts = sorted((w[UNDER], c) for c, w in d.locate.items() if w[UNDER] < w[OVER])
+    firsts = sorted((w[UNDER], c) for c, w in diagram_arg(d).locate.items() if w[UNDER] < w[OVER])
     return tuple(c for _, c in firsts)
 
 
@@ -267,14 +267,10 @@ def conway(d: Diagram) -> ConwayPoly:
 
     Raises:
         DomainError: if ``d`` is not a ``Diagram``.
-        NonPlanarError: if no plane diagram has this code.
+        NonPlanarError: if no plane diagram has this code, naming the
+            first piece of genus > 0.
     """
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
-    genera = genus(d)
-    if any(genera):
-        raise NonPlanarError(f"no plane diagram has this code: genera {genera}")
-    knot, n = d.n_components == 1, d.n_crossings
+    knot, n = diagram_arg(d, planar=True).n_components == 1, d.n_crossings
     if closed_arcs(d):
         return ONE if knot else ZERO
     order, minor, w = _fox_minor(d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import OVER, UNDER, Diagram
+from .codes import OVER, UNDER, Diagram, diagram_arg
 from .errors import DomainError
 
 
@@ -31,9 +31,7 @@ class LinkingReport:
 
 
 def _check_pair(d: Diagram, i: int, j: int):
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
-    n = d.n_components
+    n = diagram_arg(d).n_components
     ints = all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j))  # True reads as 1
     if not ints or not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"component pair ({i!r}, {j!r}) out of range")
@@ -71,7 +69,7 @@ def lk(d: Diagram, i: int, j: int) -> int:
 def linking_matrix(d: Diagram):
     """LinkingReport for every ordered component pair, sorted by pair."""
     out = []
-    for i in range(d.n_components):
+    for i in range(diagram_arg(d).n_components):
         for j in range(d.n_components):
             if i != j:
                 out.append(LinkingReport((i, j), lk2(d, i, j), lk(d, i, j)))

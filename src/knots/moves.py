@@ -57,10 +57,9 @@ from .codes import (
     UNDER,
     Diagram,
     Pass,
-    genus,
-    is_realizable,
+    diagram_arg,
 )
-from .errors import DomainError, InvalidSiteError, NonPlanarError, UnknownCrossingError
+from .errors import DomainError, InvalidSiteError, UnknownCrossingError
 
 
 @dataclass(frozen=True)
@@ -326,16 +325,13 @@ def enumerate_sites(d: Diagram, kinds: Optional[Sequence[str]] = None):
         DomainError: if ``d`` is not a ``Diagram``.
         NonPlanarError: if some piece of ``d`` has genus > 0.
     """
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
+    diagram_arg(d, planar=True)
     if isinstance(kinds, str) or not isinstance(kinds, (Iterable, type(None))):
         raise InvalidSiteError(f"kinds takes a collection of move kinds, not {kinds!r}")
     wanted = tuple(_MOVES) if kinds is None else tuple(kinds)
     unknown = sorted({repr(k) for k in wanted if not _known(k)})
     if unknown:
         raise InvalidSiteError(f"unknown move kind {', '.join(unknown)}")
-    if not is_realizable(d):
-        raise NonPlanarError(f"genus {genus(d)} diagram; moves need genus 0")
     out = []
     for kind, (anchors, variants, _) in _MOVES.items():
         if kind in wanted:
@@ -414,13 +410,14 @@ def apply(d: Diagram, site: MoveSite) -> Diagram:
 
     Raises:
         DomainError: if ``d`` is not a ``Diagram``.
+        NonPlanarError: if some piece of ``d`` has genus > 0, as in
+            ``enumerate_sites``, whatever the site.
         InvalidSiteError: if ``site`` is not a ``MoveSite`` among
             ``enumerate_sites(d)``, or names an insertion arc by anything
             but an ``int`` (a ``bool`` or ``float`` arc may compare equal
             to a listed one).
     """
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
+    diagram_arg(d, planar=True)
     _require(isinstance(site, MoveSite), f"site must be a MoveSite, got {site!r}")
     kind, anchor = site.kind, site.anchor
     _require(_known(kind), f"unknown move kind {kind!r}")
@@ -441,7 +438,7 @@ def smooth(d: Diagram, c) -> Diagram:
     merges the two components otherwise.  A label that is not an ``int``
     names no crossing.
     """
-    if isinstance(c, bool) or not isinstance(c, int) or c not in d.signs:
+    if isinstance(c, bool) or not isinstance(c, int) or c not in diagram_arg(d).signs:
         raise UnknownCrossingError(f"no crossing {c!r}")
     (ci, ki), (cj, kj) = d.locate[c][OVER], d.locate[c][UNDER]
     comps = list(d.components)
@@ -469,8 +466,8 @@ def _shift_labels(d: Diagram, offset: int):
 
 def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
     """Place ``b`` next to ``a`` with relabelled crossings."""
-    offset = max(a.signs, default=0)
-    return Diagram(a.components + _shift_labels(b, offset))
+    offset = max(diagram_arg(a).signs, default=0)
+    return Diagram(a.components + _shift_labels(diagram_arg(b), offset))
 
 
 def connected_sum(
@@ -485,9 +482,9 @@ def connected_sum(
     for name, k in (("comp_a", comp_a), ("comp_b", comp_b), ("edge_a", edge_a), ("edge_b", edge_b)):
         if isinstance(k, bool) or not isinstance(k, int):
             raise DomainError(f"{name} must be an int, got {k!r}")
-    if not 0 <= comp_a < a.n_components:
+    if not 0 <= comp_a < diagram_arg(a).n_components:
         raise DomainError(f"no component {comp_a} in first diagram")
-    if not 0 <= comp_b < b.n_components:
+    if not 0 <= comp_b < diagram_arg(b).n_components:
         raise DomainError(f"no component {comp_b} in second diagram")
     ca = a.components[comp_a]
     cb = b.components[comp_b]
@@ -517,14 +514,12 @@ def random_walk(d: Diagram, plan: WalkPlan) -> Diagram:
     fuzzing only determinism matters.  A step whose drawn kind has no
     site on the current diagram is consumed without changing it.  A ``d``
     that is not a ``Diagram``, or a ``plan`` that is not a ``WalkPlan``,
-    raises DomainError.
+    raises DomainError, and a ``d`` with a piece of genus > 0
+    NonPlanarError, as in ``enumerate_sites``.
     """
-    if not isinstance(d, Diagram):
-        raise DomainError(f"d must be a Diagram, got {d!r}")
+    diagram_arg(d, planar=True)
     if not isinstance(plan, WalkPlan):
         raise DomainError(f"plan must be a WalkPlan, got {plan!r}")
-    if not is_realizable(d):
-        raise NonPlanarError("random walks need a genus-0 start")
     weights = plan.effective_weights()
     kinds = sorted(weights)
     moves = [_MOVES[k] for k in kinds]

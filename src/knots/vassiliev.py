@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .codes import Diagram, crossing_change, is_realizable
-from .errors import DegeneracyError, DomainError
+from .codes import Diagram, crossing_change, diagram_arg, is_realizable
+from .errors import DegeneracyError, DomainError, NotAKnotError
 from .spatial import crossings, gauss_code, retry
 
 
@@ -132,16 +132,15 @@ def enumerate_chord_diagrams(n: int):
 @dataclass(frozen=True)
 class SingularDiagram:
     """A knot diagram with some crossings marked as double points; a
-    ``base`` that is not a ``Diagram`` raises DomainError."""
+    ``base`` that is not a ``Diagram`` raises DomainError, a link
+    NotAKnotError."""
 
     base: Diagram
     doubles: frozenset
 
     def __init__(self, base: Diagram, doubles):
-        if not isinstance(base, Diagram):
-            raise DomainError(f"d must be a Diagram, got {base!r}")
-        if base.n_components != 1:
-            raise DomainError("singular diagrams are built on knot diagrams")
+        if diagram_arg(base).n_components != 1:
+            raise NotAKnotError("singular diagrams are built on knot diagrams")
         doubles = frozenset(doubles)
         for c in doubles:  # True or 1.0 would equal crossing 1
             if isinstance(c, bool) or not isinstance(c, int) or c not in base.signs:

@@ -1,5 +1,6 @@
 """Errors raised on bad input, one case per raise no other test reaches."""
 
+import inspect
 import json
 import operator
 import re
@@ -7,6 +8,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+import knots
 from knots import (
     ConsistencyError,
     ConwayPoly,
@@ -24,6 +26,7 @@ from knots import (
     WalkPlan,
     apply_move,
     arf,
+    canonical_key,
     casson,
     catalog,
     coefficient,
@@ -31,19 +34,28 @@ from knots import (
     conway,
     count_colorings,
     crossing_change,
+    disjoint_union,
     enumerate_sites,
     from_text,
+    genus,
     is_colorable,
+    is_descending,
+    is_realizable,
+    linking_matrix,
     lk,
     lk2,
+    mirror,
     permute_components,
     project,
     random_walk,
     realize,
+    reverse_all,
     reverse_component,
     smooth,
+    to_text,
     triangles_linked,
     verify_seven_points,
+    violations,
 )
 from knots.cli import main
 
@@ -161,8 +173,35 @@ def test_connected_sum_rejects_bad_components_and_arcs(args, message):
 
 
 def test_random_walk_needs_a_planar_start():
-    with pytest.raises(NonPlanarError, match="genus-0 start"):
+    with pytest.raises(NonPlanarError, match="the piece of crossing 1 has genus 1"):
         random_walk(from_text("O1+ U2+ U1+ O2+"), WalkPlan(seed=0, steps=3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        enumerate_sites,
+        lambda d: apply_move(d, MoveSite("R1+", (0,), "OU+")),
+        lambda d: apply_move(d, MoveSite("R1-", (max(d.signs),))),
+        lambda d: random_walk(d, WalkPlan(seed=0, steps=3)),
+        conway,
+    ],
+    ids=["enumerate_sites", "apply_move-R1+", "apply_move-R1-", "random_walk", "conway"],
+)
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        ("O1+ U2+ U1+ O2+", "the piece of crossing 1 has genus 1"),
+        # A plane trefoil, then a piece of genus 2 ending in a curl at 8.
+        (f"{TREFOIL} ; U6+ O7- O5+ U7- U5+ U4- O6+ O4- O8+ U8+", "the piece of crossing 4 has genus 2"),
+    ],
+    ids=["genus-1", "second-piece-genus-2"],
+)
+def test_plane_only_entry_points_name_the_first_piece_of_positive_genus(call, code, message):
+    # ``apply_move`` once made both moves on these codes: the R1+ curl and,
+    # on the second, the R1- removal of curl 8.
+    with pytest.raises(NonPlanarError, match=f"^{message}$"):
+        call(from_text(code))
 
 
 def test_walk_plan_rejects_all_zero_weights():
@@ -244,41 +283,66 @@ class _Unreadable:
         return "unreadable"
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda d: count_colorings(d, 3),
-        lambda d: is_colorable(d, 5),
-        conway,
-        casson,
-        arf,
-        lambda d: lk(d, 0, 1),
-        lambda d: lk2(d, 0, 1),
-        enumerate_sites,
-        lambda d: random_walk(d, WalkPlan(seed=0, steps=1)),
-        lambda d: apply_move(d, MoveSite("R1-", (1,))),
-        lambda d: SingularDiagram(d, []),
-    ],
-    ids=[
-        "count_colorings",
-        "is_colorable",
-        "conway",
-        "casson",
-        "arf",
-        "lk",
-        "lk2",
-        "enumerate_sites",
-        "random_walk",
-        "apply_move",
-        "SingularDiagram",
-    ],
-)
+# Every public callable that takes a diagram, by name, called with ``d`` in
+# the diagram's place and valid other arguments; a ``_b`` key puts ``d``
+# in the second diagram's place.
+TAKES_A_DIAGRAM = {
+    "count_colorings": lambda d: count_colorings(d, 3),
+    "is_colorable": lambda d: is_colorable(d, 5),
+    "conway": conway,
+    "coefficient": lambda d: coefficient(d, 2),
+    "casson": casson,
+    "arf": arf,
+    "lk": lambda d: lk(d, 0, 1),
+    "lk2": lambda d: lk2(d, 0, 1),
+    "linking_matrix": linking_matrix,
+    "enumerate_sites": enumerate_sites,
+    "random_walk": lambda d: random_walk(d, WalkPlan(seed=0, steps=1)),
+    "apply_move": lambda d: apply_move(d, MoveSite("R1-", (1,))),
+    "SingularDiagram": lambda d: SingularDiagram(d, []),
+    "to_text": to_text,
+    "genus": genus,
+    "is_realizable": is_realizable,
+    "crossing_change": lambda d: crossing_change(d, 1),
+    "mirror": mirror,
+    "reverse_all": reverse_all,
+    "reverse_component": lambda d: reverse_component(d, 0),
+    "permute_components": lambda d: permute_components(d, [0]),
+    "canonical_key": canonical_key,
+    "smooth": lambda d: smooth(d, 1),
+    "disjoint_union": lambda d: disjoint_union(d, from_text(TREFOIL)),
+    "disjoint_union_b": lambda d: disjoint_union(from_text(TREFOIL), d),
+    "connected_sum": lambda d: connected_sum(d, 0, from_text(TREFOIL), 0),
+    "connected_sum_b": lambda d: connected_sum(from_text(TREFOIL), 0, d, 0),
+    "violations": violations,
+    "is_descending": is_descending,
+}
+# Public callables with a ``Diagram`` parameter that read nothing of it:
+# ``project`` builds a ProjectionResult around the diagram it traced.
+HOLDS_A_DIAGRAM = {"ProjectionResult"}
+
+
+@pytest.mark.parametrize("call", TAKES_A_DIAGRAM.values(), ids=TAKES_A_DIAGRAM.keys())
 @pytest.mark.parametrize("d", [None, "abc", 5, _Unreadable()], ids=repr)
 def test_invariants_refuse_a_diagram_that_is_not_a_diagram(call, d):
-    # Each once raised AttributeError from ``d.components``, ``d.n_components``
-    # or ``d._pieces``.
+    # Each once raised AttributeError from ``d.components``, ``d.n_components``,
+    # ``d.signs``, ``d.locate`` or ``d._pieces``.
     with pytest.raises(DomainError, match=re.escape(f"d must be a Diagram, got {d!r}")):
         call(d)
+
+
+def test_every_public_callable_that_takes_a_diagram_is_in_the_refusal_table():
+    # Under ``from __future__ import annotations`` an annotation is a string.
+    found = set()
+    for name in knots.__all__:
+        obj = getattr(knots, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        if any(p.annotation in ("Diagram", Diagram) for p in params):
+            found.add(name)
+    assert HOLDS_A_DIAGRAM <= found
+    assert found - HOLDS_A_DIAGRAM == {name for name in TAKES_A_DIAGRAM if not name.endswith("_b")}
 
 
 @pytest.mark.parametrize("plan", [None, 5, {"seed": 0, "steps": 1}, _Unreadable()], ids=repr)

@@ -9,6 +9,7 @@ import knots.vassiliev as vassiliev
 from knots import (
     ChordDiagram,
     DomainError,
+    NotAKnotError,
     SingularDiagram,
     casson,
     check_1t,
@@ -112,6 +113,8 @@ def test_singular_diagram_validation():
         SingularDiagram(base, {9})
     with pytest.raises(DomainError):
         SingularDiagram(from_text("O1+ U2+ ; O2+ U1+"), {1})
+    with pytest.raises(NotAKnotError, match="singular diagrams are built on knot diagrams"):
+        SingularDiagram(from_text("O1+ U2+ ; O2+ U1+"), set())
 
 
 def test_sigma_reads_double_points_in_traversal_order():
