@@ -12,13 +12,18 @@ p-coloring assigns each arc a color in Z/p so that at every crossing
 For p = 3 this congruence says exactly "all three colors equal or all
 distinct", the trichromatic rule.  These are the rows of the Fox matrix
 (``fox_rows``) at t = -1, and the count of colorings is p to the
-dimension of the solution space.  Its rank comes from ``pivot_steps``,
-the one kernel that also takes the Conway determinant.  Its unit steps
-over Z, on the entries +-1 (``unit_reduction``), are unimodular, so they
-hold modulo every prime, and the diagram caches them; what they leave,
-a handful of rows on large diagrams, goes mod p through Bareiss steps
-alone.  A coloring is proper when it uses at least two colors, and the
-p monochromatic assignments always work, so proper = total - p.
+dimension of the solution space.  ``unit_reduction`` writes them as
+integer rows straight from the arc walk that ``fox_rows`` also reads,
+one per crossing keyed by its label.  Their rank comes from
+``pivot_steps``, the one kernel that also takes the Conway determinant.
+Its unit steps over Z, on the entries +-1, are unimodular, so they hold
+modulo every prime, and the diagram caches them; what they leave, a
+handful of rows on large diagrams, goes mod p through Bareiss steps
+alone.  The kernel keeps its rows on a heap by length and pushes a row
+back only when a step changed its length, or when it was popped
+without a unit and an update may have given it one.  A coloring is
+proper when it uses at least two colors, and the p monochromatic
+assignments always work, so proper = total - p.
 """
 
 from __future__ import annotations
@@ -56,15 +61,9 @@ def closed_arcs(d: Diagram) -> int:
     return sum(all(p.role != UNDER for p in comp) for comp in d.components)
 
 
-def fox_rows(d: Diagram):
-    """The Fox-calculus presentation matrix: crossing -> row, in label order.
-
-    A row maps an arc's key (see the module docstring) to (a, b), the
-    entry a + b*t: ``1 - t`` on the over arc, ``t`` on under-in and ``-1``
-    on under-out at a positive crossing, ``-1`` and ``t`` at a negative
-    one.  At t = -1 every row is the coloring congruence
-    2*over - under_in - under_out, whatever the sign.
-    """
+def _arc_walk(d: Diagram):
+    """(over, out): crossing -> the key of its over arc, and of its
+    under-out arc (see the module docstring)."""
     over, out = {}, {}
     for i, comp in enumerate(d.components):
         # Walking backwards, ``key`` is the arc that holds the pass: it
@@ -75,6 +74,19 @@ def fox_rows(d: Diagram):
                 out[c], key = key, c
             else:
                 over[c] = key
+    return over, out
+
+
+def fox_rows(d: Diagram):
+    """The Fox-calculus presentation matrix: crossing -> row, in label order.
+
+    A row maps an arc's key (see the module docstring) to (a, b), the
+    entry a + b*t: ``1 - t`` on the over arc, ``t`` on under-in and ``-1``
+    on under-out at a positive crossing, ``-1`` and ``t`` at a negative
+    one.  At t = -1 every row is the coloring congruence
+    2*over - under_in - under_out, whatever the sign.
+    """
+    over, out = _arc_walk(d)
     rows = {}
     for c in sorted(d.signs):
         row = rows[c] = {}
@@ -97,14 +109,19 @@ def pivot_steps(rows, div, one, inverse=None):
     copied, or a dict index -> row, reduced in place.  Each step takes the
     shortest row left (the lowest index on ties) and pivots on its column
     held by the fewest other live rows (the lowest label on ties), which
-    keeps fill-in low; a heap of (length, index), whose stale entries are
-    skipped, and a column -> live rows index spare it a scan of every row.
+    keeps fill-in low; a heap of (length, index) and a column -> live rows
+    index spare it a scan of every row.  A step pushes a row it updated
+    back on the heap only when the row's length changed (the entry at the
+    old length goes stale and is skipped) or the row was parked; a row
+    that keeps its length keeps its entry.
 
     While a row holds a unit, given ``inverse`` (an entry's inverse, or
     None for a non-unit), the steps are unit steps, on the shortest row
-    with a unit and its sparsest unit column (a row popped without a unit
-    waits until an update pushes it again): each holder with f in that
-    column loses f * inverse(pivot) times the row, in place.  Bareiss
+    with a unit and its sparsest unit column: a row popped without a unit
+    is parked until an update pushes it again, and each holder with f in
+    the pivot column loses f * inverse(pivot) times the row, in place.
+    Parking ends when the Bareiss steps begin; an empty row, which a dict
+    ``rows`` may hold, is skipped in both kinds of step.  Bareiss
     steps follow if exact division ``div(a, b)`` is given, else the rows
     left stay in a dict ``rows``.  Their entries are minors of the rows
     left, so dividing by the previous pivot is exact; a row without an
@@ -126,35 +143,40 @@ def pivot_steps(rows, div, one, inverse=None):
             holders.setdefault(j, set()).add(i)
     units = inverse is not None
     heap = sorted((len(row), i) for i, row in live.items())
-    zero, scale, level, steps = one - one, [one], dict.fromkeys(live, 0), []
+    zero, scale, level, steps, parked = one - one, [one], dict.fromkeys(live, 0), [], set()
     while heap or units and div and live:
         if not heap:  # no row holds a unit: Bareiss steps from here on
-            units, heap = False, sorted((len(row), i) for i, row in live.items())
+            units, heap, parked = False, sorted((len(row), i) for i, row in live.items()), set()
         n, r = heappop(heap)
         row = live.get(r)
         if row is None or len(row) != n:
             continue
-        # The pivot columns to choose from; for a unit step, each with its inverse.
-        cols = {j: u for j, v in row.items() if (u := inverse(v))} if units else row
-        if not cols:
+        # The pivot column (for a unit step, one of the unit entries): the
+        # one held by the fewest rows, r among them, the lowest on ties.
+        col = None
+        for j, v in row.items():
+            if u := (inverse(v) if units else v):
+                h = len(holders[j])
+                if col is None or h < least or h == least and j < col:
+                    col, least, inv = j, h, u
+        if col is None:  # no unit yet, or an empty row
+            parked.add(r)
             continue
         del live[r]
         for j in row:
             holders[j].discard(r)
-        col = min(cols, key=lambda j: (len(holders[j]), j))
-        if units:
-            pivot, inv = row.pop(col), cols[col]
-        else:
+        if not units:
             k = len(scale) - 1
             if level[r] != k:
                 row = {j: div(scale[k] * v, scale[level[r]]) for j, v in row.items()}
-            pivot = row.pop(col)
+        pivot = row.pop(col)
+        items = row.items()
         for i in holders.pop(col):
             other = live[i]
             length, f = len(other), other.pop(col)
             if units:  # other - f / pivot * row, in place
                 f = f * inv
-                for j, v in row.items():
+                for j, v in items:
                     if e := other.get(j, zero) - f * v:
                         if j not in other:
                             holders[j].add(i)
@@ -164,7 +186,7 @@ def pivot_steps(rows, div, one, inverse=None):
                         holders[j].discard(i)
             else:  # (pivot * other - f * row) / the previous pivot
                 new = {j: pivot * v for j, v in other.items()}
-                for j, v in row.items():
+                for j, v in items:
                     new[j] = new.get(j, zero) - f * v
                 other = live[i] = {j: q for j, v in new.items() if (q := div(v, scale[level[i]]))}
                 level[i] = k + 1
@@ -172,7 +194,8 @@ def pivot_steps(rows, div, one, inverse=None):
                     (holders[j].add if j in other else holders[j].discard)(i)
             if not other:
                 del live[i]
-            elif units or len(other) != length:
+            elif len(other) != length or i in parked:
+                parked.discard(i)
                 heappush(heap, (len(other), i))
         if not units:
             scale.append(pivot)
@@ -189,11 +212,16 @@ def unit_reduction(d: Diagram):
     rank mod p is the number of steps plus the rank of ``rest`` mod p.
     ``Diagram`` caches it, so every prime asked of one diagram shares it.
     """
+    over, out = _arc_walk(d)
     rows = {}
-    for i, fox in enumerate(fox_rows(d).values()):
-        # At t = -1 the entry a + b*t is a - b.
-        if row := {col: e for col, (a, b) in fox.items() if (e := a - b)}:
-            rows[i] = row
+    for c in sorted(d.signs):
+        # 2*over - under_in - under_out, coinciding arcs summed: an entry
+        # is 0 only where all three coincide, and then it is the whole row.
+        row = {over[c]: 2}
+        for col in (c, out[c]):
+            row[col] = row.get(col, 0) - 1
+        if row[col]:
+            rows[c] = row
     free = d.n_crossings + closed_arcs(d) - len(pivot_steps(rows, None, 1, {1: 1, -1: -1}.get))
     return free, tuple(tuple(row.items()) for row in rows.values())
 

@@ -28,6 +28,7 @@ from knots import (
     project,
     random_walk,
 )
+import knots.colorings
 from knots.colorings import fox_rows, pivot_steps, unit_reduction
 
 from coloring_oracle import (
@@ -276,6 +277,52 @@ def _reduction_sample():
 
 def _nullity(count):
     return next(k for k in range(count.total) if count.p**k == count.total)
+
+
+def _fed_rows(d, monkeypatch):
+    """The rows that ``unit_reduction`` hands the kernel, as it hands them."""
+    fed = []
+
+    def spy(rows, *args):
+        fed.append({c: dict(row) for c, row in rows.items()})
+        return pivot_steps(rows, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(knots.colorings, "pivot_steps", spy)
+        unit_reduction(d)
+    return fed[0]
+
+
+# The rows 2*over - under_in - under_out, by hand, of a trefoil with a
+# kink at crossing 4 where over = under-in (O4 U4) or over = under-out
+# (U4 O4), a link whose components go under once (under-in = under-out),
+# kinks whose three arcs are one (an empty row, dropped), and closed
+# arcs, keyed -1 - i.
+TREFOIL_ROWS = {1: {2: 2, 1: -1, 3: -1}, 2: {3: 2, 2: -1, 1: -1}, 3: {1: 2, 3: -1, 4: -1}}
+HAND_ROWS = {
+    "O4+ U4+ O1+ U2+ O3+ U1+ O2+ U3+": {**TREFOIL_ROWS, 4: {4: 1, 2: -1}},
+    "U4+ O4+ O1+ U2+ O3+ U1+ O2+ U3+": {**TREFOIL_ROWS, 4: {2: 1, 4: -1}},
+    HOPF: {1: {2: 2, 1: -2}, 2: {1: 2, 2: -2}},
+    "O1+ U1+": {},
+    "O1+ U1+ ; O2+ U2+": {},
+    "O1+ O2+ ; U1+ U2+": {1: {-1: 2, 1: -1, 2: -1}, 2: {-1: 2, 2: -1, 1: -1}},
+    "() ; O1+ O2+ ; U1+ U2+": {1: {-2: 2, 1: -1, 2: -1}, 2: {-2: 2, 2: -1, 1: -1}},
+}
+
+
+def test_coloring_rows_are_the_fox_rows_at_minus_one(monkeypatch):
+    diagrams = [from_text(text) for text in HAND_ROWS]
+    for d, rows in zip(diagrams, HAND_ROWS.values()):
+        assert _fed_rows(d, monkeypatch) == rows, d
+    for d in diagrams + _reduction_sample():
+        # Keyed by crossing label, in label order; zero entries and empty
+        # rows dropped.
+        want = {}
+        for c, fox in fox_rows(d).items():
+            if row := {col: a - b for col, (a, b) in fox.items() if a - b}:
+                want[c] = row
+        fed = _fed_rows(d, monkeypatch)
+        assert list(fed.items()) == list(want.items()), d
 
 
 def test_shared_reduction_matches_the_dense_oracle_for_every_prime_in_any_order():
