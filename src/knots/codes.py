@@ -585,8 +585,9 @@ def reverse_component(diagram: Diagram, index: int) -> Diagram:
     self-crossings of the reversed component and crossings not involving
     it keep theirs.
     """
-    # ``type``, not ``isinstance``: True would read as 1.
-    if type(index) is not int or not 0 <= index < diagram_arg(diagram).n_components:
+    # An int, not a bool: True would read as 1.
+    bad = isinstance(index, bool) or not isinstance(index, int)
+    if bad or not 0 <= index < diagram_arg(diagram).n_components:
         raise DomainError(f"no component {index!r}")
     flips = {
         c

@@ -11,17 +11,22 @@ p-coloring assigns each arc a color in Z/p so that at every crossing
 
 For p = 3 this congruence says exactly "all three colors equal or all
 distinct", the trichromatic rule.  These are the rows of the Fox matrix
-(``fox_rows``) at t = -1, and the count of colorings is p to the
-dimension of the solution space.  ``unit_reduction`` writes them as
-integer rows straight from the arc walk that ``fox_rows`` also reads,
-one per crossing keyed by its label.  Their rank comes from
-``pivot_steps``, the one kernel that also takes the Conway determinant.
-Its unit steps over Z, on the entries +-1, are unimodular, so they hold
-modulo every prime, and the diagram caches them; what they leave, a
-handful of rows on large diagrams, goes mod p through Bareiss steps
-alone.  The kernel keeps its rows on a heap by length and pushes a row
-back only when a step changed its length, or when it was popped
-without a unit and an update may have given it one.  A coloring is
+at t = -1, and the count of colorings is p to the dimension of the
+solution space.  ``fox_rows(d, t)`` alone builds that matrix, for
+Conway and colorings alike: it evaluates the matrix at an integer t, -1
+or of absolute value at least 2.  Entries of arcs that coincide are
+summed, and for these t a sum is 0 only when all three arcs of a
+crossing coincide (its component goes under there alone, and over
+there too); that row is then 0 and dropped, and no other entry is 0.
+``unit_reduction`` starts from the rows at t = -1, one per crossing
+keyed by its label.  Their rank comes from ``pivot_steps``, the one
+kernel that also takes the Conway determinant.  Its unit steps over Z,
+on the entries +-1, are unimodular, so they hold modulo every prime,
+and the diagram caches them; what they leave, a handful of rows on
+large diagrams, goes mod p through Bareiss steps alone.  The kernel
+keeps its rows on a heap by length and pushes a row back only when a
+step changed its length, or when it was popped without a unit and an
+update may have given it one.  A coloring is
 proper when it uses at least two colors, and the p monochromatic
 assignments always work, so proper = total - p.
 """
@@ -61,9 +66,18 @@ def closed_arcs(d: Diagram) -> int:
     return sum(all(p.role != UNDER for p in comp) for comp in d.components)
 
 
-def _arc_walk(d: Diagram):
-    """(over, out): crossing -> the key of its over arc, and of its
-    under-out arc (see the module docstring)."""
+def fox_rows(d: Diagram, t: int):
+    """The Fox-calculus presentation matrix at the integer t = -1 or
+    |t| >= 2: crossing -> row, in label order.
+
+    A row maps an arc's key (see the module docstring) to an integer: the
+    entry ``1 - t`` on the over arc, ``t`` on under-in and ``-1`` on
+    under-out at a positive crossing, ``-1`` and ``t`` at a negative one.
+    Evaluation is a ring map, so where arcs coincide their entries are
+    summed: two give 1, -t or t - 1, none 0 at these t, and all three 0,
+    the whole row, which is dropped.  At t = -1 every row is the coloring
+    congruence 2*over - under_in - under_out, whatever the sign.
+    """
     over, out = {}, {}
     for i, comp in enumerate(d.components):
         # Walking backwards, ``key`` is the arc that holds the pass: it
@@ -74,30 +88,14 @@ def _arc_walk(d: Diagram):
                 out[c], key = key, c
             else:
                 over[c] = key
-    return over, out
-
-
-def fox_rows(d: Diagram):
-    """The Fox-calculus presentation matrix: crossing -> row, in label order.
-
-    A row maps an arc's key (see the module docstring) to (a, b), the
-    entry a + b*t: ``1 - t`` on the over arc, ``t`` on under-in and ``-1``
-    on under-out at a positive crossing, ``-1`` and ``t`` at a negative
-    one.  At t = -1 every row is the coloring congruence
-    2*over - under_in - under_out, whatever the sign.
-    """
-    over, out = _arc_walk(d)
-    rows = {}
-    for c in sorted(d.signs):
-        row = rows[c] = {}
-        positive = d.signs[c] > 0
-        for col, (a, b) in (
-            (over[c], (1, -1)),
-            (c, (0, 1) if positive else (-1, 0)),
-            (out[c], (-1, 0) if positive else (0, 1)),
-        ):
-            old_a, old_b = row.get(col, (0, 0))
-            row[col] = (old_a + a, old_b + b)
+    rows, u, positive, negative = {}, 1 - t, (t, -1), (-1, t)
+    for c, sign in sorted(d.signs.items()):
+        a, b = positive if sign > 0 else negative
+        row = {over[c]: u}
+        row[c] = row.get(c, 0) + a
+        if v := row.get(x := out[c], 0) + b:  # 0: all three arcs coincide
+            row[x] = v
+            rows[c] = row
     return rows
 
 
@@ -212,16 +210,7 @@ def unit_reduction(d: Diagram):
     rank mod p is the number of steps plus the rank of ``rest`` mod p.
     ``Diagram`` caches it, so every prime asked of one diagram shares it.
     """
-    over, out = _arc_walk(d)
-    rows = {}
-    for c in sorted(d.signs):
-        # 2*over - under_in - under_out, coinciding arcs summed: an entry
-        # is 0 only where all three coincide, and then it is the whole row.
-        row = {over[c]: 2}
-        for col in (c, out[c]):
-            row[col] = row.get(col, 0) - 1
-        if row[col]:
-            rows[c] = row
+    rows = fox_rows(d, -1)
     free = d.n_crossings + closed_arcs(d) - len(pivot_steps(rows, None, 1, {1: 1, -1: -1}.get))
     return free, tuple(tuple(row.items()) for row in rows.values())
 

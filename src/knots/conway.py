@@ -60,6 +60,11 @@ for entries a + b*t.  So w = (bits of P + 1) // 2 + 1 puts every
 coefficient strictly inside +-2^(w-1), where the digits are unique.  A
 row is not always worth 6: a component with one under pass has the row
 (1 - t, t - 1), worth 8, so P is taken from the rows of the minor.
+Every Fox entry, coinciding arcs summed, is 1 - t, t, -1, 1, -t or
+t - 1, so a and b never have one sign (a * b <= 0) and |a| + |b| is
+|a - b|, the entry at t = -1: P is read off ``fox_rows(d, -1)``, and
+the entries off ``fox_rows(d, 2^w)``, a + b * 2^w, odd exactly when
+a != 0 (m = a + b * 2^w, e = 0; else m = b, e = w).
 
 ``violations`` and ``is_descending`` describe the crossing changes that
 unknot a diagram or split a link.  They walk each component from its
@@ -218,17 +223,20 @@ def _fox_minor(d: Diagram):
     """(order, rows, w): the Fox matrix of ``d`` less the row and column
     of ``order[0]``, its lowest label, as a dict index -> row of
     ``_Laurent`` entries at t = 2^w (w: see the module docstring)."""
-    fox, order = fox_rows(d), sorted(d.signs)
-    minor = [{j: v for j, v in fox[c].items() if j != order[0] and v != (0, 0)} for c in order[1:]]
-    bound = 1
-    for row in minor:
-        bound *= sum((abs(a) + abs(b)) ** 2 for a, b in row.values()) or 1
+    order = sorted(d.signs)
+
+    def minor(t):  # the rows of order[1:] at t, less the column order[0]
+        fox = fox_rows(d, t)
+        for row in fox.values():
+            row.pop(order[0], None)
+        return [fox.get(c, {}) for c in order[1:]]
+
+    # Hadamard's bound from the entries at t = -1, |a - b| = |a| + |b|.
+    bound = prod(sum(v * v for v in row.values()) or 1 for row in minor(-1))
     w = (bound.bit_length() + 1) // 2 + 1
-    # An entry a + b*t has a in {-1, 0, 1}, and b = +-1 when a = 0, so m is odd.
-    rows = {
-        i: {j: _Laurent(0, a + (b << w)) if a else _Laurent(w, b) for j, (a, b) in row.items()}
-        for i, row in enumerate(minor)
-    }
+    # The entries at t = 2^w, a + b*2^w: odd when a (-1, 0 or 1) is not 0.
+    pack = lambda v: _Laurent(0, v) if v & 1 else _Laurent(w, v >> w)
+    rows = {i: {j: pack(v) for j, v in row.items()} for i, row in enumerate(minor(1 << w))}
     return order, rows, w
 
 
@@ -302,6 +310,7 @@ def conway(d: Diagram) -> ConwayPoly:
 def coefficient(d: Diagram, n: int) -> int:
     """c_n of the Conway polynomial, for an int n >= -1 (not a bool);
     c_{-1} is 0 by convention."""
+    diagram_arg(d)
     if isinstance(n, bool) or not isinstance(n, int) or n < -1:
         raise DomainError(f"no coefficient c_{n}")
     return conway(d)[n] if n >= 0 else 0

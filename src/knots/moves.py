@@ -95,7 +95,8 @@ class WalkPlan:
     def __post_init__(self):
         for name in ("seed", "steps"):
             value = getattr(self, name)
-            if type(value) is not int:  # a bool is no count, None no fixed seed
+            # A bool is no count, None no fixed seed.
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise DomainError(f"walk {name} must be an int, got {value!r}")
         if self.steps < 0:
             raise DomainError(f"negative step count {self.steps}")
@@ -298,7 +299,9 @@ def _is_site(d: Diagram, kind: str, anchor) -> bool:
         return anchor in _MOVES[kind][0](d)
     n = d._arc_base[-1]
     shaped = isinstance(anchor, tuple) and len(anchor) == int(kind[1])  # R1+ one arc, R2+ two
-    arcs = shaped and all(type(a) is int and 0 <= a < n for a in anchor)  # bool is no arc
+    arcs = shaped and all(  # a bool is no arc
+        isinstance(a, int) and not isinstance(a, bool) and 0 <= a < n for a in anchor
+    )
     # A pair is a candidate exactly when it admits some variant.
     return arcs and (kind == "R1+" or anchor[0] < anchor[1] and bool(_r2_variants(d, anchor)))
 

@@ -133,7 +133,8 @@ def enumerate_chord_diagrams(n: int):
 class SingularDiagram:
     """A knot diagram with some crossings marked as double points; a
     ``base`` that is not a ``Diagram`` raises DomainError, a link
-    NotAKnotError."""
+    NotAKnotError, and ``doubles`` that are not an iterable of its
+    crossing labels (ints, not bools) DomainError."""
 
     base: Diagram
     doubles: frozenset
@@ -141,7 +142,10 @@ class SingularDiagram:
     def __init__(self, base: Diagram, doubles):
         if diagram_arg(base).n_components != 1:
             raise NotAKnotError("singular diagrams are built on knot diagrams")
-        doubles = frozenset(doubles)
+        try:
+            doubles = frozenset(doubles)
+        except TypeError:  # not iterable, or an unhashable label
+            raise DomainError(f"doubles must be crossing labels, got {doubles!r}") from None
         for c in doubles:  # True or 1.0 would equal crossing 1
             if isinstance(c, bool) or not isinstance(c, int) or c not in base.signs:
                 raise DomainError(f"marked double point {c!r} is not a crossing of the base")
@@ -149,11 +153,19 @@ class SingularDiagram:
         object.__setattr__(self, "doubles", doubles)
 
 
+def _singular_arg(s) -> SingularDiagram:
+    """``s``, once checked: DomainError naming it unless it is a
+    ``SingularDiagram``."""
+    if not isinstance(s, SingularDiagram):
+        raise DomainError(f"s must be a SingularDiagram, got {s!r}")
+    return s
+
+
 def sigma(s: SingularDiagram) -> ChordDiagram:
     """Chord diagram of the double points along the traversal."""
     word = [
         str(p.crossing)
-        for p in s.base.components[0]
+        for p in _singular_arg(s).base.components[0]
         if p.crossing in s.doubles
     ]
     return ChordDiagram(word)
@@ -164,7 +176,7 @@ def resolutions(s: SingularDiagram):
 
     Raises DomainError past m = 12 double points (4,096 resolutions).
     """
-    doubles = sorted(s.doubles)
+    doubles = sorted(_singular_arg(s).doubles)
     if len(doubles) > 12:
         raise DomainError(f"{len(doubles)} double points; resolutions supported for m <= 12")
     out = []

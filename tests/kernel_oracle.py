@@ -17,19 +17,24 @@ on its heap, so most entries it pops are stale.  Both take the same
 pivot rule, so they must give the same steps, step for step, and leave
 the same rows.
 
-``exact_div`` and ``dense_conway`` are the dense form of the Conway
-kernel: ``knots.conway.conway`` with its elimination run by Bareiss
-steps alone (no unit steps) over ``ConwayPoly`` entries, coefficient
-lists from t^0 with every power of t kept, and schoolbook division.
-``conway`` must give the same polynomial from its packed Laurent
-entries.
+``fox_pairs`` is the Fox matrix with each entry a + b*t kept as the pair
+(a, b), from its own walk of the arcs: the form that
+``knots.colorings.fox_rows`` evaluates at an integer t.
+
+``exact_div``, ``dense_minor`` and ``dense_conway`` are the dense form
+of the Conway kernel: ``knots.conway.conway`` with its elimination run
+by Bareiss steps alone (no unit steps) over ``ConwayPoly`` entries,
+coefficient lists from t^0 with every power of t kept, and schoolbook
+division.  ``conway`` must give the same polynomial from its packed
+Laurent entries.
 """
 
 from heapq import heappop, heappush
 from math import comb
 
 from knots import ConwayPoly, Diagram
-from knots.colorings import closed_arcs, fox_rows, pivot_steps
+from knots.codes import UNDER
+from knots.colorings import closed_arcs, pivot_steps
 from knots.conway import ONE, ZERO, _sign
 
 
@@ -164,6 +169,39 @@ def heap_pivot_steps(rows, div, one, inverse=None):
     return steps
 
 
+def fox_pairs(d: Diagram):
+    """The Fox-calculus presentation matrix: crossing -> row, in label order.
+
+    A row maps an arc's key (the label of the crossing whose under pass
+    ends it, or -1 - i for the closed arc of component i) to (a, b), the
+    entry a + b*t: ``1 - t`` on the over arc, ``t`` on under-in and ``-1``
+    on under-out at a positive crossing, ``-1`` and ``t`` at a negative
+    one, summed where arcs coincide, so an entry may be (0, 0).
+    """
+    over, out = {}, {}
+    for i, comp in enumerate(d.components):
+        # Walking backwards, ``key`` is the arc that holds the pass: it
+        # ends at the next under pass ahead, cyclically.
+        key = next((p.crossing for p in comp if p.role == UNDER), -1 - i)
+        for c, role, _ in reversed(comp):
+            if role == UNDER:
+                out[c], key = key, c
+            else:
+                over[c] = key
+    rows = {}
+    for c in sorted(d.signs):
+        row = rows[c] = {}
+        positive = d.signs[c] > 0
+        for col, (a, b) in (
+            (over[c], (1, -1)),
+            (c, (0, 1) if positive else (-1, 0)),
+            (out[c], (-1, 0) if positive else (0, 1)),
+        ):
+            old_a, old_b = row.get(col, (0, 0))
+            row[col] = (old_a + a, old_b + b)
+    return rows
+
+
 def exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
     """a / b in Z[t], where b divides a (as Bareiss guarantees)."""
     rest, top = list(a.coeffs), b.degree
@@ -180,7 +218,7 @@ def exact_div(a: ConwayPoly, b: ConwayPoly) -> ConwayPoly:
 
 def dense_minor(d: Diagram):
     """(order, rows): the Fox minor that ``conway`` reduces, over ``ConwayPoly``."""
-    rows, order = fox_rows(d), sorted(d.signs)
+    rows, order = fox_pairs(d), sorted(d.signs)
     minor = [
         {a: poly for a, v in rows[c].items() if a != order[0] and (poly := ConwayPoly(v))}
         for c in order[1:]

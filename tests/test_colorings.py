@@ -29,7 +29,7 @@ from knots import (
     random_walk,
 )
 import knots.colorings
-from knots.colorings import fox_rows, pivot_steps, unit_reduction
+from knots.colorings import pivot_steps, unit_reduction
 
 from coloring_oracle import (
     arc_split,
@@ -37,7 +37,7 @@ from coloring_oracle import (
     count_colorings_by_enumeration,
     rank_mod_p,
 )
-from kernel_oracle import exact_div as _exact_div, scanning_pivot_steps
+from kernel_oracle import exact_div as _exact_div, fox_pairs, scanning_pivot_steps
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 FIG8 = "O1- U2+ O3+ U1- O4- U3+ O2+ U4-"
@@ -318,7 +318,7 @@ def test_coloring_rows_are_the_fox_rows_at_minus_one(monkeypatch):
         # Keyed by crossing label, in label order; zero entries and empty
         # rows dropped.
         want = {}
-        for c, fox in fox_rows(d).items():
+        for c, fox in fox_pairs(d).items():
             if row := {col: a - b for col, (a, b) in fox.items() if a - b}:
                 want[c] = row
         fed = _fed_rows(d, monkeypatch)
@@ -607,7 +607,7 @@ def _at_minus_one(rows, p):
 def _fox_minor_kernels_agree(d):
     """Both kernels on the Z[t] minor that ``conway`` reduces, on that
     minor at t = -1 mod 3 and 5, and on the coloring matrix mod 3."""
-    rows, order = fox_rows(d), sorted(d.signs)
+    rows, order = fox_pairs(d), sorted(d.signs)
     minor = [{a: v for a, v in rows[c].items() if a != order[0]} for c in order[1:]]
     poly = [{a: q for a, v in row.items() if (q := ConwayPoly(v))} for row in minor]
     assert _kernels_agree(poly, order[1:], _exact_div, ConwayPoly((1,))), d

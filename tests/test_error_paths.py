@@ -4,6 +4,8 @@ import inspect
 import json
 import operator
 import re
+import types
+from enum import IntEnum
 
 import pytest
 from click.testing import CliRunner
@@ -36,6 +38,7 @@ from knots import (
     crossing_change,
     disjoint_union,
     enumerate_sites,
+    extend,
     from_text,
     genus,
     is_colorable,
@@ -49,8 +52,10 @@ from knots import (
     project,
     random_walk,
     realize,
+    resolutions,
     reverse_all,
     reverse_component,
+    sigma,
     smooth,
     to_text,
     triangles_linked,
@@ -284,13 +289,15 @@ class _Unreadable:
 
 
 # Every public callable that takes a diagram, by name, called with ``d`` in
-# the diagram's place and valid other arguments; a ``_b`` key puts ``d``
-# in the second diagram's place.
+# the diagram's place and valid other arguments; a ``_b`` key calls it a
+# second way: ``d`` in the second diagram's place, or c_{-1}, which reads
+# no coefficient.
 TAKES_A_DIAGRAM = {
     "count_colorings": lambda d: count_colorings(d, 3),
     "is_colorable": lambda d: is_colorable(d, 5),
     "conway": conway,
     "coefficient": lambda d: coefficient(d, 2),
+    "coefficient_b": lambda d: coefficient(d, -1),
     "casson": casson,
     "arf": arf,
     "lk": lambda d: lk(d, 0, 1),
@@ -343,6 +350,67 @@ def test_every_public_callable_that_takes_a_diagram_is_in_the_refusal_table():
             found.add(name)
     assert HOLDS_A_DIAGRAM <= found
     assert found - HOLDS_A_DIAGRAM == {name for name in TAKES_A_DIAGRAM if not name.endswith("_b")}
+
+
+# Every public callable that takes a singular diagram, called with ``s`` in its place.
+TAKES_A_SINGULAR_DIAGRAM = {
+    "sigma": sigma,
+    "resolutions": resolutions,
+    "extend": lambda s: extend(casson, s),
+}
+
+
+@pytest.mark.parametrize("call", TAKES_A_SINGULAR_DIAGRAM.values(), ids=TAKES_A_SINGULAR_DIAGRAM)
+@pytest.mark.parametrize(
+    "s", [None, "O1+ U1+", 5, _Unreadable(), from_text(TREFOIL)], ids=repr
+)
+def test_singular_invariants_refuse_what_is_not_a_singular_diagram(call, s):
+    # Each once raised AttributeError from ``s.base`` or ``s.doubles``.
+    with pytest.raises(DomainError, match=re.escape(f"s must be a SingularDiagram, got {s!r}")):
+        call(s)
+
+
+def test_every_public_callable_that_takes_a_singular_diagram_is_in_its_table():
+    found = set()
+    for name in knots.__all__:
+        obj = getattr(knots, name)
+        if callable(obj) and not isinstance(obj, type):
+            params = inspect.signature(obj).parameters.values()
+            if any(p.annotation in ("SingularDiagram", SingularDiagram) for p in params):
+                found.add(name)
+    assert found == set(TAKES_A_SINGULAR_DIAGRAM)
+
+
+@pytest.mark.parametrize("doubles", [5, None, [[1]]], ids=repr)
+def test_singular_diagram_refuses_doubles_that_are_not_labels(doubles):
+    # 5 and None once raised TypeError from ``frozenset``.
+    message = re.escape(f"doubles must be crossing labels, got {doubles!r}")
+    with pytest.raises(DomainError, match=message):
+        SingularDiagram(from_text(TREFOIL), doubles)
+
+
+class _Index(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+# Calls with an ``IntEnum`` member where an int is asked, each with the
+# same call on plain ints.  ``reverse_component``, ``WalkPlan`` and the
+# insertion arcs of ``apply_move`` once asked ``type(x) is int`` and
+# refused the members; ``lk`` and ``coefficient`` took them.
+INT_ENUM_CALLS = {
+    "lk": lambda i: lk(from_text(HOPF), i.ZERO, i.ONE),
+    "coefficient": lambda i: coefficient(from_text(TREFOIL), i.ONE),
+    "reverse_component": lambda i: reverse_component(from_text(HOPF), i.ZERO),
+    "walk_plan": lambda i: random_walk(from_text(TREFOIL), WalkPlan(seed=i.ONE, steps=i.ONE)),
+    "insertion_arc": lambda i: apply_move(from_text(TREFOIL), MoveSite("R1+", (i.ONE,), "OU+")),
+}
+
+
+@pytest.mark.parametrize("call", INT_ENUM_CALLS.values(), ids=INT_ENUM_CALLS)
+def test_an_int_enum_member_is_an_int_wherever_an_int_is_asked(call):
+    plain = types.SimpleNamespace(ZERO=0, ONE=1)
+    assert call(_Index) == call(plain)
 
 
 @pytest.mark.parametrize("plan", [None, 5, {"seed": 0, "steps": 1}, _Unreadable()], ids=repr)

@@ -17,10 +17,10 @@ import random
 import pytest
 
 from knots import SpatialLink, WalkPlan, catalog, from_text, mirror, project, random_walk
-from knots.colorings import closed_arcs, fox_rows, pivot_steps
+from knots.colorings import closed_arcs, pivot_steps
 from knots.conway import _divide, _fox_minor, _Laurent, _unit_inverse
 
-from kernel_oracle import heap_pivot_steps
+from kernel_oracle import fox_pairs, heap_pivot_steps
 
 UNITS = {1: 1, -1: -1}.get
 GROW = {"R1+": 1.0, "R2+": 1.0, "R3": 1.0}
@@ -67,7 +67,7 @@ def _agree(d):
     Returns (unit steps, rows left, empty minor rows, Bareiss steps of
     the minor)."""
     rows = {}
-    for c, fox in fox_rows(d).items():
+    for c, fox in fox_pairs(d).items():
         if row := {col: a - b for col, (a, b) in fox.items() if a - b}:
             rows[c] = row
     units, rows = _same_steps(rows, None, 1, UNITS)
