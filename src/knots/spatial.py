@@ -17,6 +17,16 @@ at one point.  A NaN or infinite coordinate has no sign, so every input
 point is checked first and raises DomainError naming it, as does an
 int too large for a float.  Projections choose a seeded random viewing
 direction and retry until the shadow is generic.
+
+Each orientation of a point set is decided once.  A segment is an
+``(a, b)`` pair of indices into one list of points, so each point is
+projected once, and two segments that share an index share that end
+and are never tested against each other.  ``_crossing`` writes its four
+plane determinants out on shared differences, with ``_orient2d``'s
+filter and exact fallback.  The six- and seven-point checks decide the
+sign of every four of their points once, in ``_check_points``, and
+read each later orientation off that list with the parity of the
+permutation that sorts its four indices.
 """
 
 from __future__ import annotations
@@ -46,12 +56,8 @@ _UNDERFLOW = 4 * math.ulp(0.0)
 # Vector helpers (plain tuples; the scale is a handful of points)
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _norm(a):
-    return math.sqrt(_dot(a, a))
+    return math.sqrt(sum(x * x for x in a))
 
 
 def _sequence(xs, where):
@@ -153,11 +159,33 @@ def _crossing(p1, p2, q1, q2):
     the sign of det(p2 - p1, q2 - q1).  Raises DegeneracyError for
     collinear overlapping segments and for a touch at an endpoint, so
     callers can re-jitter.
+
+    The four determinants are ``_orient2d``'s, written out in place on
+    shared differences: a = (p1, p2, q1), b = (p1, p2, q2), c = (q1, q2,
+    p1) and d = (q1, q2, p2), each with its float filter and exact
+    fallback.  As p1 - q1 = -(q1 - p1) exactly, c takes r's products in
+    swapped order, which gives the same float as ``_orient2d``.
     """
-    (a, ea), (b, eb) = _orient2d(p1, p2, q1), _orient2d(p1, p2, q2)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, q1, q2
+    px, py, qx, qy, rx, ry = x2 - x1, y2 - y1, x4 - x3, y4 - y3, x3 - x1, y3 - y1
+    left, right = px * ry, py * rx
+    a, ea = left - right, _ORIENT2D_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if not abs(a) > ea:
+        a, ea = _exact2d(p1, p2, q1), 0
+    left, right = px * (y4 - y1), py * (x4 - x1)
+    b, eb = left - right, _ORIENT2D_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if not abs(b) > eb:
+        b, eb = _exact2d(p1, p2, q2), 0
     if a and b and (a > 0) == (b > 0):
         return None
-    (c, ec), (d, ed) = _orient2d(q1, q2, p1), _orient2d(q1, q2, p2)
+    left, right = qy * rx, qx * ry
+    c, ec = left - right, _ORIENT2D_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if not abs(c) > ec:
+        c, ec = _exact2d(q1, q2, p1), 0
+    left, right = qx * (y2 - y3), qy * (x2 - x3)
+    d, ed = left - right, _ORIENT2D_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if not abs(d) > ed:
+        d, ed = _exact2d(q1, q2, p2), 0
     if c and d and (c > 0) == (d > 0):
         return None
     if not (a or b):
@@ -204,22 +232,39 @@ def _folds_back(a, v, b):
     return sum((x - y) * (z - y) for x, y, z in zip(a, v, b)) > 0
 
 
-def _near_pairs(segs):
-    """The pairs (i, j), i < j, of segments whose bounding boxes meet in x
-    and y, in the order of a sweep in x."""
+def _near_pairs(points, edges):
+    """The pairs (i, j), i < j, of segments ``edges`` (index pairs into
+    ``points``) that share no end and whose bounding boxes meet in x and
+    y, in the order of a sweep in x."""
     boxes = sorted(
-        (*sorted((p[0], q[0])), *sorted((p[1], q[1])), k) for k, (p, q) in enumerate(segs)
+        (*sorted((p[0], q[0])), *sorted((p[1], q[1])), k, a, b)
+        for k, (a, b) in enumerate(edges)
+        for p, q in [(points[a], points[b])]
     )
-    for n, (_, x1, y0, y1, i) in enumerate(boxes):
-        for x0, _, y2, y3, j in itertools.islice(boxes, n + 1, None):
+    for n, (_, x1, y0, y1, i, a, b) in enumerate(boxes):
+        for x0, _, y2, y3, j, c, d in itertools.islice(boxes, n + 1, None):
             if x0 > x1:
                 break
-            if y2 <= y1 and y0 <= y3:
+            if y2 <= y1 and y0 <= y3 and c != a != d and c != b != d:
                 yield (i, j) if i < j else (j, i)
 
 
 # ----------------------------------------------------------------------
 # Spatial links and projection
+
+
+def _rings(components):
+    """(points, edges, walks) of closed polygons: all their vertices in
+    one list; their segments as index pairs into it, polygon after
+    polygon, segment k of a polygon from its vertex k - 1 to its vertex
+    k; and one ``gauss_code`` walk per polygon."""
+    points, edges, walks = [], [], []
+    for comp in components:
+        m, start = len(comp), len(points)
+        edges += [(start + (k - 1) % m, start + k) for k in range(m)]
+        walks.append([(start + k, False) for k in range(m)])
+        points += comp
+    return points, edges, walks
 
 
 @dataclass(frozen=True)
@@ -245,7 +290,6 @@ class SpatialLink:
         )
         if not comps:
             raise DomainError("a link needs at least one component")
-        segs, where = [], []
         for c, comp in enumerate(comps):
             if len(comp) < 3:
                 raise DomainError("a closed polygonal component needs >= 3 vertices")
@@ -254,11 +298,12 @@ class SpatialLink:
             for k, v in enumerate(comp):
                 if _folds_back(comp[k - 1], v, comp[(k + 1) % len(comp)]):
                     raise DomainError(f"component {c} folds back at vertex {k}")
-            segs += zip(comp[-1:] + comp[:-1], comp)
-            where += [(c, k, len(comp)) for k in range(len(comp))]
-        for i, j in _near_pairs(segs):
-            (c, k, m), (c2, k2, m2) = where[i], where[j]
-            if (c != c2 or (k2 - k) % m not in (1, m - 1)) and _meet(*segs[i], *segs[j]):
+        points, edges, _ = _rings(comps)
+        for i, j in _near_pairs(points, edges):
+            (a, b), (a2, b2) = edges[i], edges[j]
+            if _meet(points[a], points[b], points[a2], points[b2]):
+                where = [(c, k, len(p)) for c, p in enumerate(comps) for k in range(len(p))]
+                (c, k, m), (c2, k2, m2) = where[i], where[j]
                 raise DomainError(
                     f"component {c} edge {(k - 1) % m}-{k}"
                     f" meets component {c2} edge {(k2 - 1) % m2}-{k2}"
@@ -292,14 +337,15 @@ def _frame(w):
     return u, _cross(w, u), w
 
 
-def crossings(segs, adjacent):
-    """Proper crossings among plane segments, each pair whose bounding
-    boxes meet tested once.
+def crossings(points, edges):
+    """Proper crossings among plane segments, each pair that shares no
+    end and whose bounding boxes meet tested once.
 
     Args:
-        segs: (start, end) point pairs in the plane.
-        adjacent: ``adjacent(i, j)`` for i < j tells whether segments i
-            and j share an endpoint; such pairs are not tested.
+        points: points in the plane.
+        edges: the segments, as (a, b) pairs of indices into ``points``;
+            two segments that share an index share that end, so they are
+            not tested.
 
     Returns:
         (i, j, t, u, turn) for each crossing, i < j in pair order: t and
@@ -312,19 +358,20 @@ def crossings(segs, adjacent):
             endpoint, and two crossings at one point (a triple point
             collapses there).
     """
-    found = sorted(
-        [i, j, *hit]
-        for i, j in _near_pairs(segs)
-        if not adjacent(i, j) and (hit := _crossing(*segs[i], *segs[j]))
-    )
-    along = [[] for _ in segs]
+    found = []
+    for i, j in _near_pairs(points, edges):
+        (a, b), (c, d) = edges[i], edges[j]
+        if hit := _crossing(points[a], points[b], points[c], points[d]):
+            found.append([i, j, *hit])
+    found.sort()
+    along = [[] for _ in edges]
     for x, (i, j, (t, et), (u, eu), _) in enumerate(found):
         along[i].append((t, et, x, 2))
         along[j].append((u, eu, x, 3))
 
     def exact(hit):
-        i, j = found[hit[2]][:2]
-        return _exact_params(*segs[i], *segs[j])[hit[3] - 2], hit
+        (a, b), (c, d) = (edges[k] for k in found[hit[2]][:2])
+        return _exact_params(points[a], points[b], points[c], points[d])[hit[3] - 2], hit
 
     for hits in along:
         hits.sort()
@@ -393,41 +440,37 @@ def retry(attempt, seed):
     raise GenericityFailure(f"no generic position after {MAX_RETRIES} tries: {last}")
 
 
-def _shadow(segs, adjacent, rng):
-    """3D segments seen along a random direction: (direction, crossings,
-    over), with the strand nearer the viewer on top.
-
-    Each distinct endpoint is projected once.  Segment i is on top of j
-    exactly when orient3d of their ends has the sign of the crossing's
-    turn; coplanar ends raise DegeneracyError.
-    """
+def _shadow(points, edges, rng):
+    """(direction, crossings): the segments ``edges``, index pairs into
+    the 3D ``points``, seen along a random direction, each point
+    projected once onto the plane (u, v) of ``_frame``."""
     direction = _random_direction(rng)
-    u, v, _w = _frame(direction)
-    plane = {p: (_dot(p, u), _dot(p, v)) for p in dict.fromkeys(itertools.chain.from_iterable(segs))}
-    found = crossings([(plane[p], plane[q]) for p, q in segs], adjacent)
-    over = [i if _orient3d_checked(*segs[i], *segs[j]) == turn else j for i, j, _, _, turn in found]
-    return direction, found, over
+    (ux, uy, uz), (vx, vy, vz), _ = _frame(direction)
+    plane = [(x * ux + y * uy + z * uz, x * vx + y * vy + z * vz) for x, y, z in points]
+    return direction, crossings(plane, edges)
 
 
 def project(link: SpatialLink, seed: int = 0) -> ProjectionResult:
     """Generic diagram of ``link`` seen along a seeded random direction.
 
     Retries fresh directions until the shadow is generic, up to
-    MAX_RETRIES, then gives up with GenericityFailure.  ``seed`` must be
-    an int (DomainError otherwise).
+    MAX_RETRIES, then gives up with GenericityFailure.  ``link`` must be
+    a SpatialLink and ``seed`` an int (DomainError otherwise).  The
+    strand nearer the viewer is on top: segment i is over j exactly when
+    orient3d of their ends has the sign of the crossing's turn, and
+    coplanar ends raise DegeneracyError, which retries.
     """
-    segs, walks, ring = [], [], []
-    for comp in link.components:
-        m, start = len(comp), len(segs)
-        walks.append([(start + k, False) for k in range(m)])
-        segs += [(comp[k - 1], comp[k]) for k in range(m)]
-        ring += [(start, m)] * m
-
-    def adjacent(i, j):
-        return ring[i] == ring[j] and (j - i) % ring[i][1] in (1, ring[i][1] - 1)
+    if not isinstance(link, SpatialLink):
+        raise DomainError(f"link must be a SpatialLink, got {link!r}")
+    points, edges, walks = _rings(link.components)
 
     def attempt(rng):
-        direction, found, over = _shadow(segs, adjacent, rng)
+        direction, found = _shadow(points, edges, rng)
+        over = []
+        for i, j, _, _, turn in found:
+            (a, b), (c, d) = edges[i], edges[j]
+            above = _orient3d_checked(points[a], points[b], points[c], points[d]) == turn
+            over.append(i if above else j)
         diagram = gauss_code(found, over, walks)
         if not is_realizable(diagram):
             # Exact predicates trace a plane curve, so this is a bug.
@@ -455,28 +498,61 @@ def triangles_linked(t1, t2) -> int:
     spanned by t1.  Raises DegeneracyError when any four of the six
     vertices are coplanar.
     """
-    return _linked(_check_points(_require_triangle(t1, "t1") + _require_triangle(t2, "t2"), 6))
+    pts = _require_triangle(t1, "t1") + _require_triangle(t2, "t2")
+    return _linked(_check_points(pts, 6)[1], _splits()[0][2])
 
 
-def _linked(pts):
-    """``triangles_linked(pts[:3], pts[3:])`` for six checked points:
-    no four of them coplanar."""
-    a, b, c, *t2 = pts
+def _quad(a, b, c, d):
+    """(mask, parity) of four distinct point indices: orient3d of the
+    points a, b, c, d is ``signs[mask] * parity``, with ``signs`` from
+    ``_check_points`` and parity the sign of the permutation that sorts
+    the four indices."""
+    inversions = (a > b) + (a > c) + (a > d) + (b > c) + (b > d) + (c > d)
+    return 1 << a | 1 << b | 1 << c | 1 << d, (-1) ** inversions
+
+
+@functools.cache
+def _splits():
+    """The ten splits of six points into two triangles, the first
+    through point 0, as (first, second, rows): per edge xy of the second
+    triangle, the ``_quad`` of abcx, abcy, xyab, xybc and xyca, where abc
+    is the first."""
+    out = []
+    for b, c in itertools.combinations(range(1, 6), 2):
+        p, q, r = (i for i in range(1, 6) if i not in (b, c))
+        rows = [
+            (_quad(0, b, c, x), _quad(0, b, c, y), _quad(x, y, 0, b), _quad(x, y, b, c),
+             _quad(x, y, c, 0))
+            for x, y in ((r, p), (p, q), (q, r))
+        ]
+        out.append(((0, b, c), (p, q, r), rows))
+    return out
+
+
+def _linked(signs, rows):
+    """1 when the two triangles of a split (its ``_splits`` rows) of six
+    checked points are linked, else 0: an edge pq of the second triangle
+    crosses the first, abc, when p and q lie on two sides of its plane
+    and the line pq passes abc's three edges the same way round."""
     hits = 0
-    for k in range(3):
-        p, q = t2[k - 1], t2[k]
-        if orient3d(a, b, c, p) != orient3d(a, b, c, q):
-            hits += orient3d(p, q, a, b) == orient3d(p, q, b, c) == orient3d(p, q, c, a)
+    for (m1, s1), (m2, s2), (m3, s3), (m4, s4), (m5, s5) in rows:
+        if signs[m1] * s1 != signs[m2] * s2:
+            hits += signs[m3] * s3 == signs[m4] * s4 == signs[m5] * s5
     return hits % 2
 
 
 def _check_points(points, n):
+    """(points, signs): the n points as float triples, and the orient3d
+    sign of each four of them, taken in increasing index order, at the
+    bit mask of their indices in a list of 2**n.  DomainError for a bad
+    point or count, DegeneracyError at the first four that are coplanar."""
     pts = tuple(_finite(p, f"point {k}") for k, p in enumerate(_sequence(points, "points")))
     if len(pts) != n:
         raise DomainError(f"need exactly {n} points")
-    for quad in itertools.combinations(pts, 4):
-        _orient3d_checked(*quad)
-    return pts
+    signs = [0] * (1 << n)
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        signs[1 << a | 1 << b | 1 << c | 1 << d] = _orient3d_checked(pts[a], pts[b], pts[c], pts[d])
+    return pts, signs
 
 
 def verify_six_points(points):
@@ -486,11 +562,9 @@ def verify_six_points(points):
     linked-triangles theorem; not finding one on generic input would be
     a bug, reported as AssertionError rather than silently ignored.
     """
-    pts = _check_points(points, 6)
-    for pair in itertools.combinations(range(1, 6), 2):
-        first = (0,) + pair
-        second = tuple(i for i in range(6) if i not in first)
-        if _linked([pts[i] for i in first + second]):
+    _, signs = _check_points(points, 6)
+    for first, second, rows in _splits():
+        if _linked(signs, rows):
             return first, second
     raise AssertionError("no linked triangle pair on generic six points")
 
@@ -501,10 +575,11 @@ def verify_six_points(points):
 
 @functools.cache
 def _k7():
-    """The 21 edges of K7, their adjacency table, its 360 Hamiltonian
-    cycles, each once (from point 0, first to the smaller of its two
-    neighbours on the cycle), and three tables of cycle masks, in which
-    bit c stands for cycle c:
+    """The 21 edges of K7, the ``_quad`` of the ends of edge e and edge f
+    at ``quads[e][f]`` when they share no point (None when they do), its
+    360 Hamiltonian cycles, each once (from point 0, first to the smaller
+    of its two neighbours on the cycle), and three tables of cycle masks,
+    in which bit c stands for cycle c:
 
     - ``before[e][f]``: the cycles that walk edge e before edge f;
     - ``fwd[e]``: the cycles that walk edge e from its lower point;
@@ -516,7 +591,7 @@ def _k7():
     """
     edges = list(itertools.combinations(range(7), 2))
     index = {e: k for k, e in enumerate(edges)}
-    adjacent = [[bool(set(e) & set(f)) for f in edges] for e in edges]
+    quads = [[_quad(*e, *f) if len({*e, *f}) == 4 else None for f in edges] for e in edges]
     cycles, before = [], [[0] * len(edges) for _ in edges]
     fwd, rev = [0] * len(edges), [0] * len(edges)
     for tail in itertools.permutations(range(1, 7)):
@@ -529,28 +604,40 @@ def _k7():
             (rev if reversed_ else fwd)[e] |= bit
             for f, _ in walk[k + 1 :]:
                 before[e][f] |= bit
-    return edges, adjacent, cycles, before, fwd, rev
+    return edges, quads, cycles, before, fwd, rev
 
 
-def _cycle_skews(pts, seed):
+def _k7_table(pts, signs, seed):
+    """The crossings of all 21 edges of K7 on seven checked points
+    (``_check_points``) along one seeded generic direction, each as
+    (over edge, its rank, under edge, its rank).  Edge e is over f
+    exactly when orient3d of their ends, read off ``signs`` through
+    their ``_quad``, has the sign of the crossing's turn."""
+    edges, quads, *_ = _k7()
+    _, found = retry(lambda rng: _shadow(pts, edges, rng), seed)
+    return [
+        (i, t, j, u) if signs[quads[i][j][0]] * quads[i][j][1] == turn else (j, u, i, t)
+        for i, j, t, u, turn in found
+    ]
+
+
+def _cycle_skews(table):
     """The Arf invariants of all Hamiltonian cycles on seven points as
     one mask over ``_k7`` cycle order: bit c is the Arf of cycle c.
 
-    One seeded generic direction gives one crossing table of all 21
-    edges.  A pass is (edge, rank along the edge), and the cycles in
-    which pass p comes before pass q are ``before[e][f]`` on different
-    edges and ``fwd[e]`` or ``rev[e]`` on one edge, as p's rank is below
-    or above q's (``crossings`` gives no two passes one rank).  A pair
+    ``table`` is the crossing table of all 21 edges along one seeded
+    generic direction, from ``_k7_table``.  A pass is (edge, rank along
+    the edge), and the cycles in which pass p comes before pass q are
+    ``before[e][f]`` on different edges and ``fwd[e]`` or ``rev[e]`` on
+    one edge, as p's rank is below or above q's (``crossings`` gives no
+    two passes one rank).  A pair
     of crossings x, y is skew, as in ``arf_casson`` from the cycle's
     first step, in the cycles where over x < under y < under x < over y
     or the same with x and y swapped; each pair's mask is XORed into the
     result, so a bit ends set where the cycle has an odd number of skew
     pairs.
     """
-    edges, adjacent, _cycles, before, fwd, rev = _k7()
-    segs = [(pts[a], pts[b]) for a, b in edges]
-    _, found, over = retry(lambda rng: _shadow(segs, lambda i, j: adjacent[i][j], rng), seed)
-    table = [(i, t, j, u) if o == i else (j, u, i, t) for (i, j, t, u, _), o in zip(found, over)]
+    _, _, _, before, fwd, rev = _k7()
     arf = 0
     for x, (oe, ro, ue, ru) in enumerate(table):
         bo, bu = before[oe], before[ue]
@@ -584,6 +671,6 @@ def verify_seven_points(points, seed: int = 0):
         projected diagram has arf = 1, or None if none does, and the
         sum of all 360 arf values mod 2.
     """
-    knotted = _cycle_skews(_check_points(points, 7), seed)
+    knotted = _cycle_skews(_k7_table(*_check_points(points, 7), seed))
     witness = _k7()[2][(knotted & -knotted).bit_length() - 1] if knotted else None
     return witness, knotted.bit_count() % 2

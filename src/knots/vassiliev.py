@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -67,7 +68,10 @@ _CHORD_NAMES = "123456789abcdefghijklmnopqrstuvwxyz"
 
 def canonical_word(word) -> str:
     """Least rotation after renaming letters by first occurrence, as
-    ``1``-``9`` and then ``a``-``z``; more chords raise DomainError."""
+    ``1``-``9`` and then ``a``-``z``; more chords, or a ``word`` that is
+    not an iterable of letters, raise DomainError."""
+    if not isinstance(word, Iterable):
+        raise DomainError(f"word must be an iterable of letters, got {word!r}")
     seq = [str(ch) for ch in word]
     _validate_word(seq)
     if len(seq) > 2 * len(_CHORD_NAMES):
@@ -186,9 +190,16 @@ def resolutions(s: SingularDiagram):
     return tuple(out)
 
 
+def _invariant_arg(inv):
+    """DomainError naming ``inv`` unless it is callable."""
+    if not callable(inv):
+        raise DomainError(f"inv must be callable, got {inv!r}")
+
+
 def extend(inv: Callable[[Diagram], int], s: SingularDiagram):
     """Alternating-sum extension of a knot invariant to singular knots;
     ``resolutions`` caps it at 12 double points."""
+    _invariant_arg(inv)
     return sum((-1) ** parity * inv(d) for d, parity in resolutions(s))
 
 
@@ -237,10 +248,10 @@ def _realize_once(word, letter_id, rng):
         d = (math.cos(ang), math.sin(ang))
         verts.append((q[0] - half * d[0], q[1] - half * d[1]))
         verts.append((q[0] + half * d[0], q[1] + half * d[1]))
-    # Polygon segments: even index = through segment of visit k,
-    # odd index = connector from visit k to visit k+1.
-    segs = [(v, verts[(k + 1) % len(verts)]) for k, v in enumerate(verts)]
-    found = crossings(segs, lambda i, j: j - i in (1, len(segs) - 1))
+    # Polygon segments, as index pairs into verts: even index = through
+    # segment of visit k, odd index = connector from visit k to visit k+1.
+    segs = [(k, (k + 1) % len(verts)) for k in range(len(verts))]
+    found = crossings(verts, segs)
     # Marked double points: the two through segments of a letter must
     # cross (at the marked point, necessarily).
     visits = {}
@@ -274,8 +285,12 @@ Lambda = Union[Mapping, Callable[[ChordDiagram], int]]
 
 
 def _as_function(lam: Lambda):
+    """``lam`` as a function of chord diagrams; DomainError naming it
+    unless it is a callable or a mapping."""
     if callable(lam):
         return lam
+    if not isinstance(lam, Mapping):
+        raise DomainError(f"lam must be a callable or a mapping, got {lam!r}")
     return lambda cd: lam[cd]
 
 
@@ -306,13 +321,13 @@ def check_4t(lam: Lambda, n: int) -> bool:
     starts with A: A followed by an (n-1)-chord matching on 2n-2 points.
 
     Raises:
-        DomainError: if n is outside 0..6, the range of
-            ``enumerate_chord_diagrams``.
+        DomainError: if ``lam`` is not a callable or a mapping, or if n
+            is outside 0..6, the range of ``enumerate_chord_diagrams``.
     """
+    f = _as_function(lam)
     _chord_count(n)
     if n < 2:
         return True
-    f = _as_function(lam)
     mobile = "A"
     for letters in _chord_letters(2 * n - 2):
         w = [mobile] + letters
@@ -344,13 +359,15 @@ def symbol(inv: Callable[[Diagram], int], n: int, samples: int = 20, seed: int =
         across its samples.
 
     Raises:
-        DomainError: before any enumerating, if samples is not an int of
-            at least 1, if seed is not an int, if n is outside 0..6 (the
-            range of ``CHORD_COUNTS``) or if the call would resolve more
-            than 100,000 diagrams (chord diagrams * samples * 2^n; at 20
-            samples n = 5 makes 67,200, about 2 s for ``casson`` on a
-            2-vCPU x86-64 VM, and n = 6 is refused).
+        DomainError: before any enumerating, if inv is not callable, if
+            samples is not an int of at least 1, if seed is not an int,
+            if n is outside 0..6 (the range of ``CHORD_COUNTS``) or if
+            the call would resolve more than 100,000 diagrams (chord
+            diagrams * samples * 2^n; at 20 samples n = 5 makes 67,200,
+            about 2 s for ``casson`` on a 2-vCPU x86-64 VM, and n = 6 is
+            refused).
     """
+    _invariant_arg(inv)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise DomainError(f"samples must be an int of at least 1, got {samples!r}")
     if isinstance(seed, bool) or not isinstance(seed, int):

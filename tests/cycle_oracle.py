@@ -6,14 +6,16 @@ at once, as one mask over cycles into which each pair of crossings
 XORs the cycles where it is skew.  This walks the same table (the same
 seeded direction, the same crossings), traces each cycle into a
 ``Diagram`` with ``gauss_code`` and reads its skew pairs and Arf
-invariant from that.  ``cycle_walks`` gives each cycle's steps straight
-from its vertex order, a reference for the cycle masks.
+invariant from that, with the over strand at each crossing from
+``orient3d`` of its four ends rather than from the signs that
+``_check_points`` keeps.  ``cycle_walks`` gives each cycle's steps
+straight from its vertex order, a reference for the cycle masks.
 """
 
 import itertools
 
 from knots import arf
-from knots.spatial import _check_points, _shadow, gauss_code, retry
+from knots.spatial import _check_points, _orient3d_checked, _shadow, gauss_code, retry
 
 EDGES = list(itertools.combinations(range(7), 2))
 
@@ -33,11 +35,13 @@ def cycle_walks():
 
 def cycle_table(pts, seed):
     """(found, over): the crossing table of all 21 edges along one
-    seeded generic direction."""
-    segs = [(pts[a], pts[b]) for a, b in EDGES]
-    _direction, found, over = retry(
-        lambda rng: _shadow(segs, lambda i, j: bool(set(EDGES[i]) & set(EDGES[j])), rng), seed
-    )
+    seeded generic direction, edge i over j where orient3d of their four
+    ends has the sign of the crossing's turn."""
+    _direction, found = retry(lambda rng: _shadow(pts, EDGES, rng), seed)
+    over = []
+    for i, j, _, _, turn in found:
+        ends = [pts[k] for k in EDGES[i] + EDGES[j]]
+        over.append(i if _orient3d_checked(*ends) == turn else j)
     return found, over
 
 
@@ -52,7 +56,7 @@ def cycle_diagrams(pts, seed):
 def verify_seven_points_by_diagrams(points, seed=0):
     """``verify_seven_points`` with the Arf of each cycle's diagram."""
     witness, total = None, 0
-    for cycle, diagram in cycle_diagrams(_check_points(points, 7), seed):
+    for cycle, diagram in cycle_diagrams(_check_points(points, 7)[0], seed):
         value = arf(diagram)
         total += value
         if value and witness is None:

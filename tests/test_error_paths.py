@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import knots
 from knots import (
+    ChordDiagram,
     ConsistencyError,
     ConwayPoly,
     Diagram,
@@ -31,6 +32,8 @@ from knots import (
     canonical_key,
     casson,
     catalog,
+    check_1t,
+    check_4t,
     coefficient,
     connected_sum,
     conway,
@@ -57,6 +60,7 @@ from knots import (
     reverse_component,
     sigma,
     smooth,
+    symbol,
     to_text,
     triangles_linked,
     verify_seven_points,
@@ -387,6 +391,45 @@ def test_singular_diagram_refuses_doubles_that_are_not_labels(doubles):
     message = re.escape(f"doubles must be crossing labels, got {doubles!r}")
     with pytest.raises(DomainError, match=message):
         SingularDiagram(from_text(TREFOIL), doubles)
+
+
+# What each argument below must be, in the DomainError that names it.
+MUST_BE = {
+    "word": "an iterable of letters",
+    "inv": "callable",
+    "lam": "a callable or a mapping",
+    "link": "a SpatialLink",
+}
+# (callable, argument, call with ``x`` in that argument's place, bad value).
+# Each raised TypeError from ``canonical_word`` or from inside the sum, or
+# AttributeError from ``link.components``.
+ARGUMENT_ROWS = [
+    ("ChordDiagram", "word", ChordDiagram, 5),
+    ("ChordDiagram", "word", ChordDiagram, None),
+    ("realize", "word", realize, 5),
+    ("realize", "word", realize, None),
+    ("extend", "inv", lambda x: extend(x, SingularDiagram(from_text(TREFOIL), [1])), None),
+    ("symbol", "inv", lambda x: symbol(x, 2), None),
+    ("symbol", "inv", lambda x: symbol(x, 2), 5),
+    ("symbol", "inv", lambda x: symbol(x, 2), {}),
+    ("check_1t", "lam", lambda x: check_1t(x, 2), None),
+    ("check_1t", "lam", lambda x: check_1t(x, 2), 5),
+    ("check_4t", "lam", lambda x: check_4t(x, 3), None),
+    ("project", "link", project, None),
+    ("project", "link", project, 5),
+    ("project", "link", project, "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "argument,call,value",
+    [row[1:] for row in ARGUMENT_ROWS],
+    ids=[f"{name}-{value!r}" for name, _, _, value in ARGUMENT_ROWS],
+)
+def test_word_invariant_and_link_arguments_are_checked_first(argument, call, value):
+    message = f"{argument} must be {MUST_BE[argument]}, got {value!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(value)
 
 
 class _Index(IntEnum):

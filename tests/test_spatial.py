@@ -32,12 +32,12 @@ from knots.spatial import (
     _check_points,
     _crossing,
     _cycle_skews,
-    _dot,
     _frame,
     _k7,
+    _k7_table,
     _meet,
-    _orient3d_checked,
     _random_direction,
+    _rings,
     _shadow,
     crossings,
     orient3d,
@@ -211,7 +211,7 @@ def test_verify_six_points_random_samples():
 def verify_six_points_by_pairs(points):
     """The first split, from point 0, that the public ``triangles_linked``
     calls linked (oracle)."""
-    pts = _check_points(points, 6)
+    pts, _ = _check_points(points, 6)
     for pair in itertools.combinations(range(1, 6), 2):
         first = (0,) + pair
         second = tuple(i for i in range(6) if i not in first)
@@ -343,9 +343,9 @@ def test_cycle_skews_match_the_oracle_diagrams():
     rng = random.Random(7000)
     cases = set()
     for k in range(6):
-        pts = _check_points(_seven(rng), 7)
+        pts, signs = _check_points(_seven(rng), 7)
         for seed in (k, 1000 + k):
-            mask = _cycle_skews(pts, seed)
+            mask = _cycle_skews(_k7_table(pts, signs, seed))
             slow = list(cycle_diagrams(pts, seed))
             assert _k7()[2] == [c for c, _ in slow]
             assert 0 < mask < 1 << 360
@@ -355,54 +355,42 @@ def test_cycle_skews_match_the_oracle_diagrams():
     assert cases == {(False, True), (False, False), (True, True), (True, False)}
 
 
-def _shadow_by_ends(segs, adjacent, rng):
-    """``_shadow`` projecting every segment end on its own with ``_dot``,
-    and the plane segments it projects to."""
+def _shadow_by_dots(points, edges, rng):
+    """``_shadow`` projecting each point with ``sum`` over the products of
+    its coordinates, and the plane points it projects to."""
     direction = _random_direction(rng)
     u, v, _w = _frame(direction)
-    plane = [tuple((_dot(p, u), _dot(p, v)) for p in seg) for seg in segs]
-    found = crossings(plane, adjacent)
-    over = [i if _orient3d_checked(*segs[i], *segs[j]) == turn else j for i, j, _, _, turn in found]
-    return (direction, found, over), plane
-
-
-def _polygon_segments(components):
-    """(segs, adjacent) of closed polygons, as ``project`` builds them."""
-    segs, ring = [], []
-    for comp in components:
-        m, start = len(comp), len(segs)
-        segs += [(comp[k - 1], comp[k]) for k in range(m)]
-        ring += [(start, m)] * m
-    return segs, lambda i, j: ring[i] == ring[j] and (j - i) % ring[i][1] in (1, ring[i][1] - 1)
+    plane = [tuple(sum(x * y for x, y in zip(p, w)) for w in (u, v)) for p in points]
+    return (direction, crossings(plane, edges)), plane
 
 
 def test_shadow_projects_each_point_once_to_the_same_plane_coordinates(monkeypatch):
-    # Projecting each distinct point once gives the same plane
-    # coordinates, direction, crossings and over strands as projecting
-    # every segment end, on K7 sets, the same sets scaled by 1e-3, and
-    # 1-3-component polygons.
+    # Projecting each point once with the dot products written out gives
+    # the same plane coordinates, direction and crossings as a ``sum`` of
+    # products, on K7 sets, the same sets scaled by 1e-3, and
+    # 1-3-component polygons as ``project`` lists them.
     seen = []
     monkeypatch.setattr(
-        "knots.spatial.crossings", lambda plane, adj: crossings(seen.append(plane) or plane, adj)
+        "knots.spatial.crossings", lambda plane, e: crossings(seen.append(plane) or plane, e)
     )
-    edges, adjacent, *_ = _k7()
+    edges, *_ = _k7()
     rng = random.Random(7200)
     cases = []
     for _ in range(40):
         pts = _seven(rng)
         for scaled in (pts, [tuple(1e-3 * x for x in p) for p in pts]):
-            cases.append(([(scaled[a], scaled[b]) for a, b in edges], lambda i, j: adjacent[i][j]))
+            cases.append((scaled, edges))
     for _ in range(40):
         comps = [
             [(rng.uniform(-1, 1) + 0.6 * c, rng.uniform(-1, 1), rng.uniform(-1, 1))
              for _ in range(rng.randint(15, 40))]
             for c in range(rng.randint(1, 3))
         ]
-        cases.append(_polygon_segments(SpatialLink(comps).components))
-    for segs, adj in cases:
+        cases.append(_rings(SpatialLink(comps).components)[:2])
+    for points, edges in cases:
         s = rng.randrange(2**31)
-        want, plane = _shadow_by_ends(segs, adj, random.Random(s))
-        assert _shadow(segs, adj, random.Random(s)) == want
+        want, plane = _shadow_by_dots(points, edges, random.Random(s))
+        assert _shadow(points, edges, random.Random(s)) == want
         assert seen.pop() == plane and want[1]
 
 
@@ -410,9 +398,17 @@ def test_cycle_masks_match_the_walks():
     # before, fwd and rev against each cycle's steps, read off its
     # vertex order: bit c is set where cycle c walks e at an earlier
     # step than f, or walks e from its lower or higher point.
-    edges, adjacent, cycles, before, fwd, rev = _k7()
+    edges, quads, cycles, before, fwd, rev = _k7()
     assert edges == EDGES
-    assert adjacent == [[bool(set(e) & set(f)) for f in EDGES] for e in EDGES]
+    # quads[e][f], for two edges that share no point, reads orient3d of
+    # their four ends off the signs of _check_points.
+    pts, signs = _check_points(_seven(random.Random(7400)), 7)
+    for e, f in itertools.product(range(len(EDGES)), repeat=2):
+        if set(EDGES[e]) & set(EDGES[f]):
+            assert quads[e][f] is None
+        else:
+            mask, parity = quads[e][f]
+            assert signs[mask] * parity == orient3d(*(pts[k] for k in EDGES[e] + EDGES[f]))
     walks = list(cycle_walks())
     assert cycles == [c for c, _ in walks]
     n = len(EDGES)
@@ -482,7 +478,8 @@ def test_crossings_coincidence_window_matches_all_pairs():
             segs.append(((c[0] + shift - d[0], c[1] - d[1]), (c[0] + shift + d[0], c[1] + d[1])))
         exact, want = _exact_crossings(segs)
         try:
-            got = crossings(segs, lambda i, j: False)
+            ends = [p for seg in segs for p in seg]
+            got = crossings(ends, [(2 * k, 2 * k + 1) for k in range(len(segs))])
         except DegeneracyError as exc:
             assert str(exc) == "two crossings coincide"
             assert want
